@@ -24,18 +24,11 @@ from .core import (
     AllocationPlan,
     Instance,
     SolveOutcome,
-    SolveStatus,
     evaluate_allocation,
+    outcome_from_milp,
     validate_instance,
 )
-from .engine import (
-    EngineError,
-    LinearProgram,
-    LinearRow,
-    MilpOptions,
-    MilpStatus,
-    solve_milp,
-)
+from .engine import LinearProgram, LinearRow, MilpOptions, solve_milp
 
 
 @dataclass(frozen=True)
@@ -146,26 +139,5 @@ def solve_allocation(inst: Instance,
     if problems:
         raise ValueError(f"invalid instance: {problems[0].message}")
     lp, ix = build_allocation_program(inst)
-    res = solve_milp(lp, options)
-    if res.status is MilpStatus.INFEASIBLE:
-        return SolveOutcome(SolveStatus.INFEASIBLE, None, None,
-                            nodes=res.nodes, iterations=res.iterations)
-    if res.status is MilpStatus.NODE_LIMIT:
-        plan = _extract_plan(res.x, ix) if res.x is not None else None
-        obj = None
-        if plan is not None:
-            obj, _ = evaluate_allocation(inst, plan)
-        return SolveOutcome(SolveStatus.NODE_LIMIT, obj, plan,
-                            nodes=res.nodes, iterations=res.iterations,
-                            best_bound=res.best_bound)
-    plan = _extract_plan(res.x, ix)
-    obj, violations = evaluate_allocation(inst, plan)
-    if violations:
-        raise EngineError(
-            f"solver returned an invalid allocation plan: {violations[0].message}")
-    if abs(obj - res.objective) > 1e-6 * (1 + abs(obj)):
-        raise EngineError(
-            f"objective mismatch: plan costs {obj}, solver reported {res.objective}")
-    return SolveOutcome(SolveStatus.OPTIMAL, obj, plan,
-                        nodes=res.nodes, iterations=res.iterations,
-                        best_bound=obj)
+    return outcome_from_milp(solve_milp(lp, options), inst, ix, _extract_plan,
+                             evaluate_allocation, "allocation")

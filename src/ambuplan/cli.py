@@ -8,7 +8,9 @@ nondeterministic value (wall time) goes to stdout, never into files.
 
 Exit codes: 0 success, 2 invalid input (bad arguments, malformed or invalid
 files), 3 the instance is infeasible, 4 the node budget ran out before
-optimality was proven, 5 a ``check`` run found a solver/reference mismatch.
+optimality was proven, 5 a ``check`` run found a solver/reference mismatch,
+6 the solver failed (numerical breakdown, unbounded relaxation, or a plan
+that did not pass its re-check); no plan file is written then.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .core import (
     evaluate_transfer,
     validate_instance,
 )
-from .engine import MilpOptions
+from .engine import EngineError, MilpOptions
 from .generator import GenParams, generate, preset, tiny_params
 from .oracle import brute_force_allocation, brute_force_transfer
 from .transfer import solve_transfer
@@ -44,6 +46,7 @@ EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_NODE_LIMIT = 4
 EXIT_MISMATCH = 5
+EXIT_SOLVER_FAILURE = 6
 
 SCHEMA_VERSION = 1
 
@@ -298,12 +301,10 @@ def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     if args.workers < 1:
         raise InputError(f"--workers must be >= 1, got {args.workers}")
-    # a single worker is always reproducible; extra workers only keep
-    # byte-identical plans when --deterministic forces the serial search
-    options = MilpOptions(node_limit=args.node_limit, workers=args.workers,
-                          deterministic=args.deterministic or args.workers <= 1)
+    # --workers and --deterministic are accepted for compatibility only: the
+    # search is serial and reproducible whatever they say
     started = time.perf_counter()
-    outcome = _solve(inst, args.model, options)
+    outcome = _solve(inst, args.model, MilpOptions(node_limit=args.node_limit))
     elapsed = time.perf_counter() - started
     if args.out:
         write_text_atomic(args.out, dump_json(plan_to_mapping(args.model, outcome)))
@@ -466,9 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-limit", type=int, default=None,
                    help="stop after this many search nodes")
     p.add_argument("--workers", type=int, default=1,
-                   help="search threads (default 1)")
+                   help="accepted for compatibility, no effect: the search"
+                        " is serial (must be >= 1)")
     p.add_argument("--deterministic", action="store_true",
-                   help="serial reproducible search even with --workers > 1")
+                   help="accepted for compatibility, no effect: every solve"
+                        " is reproducible")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("report", help="render a demand/served table per zone")
@@ -494,12 +497,9 @@ def entry(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except EngineError as exc:
+        print(f"error: solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

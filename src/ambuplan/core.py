@@ -14,15 +14,19 @@ Two plan shapes exist on top of an instance:
 
 Evaluation is exact: all arithmetic on plans uses arbitrary-precision Python
 integers, so a reported objective is never a rounded number.
+``outcome_from_milp`` turns an engine result for either model into a
+:class:`SolveOutcome`, re-checking an optimal plan with that evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
+
+from .engine import EngineError, MilpSolution, MilpStatus
 
 
 def _frozen_int_array(value: Any, name: str) -> np.ndarray:
@@ -491,3 +495,44 @@ def evaluate_transfer(inst: Instance, plan: TransferPlan) -> tuple[int, list[Vio
                     f" demand = {d[i][t]}"))
 
     return objective, out
+
+
+# ---------------------------------------------------------------------------
+# solver outcomes
+# ---------------------------------------------------------------------------
+
+def outcome_from_milp(
+    res: MilpSolution,
+    inst: Instance,
+    ix: Any,
+    extract_plan: Callable[[np.ndarray, Any], AllocationPlan | TransferPlan],
+    evaluate: Callable[[Instance, Any], tuple[int, list[Violation]]],
+    model: str,
+) -> SolveOutcome:
+    """Turn an engine result for one planning model into a SolveOutcome.
+
+    ``extract_plan(x, ix)`` reads a plan from the solver's columns laid out
+    by ``ix``; ``evaluate`` is the model's exact evaluator. A NODE_LIMIT
+    incumbent is priced without judging it. An OPTIMAL plan must pass every
+    model rule and cost exactly what the solver reported, or EngineError is
+    raised: the objective returned is the exact integer cost of the plan.
+    """
+    if res.status is MilpStatus.INFEASIBLE:
+        return SolveOutcome(SolveStatus.INFEASIBLE, None, None,
+                            nodes=res.nodes, iterations=res.iterations)
+    plan = extract_plan(res.x, ix) if res.x is not None else None
+    if res.status is MilpStatus.NODE_LIMIT:
+        obj = evaluate(inst, plan)[0] if plan is not None else None
+        return SolveOutcome(SolveStatus.NODE_LIMIT, obj, plan,
+                            nodes=res.nodes, iterations=res.iterations,
+                            best_bound=res.best_bound)
+    obj, violations = evaluate(inst, plan)
+    if violations:
+        raise EngineError(
+            f"solver returned an invalid {model} plan: {violations[0].message}")
+    if abs(obj - res.objective) > 1e-6 * (1 + abs(obj)):
+        raise EngineError(
+            f"objective mismatch: plan costs {obj}, solver reported {res.objective}")
+    return SolveOutcome(SolveStatus.OPTIMAL, obj, plan,
+                        nodes=res.nodes, iterations=res.iterations,
+                        best_bound=obj)

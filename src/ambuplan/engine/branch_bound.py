@@ -12,18 +12,14 @@ integer-constrained, node bounds are rounded up to the next integer before
 pruning and incumbent objectives are computed in exact integer arithmetic, so
 optimality proofs do not depend on floating-point dots.
 
-``deterministic=True`` (the default) runs the search serially and makes the
-result bit-identical across runs. ``deterministic=False`` with ``workers > 1``
-processes nodes from a shared queue on that many threads; the returned
-objective value is still the optimum, but the reported plan may be any
-optimal one found first.
+The search is serial, so repeated solves are bit-identical. A program without
+integer columns closes at the root, whose relaxation is trivially integral.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import threading
 
 import numpy as np
 
@@ -63,7 +59,7 @@ def _materialize(lp: LinearProgram, fixes: tuple) -> tuple[np.ndarray, np.ndarra
 
 
 class _Search:
-    """Shared bookkeeping for one branch-and-bound run."""
+    """Bookkeeping for one branch-and-bound run."""
 
     def __init__(self, lp: LinearProgram, std: StandardForm,
                  int_idx: np.ndarray, options: MilpOptions):
@@ -190,66 +186,6 @@ def _run_serial(search: _Search) -> MilpSolution:
     return search.finish(hit_limit=False)
 
 
-def _run_threaded(search: _Search, workers: int) -> MilpSolution:
-    limit = search.options.node_limit
-    cv = threading.Condition()
-    state = {"in_flight": 0, "stopped": False, "error": None}
-    heapq.heappush(search.heap, (-math.inf, search.next_seq(), ()))
-
-    def loop() -> None:
-        while True:
-            with cv:
-                while (not state["stopped"] and state["error"] is None
-                       and not search.heap and state["in_flight"] > 0):
-                    cv.wait()
-                if state["stopped"] or state["error"] is not None:
-                    return
-                if not search.heap and state["in_flight"] == 0:
-                    cv.notify_all()
-                    return
-                if limit is not None and search.nodes + state["in_flight"] >= limit:
-                    state["stopped"] = True
-                    cv.notify_all()
-                    return
-                bound, _, fixes = heapq.heappop(search.heap)
-                if search.prunable(bound):
-                    continue
-                state["in_flight"] += 1
-            try:
-                lo, hi = _materialize(search.lp, fixes)
-                res = core_solve(search.std, lo, hi)
-            except Exception as exc:  # propagate engine errors to the caller
-                with cv:
-                    state["error"] = exc
-                    state["in_flight"] -= 1
-                    cv.notify_all()
-                return
-            with cv:
-                search.nodes += 1
-                search.iterations += res.iterations
-                try:
-                    children = search.process(fixes, res)
-                except Exception as exc:
-                    state["error"] = exc
-                    state["in_flight"] -= 1
-                    cv.notify_all()
-                    return
-                for child in children:
-                    heapq.heappush(search.heap, child)
-                state["in_flight"] -= 1
-                cv.notify_all()
-
-    threads = [threading.Thread(target=loop, name=f"bb-worker-{i}")
-               for i in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if state["error"] is not None:
-        raise state["error"]
-    return search.finish(hit_limit=state["stopped"])
-
-
 def solve_milp(lp: LinearProgram,
                options: MilpOptions | None = None) -> MilpSolution:
     """Minimize lp subject to its integrality flags.
@@ -263,21 +199,4 @@ def solve_milp(lp: LinearProgram,
         options = MilpOptions()
     int_idx = np.flatnonzero(lp.integrality)
     std = build_standard_form(lp)
-
-    if int_idx.size == 0:
-        res = core_solve(std)
-        if res.status is LpStatus.UNBOUNDED:
-            raise UnboundedProgramError(
-                "relaxation is unbounded; no optimal point exists")
-        if res.status is LpStatus.INFEASIBLE:
-            return MilpSolution(MilpStatus.INFEASIBLE, None, None, nodes=1,
-                                best_bound=None, iterations=res.iterations)
-        x = res.x_real[:lp.num_vars].copy()
-        obj = float(lp.objective @ x)
-        return MilpSolution(MilpStatus.OPTIMAL, x, obj, nodes=1,
-                            best_bound=obj, iterations=res.iterations)
-
-    search = _Search(lp, std, int_idx, options)
-    if options.deterministic or options.workers <= 1:
-        return _run_serial(search)
-    return _run_threaded(search, int(options.workers))
+    return _run_serial(_Search(lp, std, int_idx, options))

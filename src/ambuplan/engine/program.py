@@ -139,14 +139,6 @@ class MilpSolution:
 
 @dataclass(frozen=True)
 class MilpOptions:
-    """Search options: node budget, worker threads, reproducibility.
-
-    deterministic=True (the default) runs serially and is bit-identical
-    across runs, whatever ``workers`` says. deterministic=False with
-    workers > 1 solves nodes concurrently: the objective value is stable but
-    the argmin plan may differ between runs.
-    """
+    """Search options: ``node_limit`` caps the number of nodes solved."""
 
     node_limit: int | None = None
-    workers: int = 1
-    deterministic: bool = True

@@ -24,19 +24,12 @@ import numpy as np
 from .core import (
     Instance,
     SolveOutcome,
-    SolveStatus,
     TransferPlan,
     evaluate_transfer,
+    outcome_from_milp,
     validate_instance,
 )
-from .engine import (
-    EngineError,
-    LinearProgram,
-    LinearRow,
-    MilpOptions,
-    MilpStatus,
-    solve_milp,
-)
+from .engine import LinearProgram, LinearRow, MilpOptions, solve_milp
 
 
 @dataclass(frozen=True)
@@ -153,25 +146,22 @@ def build_transfer_program(inst: Instance) -> tuple[LinearProgram, TransferIndex
     return lp, ix
 
 
-def _extract_plan(x: np.ndarray, ix: TransferIndex, inst: Instance) -> TransferPlan:
+def _extract_plan(x: np.ndarray, ix: TransferIndex) -> TransferPlan:
     jn, zn, tn = ix.num_stations, ix.num_zones, ix.num_slots
     vals = np.rint(x).astype(np.int64)
+    serve_at = jn * tn
+    tin_at, tout_at = ix.transfer_in(0, 1), ix.transfer_out(0, 1)
+    short_at = ix.shortage(0, 0)
     serve = np.zeros((jn, zn, tn), dtype=np.int64)
-    for (j, i) in ix.pairs:
-        for t in range(tn):
-            serve[j, i, t] = vals[ix.serve(j, i, t)]
+    js, zs = np.array(ix.pairs, dtype=np.intp).reshape(-1, 2).T
+    serve[js, zs] = vals[serve_at:tin_at].reshape(-1, tn)
     tin = np.zeros((jn, tn), dtype=np.int64)
     tout = np.zeros((jn, tn), dtype=np.int64)
-    for j in range(jn):
-        for t in range(1, tn):
-            tin[j, t] = vals[ix.transfer_in(j, t)]
-            tout[j, t] = vals[ix.transfer_out(j, t)]
-    stock = np.array([[vals[ix.stock(j, t)] for t in range(tn)]
-                      for j in range(jn)], dtype=np.int64)
-    shortage = np.array([[vals[ix.shortage(i, t)] for t in range(tn)]
-                         for i in range(zn)], dtype=np.int64)
-    return TransferPlan(stock=stock, serve=serve, transfer_in=tin,
-                        transfer_out=tout, shortage=shortage)
+    tin[:, 1:] = vals[tin_at:tout_at].reshape(jn, tn - 1)
+    tout[:, 1:] = vals[tout_at:short_at].reshape(jn, tn - 1)
+    return TransferPlan(stock=vals[:serve_at].reshape(jn, tn), serve=serve,
+                        transfer_in=tin, transfer_out=tout,
+                        shortage=vals[short_at:].reshape(zn, tn))
 
 
 def solve_transfer(inst: Instance,
@@ -186,26 +176,5 @@ def solve_transfer(inst: Instance,
     if problems:
         raise ValueError(f"invalid instance: {problems[0].message}")
     lp, ix = build_transfer_program(inst)
-    res = solve_milp(lp, options)
-    if res.status is MilpStatus.INFEASIBLE:
-        return SolveOutcome(SolveStatus.INFEASIBLE, None, None,
-                            nodes=res.nodes, iterations=res.iterations)
-    if res.status is MilpStatus.NODE_LIMIT:
-        plan = _extract_plan(res.x, ix, inst) if res.x is not None else None
-        obj = None
-        if plan is not None:
-            obj, _ = evaluate_transfer(inst, plan)
-        return SolveOutcome(SolveStatus.NODE_LIMIT, obj, plan,
-                            nodes=res.nodes, iterations=res.iterations,
-                            best_bound=res.best_bound)
-    plan = _extract_plan(res.x, ix, inst)
-    obj, violations = evaluate_transfer(inst, plan)
-    if violations:
-        raise EngineError(
-            f"solver returned an invalid transfer plan: {violations[0].message}")
-    if abs(obj - res.objective) > 1e-6 * (1 + abs(obj)):
-        raise EngineError(
-            f"objective mismatch: plan costs {obj}, solver reported {res.objective}")
-    return SolveOutcome(SolveStatus.OPTIMAL, obj, plan,
-                        nodes=res.nodes, iterations=res.iterations,
-                        best_bound=obj)
+    return outcome_from_milp(solve_milp(lp, options), inst, ix, _extract_plan,
+                             evaluate_transfer, "transfer")

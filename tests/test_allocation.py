@@ -11,9 +11,11 @@ from ambuplan import (
     build_allocation_program,
     evaluate_allocation,
     generate,
+    preset,
     solve_allocation,
     tiny_params,
 )
+from ambuplan.allocation import _extract_plan
 from ambuplan.engine import LpStatus, MilpOptions, solve_lp
 
 
@@ -47,6 +49,18 @@ class TestProgramShape:
         relaxed = solve_lp(lp)
         assert relaxed.status is LpStatus.OPTIMAL
         assert relaxed.objective <= 5 + 1e-9
+
+    def test_plan_extraction_follows_the_column_layout(self):
+        inst = generate(preset(1), 0)
+        _, ix = build_allocation_program(inst)
+        plan = _extract_plan(np.arange(ix.num_vars, dtype=float), ix)
+        for j in range(inst.num_stations):
+            for t in range(inst.num_slots):
+                assert plan.alloc[j, t] == ix.alloc(j, t)
+                assert plan.dispatch[j, t] == ix.dispatch(j, t)
+                assert plan.inventory[j, t] == ix.inventory(j, t)
+        for t in range(inst.num_slots):
+            assert plan.shortage[t] == ix.shortage(t)
 
 
 class TestSolve:

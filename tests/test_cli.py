@@ -15,6 +15,7 @@ from ambuplan.cli import (
     plan_to_mapping,
     save_instance,
 )
+from ambuplan.engine import NumericalBreakdownError
 
 TINY1_FILE = {
     "schema_version": 1,
@@ -221,14 +222,33 @@ class TestSolve:
         assert data["best_bound"] is None  # nothing was explored
         capsys.readouterr()
 
-    def test_workers_flag_accepted(self, tiny1_path, capsys):
-        assert entry(["solve", "--instance", tiny1_path, "--model", "2",
-                      "--workers", "2"]) == 0
-        assert entry(["solve", "--instance", tiny1_path, "--model", "2",
-                      "--workers", "2", "--deterministic"]) == 0
+    def test_workers_flag_accepted(self, tiny1_path, tmp_path, capsys):
+        # both flags are kept for compatibility and change no output byte
+        for model in ("1", "2"):
+            plans = []
+            for k, extra in enumerate(([], ["--workers", "2"],
+                                       ["--workers", "2", "--deterministic"])):
+                plan_path = tmp_path / f"plan{model}_{k}.json"
+                assert entry(["solve", "--instance", tiny1_path, "--model",
+                              model, "--out", str(plan_path), *extra]) == 0
+                plans.append(plan_path.read_bytes())
+            assert plans[1] == plans[0] and plans[2] == plans[0]
         assert entry(["solve", "--instance", tiny1_path, "--model", "2",
                       "--workers", "0"]) == 2
         capsys.readouterr()
+
+    def test_solver_failure_exits_6_without_plan(self, tiny1_path, tmp_path,
+                                                 capsys, monkeypatch):
+        def breakdown(inst, options=None):
+            raise NumericalBreakdownError("no acceptable pivot")
+
+        monkeypatch.setattr("ambuplan.cli.solve_allocation", breakdown)
+        plan_path = tmp_path / "plan.json"
+        assert entry(["solve", "--instance", tiny1_path, "--model", "1",
+                      "--out", str(plan_path)]) == 6
+        err = capsys.readouterr().err
+        assert err == "error: solver failure: no acceptable pivot\n"
+        assert not plan_path.exists()
 
     def test_malformed_inputs_exit_2(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")

@@ -168,34 +168,3 @@ class TestDeterminism:
         assert first.x.tobytes() == second.x.tobytes()
         assert (first.nodes, first.iterations) == (second.nodes,
                                                    second.iterations)
-
-    def test_deterministic_flag_overrides_worker_count(self):
-        serial = solve_milp(self.problem())
-        forced = solve_milp(self.problem(),
-                            MilpOptions(workers=4, deterministic=True))
-        assert serial.x.tobytes() == forced.x.tobytes()
-        assert serial.nodes == forced.nodes
-
-    def test_threaded_search_agrees_on_objective(self):
-        serial = solve_milp(self.problem())
-        threaded = solve_milp(self.problem(),
-                              MilpOptions(workers=3, deterministic=False))
-        assert threaded.status is MilpStatus.OPTIMAL
-        assert threaded.objective == serial.objective
-
-    def test_threaded_search_on_random_batch(self):
-        rng = np.random.default_rng(4242)
-        for _ in range(15):
-            n = int(rng.integers(2, 5))
-            cost = rng.integers(-6, 6, size=n).astype(float)
-            hi = rng.integers(1, 4, size=n).astype(float)
-            rows = [LinearRow(
-                tuple((j, float(rng.integers(1, 4))) for j in range(n)),
-                "<=", float(rng.integers(2, 10)))]
-            lp = LinearProgram(n, cost, np.zeros(n), hi, np.ones(n), rows)
-            serial = solve_milp(lp)
-            threaded = solve_milp(lp, MilpOptions(workers=2,
-                                                  deterministic=False))
-            assert serial.status is threaded.status
-            if serial.status is MilpStatus.OPTIMAL:
-                assert serial.objective == threaded.objective

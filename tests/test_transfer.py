@@ -16,7 +16,7 @@ from ambuplan import (
     tiny_params,
 )
 from ambuplan.engine import LpStatus, MilpOptions, solve_lp
-from ambuplan.transfer import TransferIndex
+from ambuplan.transfer import TransferIndex, _extract_plan
 
 
 class TestProgramShape:
@@ -52,6 +52,27 @@ class TestProgramShape:
         relaxed = solve_lp(lp)
         assert relaxed.status is LpStatus.OPTIMAL
         assert relaxed.objective <= 5 + 1e-9
+
+    def test_plan_extraction_follows_the_column_layout(self):
+        inst = generate(preset(1), 0)
+        _, ix = build_transfer_program(inst)
+        # several slots and some uncovered pairs, so every block is exercised
+        assert inst.num_slots > 1 and not inst.coverage.all()
+        plan = _extract_plan(np.arange(ix.num_vars, dtype=float), ix)
+        for j in range(inst.num_stations):
+            for t in range(inst.num_slots):
+                assert plan.stock[j, t] == ix.stock(j, t)
+                for i in range(inst.num_zones):
+                    expected = ix.serve(j, i, t) if inst.coverage[j, i] else 0
+                    assert plan.serve[j, i, t] == expected
+                moved = t > 0
+                assert plan.transfer_in[j, t] == (ix.transfer_in(j, t)
+                                                  if moved else 0)
+                assert plan.transfer_out[j, t] == (ix.transfer_out(j, t)
+                                                   if moved else 0)
+        for i in range(inst.num_zones):
+            for t in range(inst.num_slots):
+                assert plan.shortage[i, t] == ix.shortage(i, t)
 
 
 class TestSolve:
