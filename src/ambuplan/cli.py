@@ -34,6 +34,7 @@ from .core import (
     TransferPlan,
     evaluate_allocation,
     evaluate_transfer,
+    require_plan_shape,
     validate_instance,
 )
 from .engine import EngineError, MilpOptions
@@ -301,6 +302,8 @@ def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     if args.workers < 1:
         raise InputError(f"--workers must be >= 1, got {args.workers}")
+    if args.node_limit is not None and args.node_limit < 0:
+        raise InputError(f"--node-limit must be >= 0, got {args.node_limit}")
     # --workers and --deterministic are accepted for compatibility only: the
     # search is serial and reproducible whatever they say
     started = time.perf_counter()
@@ -380,12 +383,7 @@ def cmd_report(args) -> int:
     if plan is None:
         raise InputError(f"plan file records status {status!r} and carries"
                          " no plan to report")
-    expect = (inst.num_stations, inst.num_slots)
-    got = plan.stock.shape if model == 2 else plan.alloc.shape
-    if got != expect:
-        raise InputError(f"plan shape {got} does not match instance {expect}")
-    if model == 2 and plan.serve.shape[1] != inst.num_zones:
-        raise InputError("plan zone count does not match instance")
+    require_plan_shape(inst, plan)
     renderer = render_report_text if args.format == "text" else render_report_csv
     text = renderer(inst, model, plan)
     if args.out:
@@ -465,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1: per-slot allocation, 2: stock and transfers")
     p.add_argument("--out", help="write the plan JSON here")
     p.add_argument("--node-limit", type=int, default=None,
-                   help="stop after this many search nodes")
+                   help="stop after this many search nodes (must be >= 0)")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility, no effect: the search"
                         " is serial (must be >= 1)")

@@ -276,9 +276,19 @@ def validate_instance(inst: Instance) -> list[Violation]:
 # plan evaluation (exact integer arithmetic)
 # ---------------------------------------------------------------------------
 
-def _require_shape(arr: np.ndarray, shape: tuple[int, ...], name: str) -> None:
-    if arr.shape != shape:
-        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+def require_plan_shape(inst: Instance, plan: AllocationPlan | TransferPlan) -> None:
+    """Raise ValueError unless every plan array has the shape inst implies."""
+    J, I, T = inst.num_stations, inst.num_zones, inst.num_slots
+    if isinstance(plan, AllocationPlan):
+        shapes = {"alloc": (J, T), "dispatch": (J, T), "inventory": (J, T),
+                  "shortage": (T,)}
+    else:
+        shapes = {"stock": (J, T), "serve": (J, I, T), "transfer_in": (J, T),
+                  "transfer_out": (J, T), "shortage": (I, T)}
+    for name, shape in shapes.items():
+        got = getattr(plan, name).shape
+        if got != shape:
+            raise ValueError(f"{name} has shape {got}, expected {shape}")
 
 
 def evaluate_allocation(inst: Instance, plan: AllocationPlan) -> tuple[int, list[Violation]]:
@@ -289,10 +299,7 @@ def evaluate_allocation(inst: Instance, plan: AllocationPlan) -> tuple[int, list
     other defect is reported as a Violation.
     """
     J, I, T = inst.num_stations, inst.num_zones, inst.num_slots
-    _require_shape(plan.alloc, (J, T), "alloc")
-    _require_shape(plan.dispatch, (J, T), "dispatch")
-    _require_shape(plan.inventory, (J, T), "inventory")
-    _require_shape(plan.shortage, (T,), "shortage")
+    require_plan_shape(inst, plan)
 
     a = inst.coverage.tolist()
     n = inst.capacity.tolist()
@@ -382,11 +389,7 @@ def evaluate_transfer(inst: Instance, plan: TransferPlan) -> tuple[int, list[Vio
     per incoming move after the first slot, big_m per unit shortage.
     """
     J, I, T = inst.num_stations, inst.num_zones, inst.num_slots
-    _require_shape(plan.stock, (J, T), "stock")
-    _require_shape(plan.serve, (J, I, T), "serve")
-    _require_shape(plan.transfer_in, (J, T), "transfer_in")
-    _require_shape(plan.transfer_out, (J, T), "transfer_out")
-    _require_shape(plan.shortage, (I, T), "shortage")
+    require_plan_shape(inst, plan)
 
     a = inst.coverage.tolist()
     n = inst.capacity.tolist()

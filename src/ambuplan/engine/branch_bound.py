@@ -121,7 +121,7 @@ class _Search:
         obj = res.objective
         if self.prunable(obj):
             return []
-        x = res.x_real[:self.lp.num_vars].copy()
+        x = res.x[:self.lp.num_vars].copy()
         xi = x[self.int_idx]
         frac = xi - np.round(xi)
         if np.all(np.abs(frac) <= INTEGRALITY_TOL):

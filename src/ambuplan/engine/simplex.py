@@ -1,11 +1,13 @@
 """Bounded-variable primal simplex over a sparse revised formulation.
 
 Rows are converted once into equality standard form (slack columns for
-inequalities). The basis inverse is represented by a sparse LU factorization
-(scipy ``splu``) plus a product-form eta file that is folded back into a fresh
-factorization every few dozen pivots. Phase 1 minimizes the total artificial
-value from a slack crash basis; phase 2 continues on the true costs from the
-feasible basis phase 1 leaves behind.
+inequalities). Each solve works on one matrix [A | diag(g)]: the artificial
+column of row k is the unit column scaled by the sign g[k] of that row's
+residual at the crash basis. The basis inverse is represented by a sparse LU
+factorization (scipy ``splu``) plus a product-form eta file that is folded
+back into a fresh factorization every few dozen pivots. Phase 1 minimizes
+the total artificial value from a slack crash basis; phase 2 continues on the
+true costs from the feasible basis phase 1 leaves behind.
 
 Anti-cycling: Dantzig pricing by default, switching to Bland's rule whenever
 the objective has not improved for 5 * (num_vars + num_rows) iterations.
@@ -44,21 +46,12 @@ class StandardForm:
     m: int
     n_struct: int
     n_real: int            # structural + slack columns
-    A_csr: sparse.csr_array
-    A_csc: sparse.csc_array
-    AT_csr: sparse.csr_array
+    A: sparse.csc_array    # m x n_real
+    slack_sign: np.ndarray  # per row: +1 for <=, -1 for >=, 0 without slack
     b: np.ndarray
     cost_real: np.ndarray
     lower_real: np.ndarray
     upper_real: np.ndarray
-
-
-@dataclass
-class CoreResult:
-    status: LpStatus
-    x_real: np.ndarray | None
-    objective: float | None
-    iterations: int
 
 
 def build_standard_form(lp: LinearProgram) -> StandardForm:
@@ -72,6 +65,7 @@ def build_standard_form(lp: LinearProgram) -> StandardForm:
     cols_idx: list[int] = []
     vals: list[float] = []
     b = np.zeros(m)
+    slack_sign = np.zeros(m)
     next_slack = n
     for k, row in enumerate(lp.rows):
         b[k] = row.rhs
@@ -81,18 +75,16 @@ def build_standard_form(lp: LinearProgram) -> StandardForm:
                 cols_idx.append(i)
                 vals.append(v)
         if row.relation != "=":
+            slack_sign[k] = 1.0 if row.relation == "<=" else -1.0
             rows_idx.append(k)
             cols_idx.append(next_slack)
-            vals.append(1.0 if row.relation == "<=" else -1.0)
+            vals.append(slack_sign[k])
             next_slack += 1
 
     A = sparse.coo_array(
         (np.asarray(vals, dtype=np.float64),
          (np.asarray(rows_idx, dtype=np.int64), np.asarray(cols_idx, dtype=np.int64))),
-        shape=(m, n_real))
-    A_csr = A.tocsr()
-    A_csc = A.tocsc()
-    AT_csr = A_csc.T.tocsr()
+        shape=(m, n_real)).tocsc()
 
     cost = np.zeros(n_real)
     cost[:n] = lp.objective
@@ -100,12 +92,12 @@ def build_standard_form(lp: LinearProgram) -> StandardForm:
     upper = np.full(n_real, np.inf)
     lower[:n] = lp.lower
     upper[:n] = lp.upper
-    return StandardForm(m=m, n_struct=n, n_real=n_real, A_csr=A_csr, A_csc=A_csc,
-                        AT_csr=AT_csr, b=b, cost_real=cost,
+    return StandardForm(m=m, n_struct=n, n_real=n_real, A=A,
+                        slack_sign=slack_sign, b=b, cost_real=cost,
                         lower_real=lower, upper_real=upper)
 
 
-def _solve_no_rows(std: StandardForm, lo: np.ndarray, up: np.ndarray) -> CoreResult:
+def _solve_no_rows(std: StandardForm, lo: np.ndarray, up: np.ndarray) -> LpSolution:
     """Row-free program: each variable sits at its cost-preferred bound."""
     c = std.cost_real
     x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(up), up, 0.0))
@@ -113,8 +105,8 @@ def _solve_no_rows(std: StandardForm, lo: np.ndarray, up: np.ndarray) -> CoreRes
     x[pick_up] = up[pick_up]
     unbounded = ((c < 0) & ~np.isfinite(up)) | ((c > 0) & ~np.isfinite(lo))
     if np.any(unbounded):
-        return CoreResult(LpStatus.UNBOUNDED, None, None, 0)
-    return CoreResult(LpStatus.OPTIMAL, x, float(c @ x), 0)
+        return LpSolution(LpStatus.UNBOUNDED, None, None)
+    return LpSolution(LpStatus.OPTIMAL, x, float(c @ x))
 
 
 class _Solver:
@@ -139,7 +131,7 @@ class _Solver:
         self.x = np.zeros(self.N)
         self.status = np.full(self.N, AT_LOWER, dtype=np.int8)
         self.basis = np.zeros(m, dtype=np.int64)
-        self.g = np.ones(m)  # artificial column signs
+        self.A = self.AT = None  # [A | diag(g)] and its transpose, from crash_basis
         self.lu = None
         self.etas: list[tuple[int, np.ndarray]] = []
         self.updates_since_refactor = 0
@@ -150,38 +142,14 @@ class _Solver:
     # ----- basis linear algebra -------------------------------------------
 
     def column(self, q: int) -> np.ndarray:
+        s, e = self.A.indptr[q], self.A.indptr[q + 1]
         col = np.zeros(self.m)
-        if q < self.n_real:
-            A = self.std.A_csc
-            s, e = A.indptr[q], A.indptr[q + 1]
-            col[A.indices[s:e]] = A.data[s:e]
-        else:
-            k = q - self.n_real
-            col[k] = self.g[k]
+        col[self.A.indices[s:e]] = self.A.data[s:e]
         return col
 
     def refactor(self) -> None:
-        m, n_real = self.m, self.n_real
-        A = self.std.A_csc
-        idx_parts: list[np.ndarray] = []
-        dat_parts: list[np.ndarray] = []
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        for pos, v in enumerate(self.basis):
-            if v < n_real:
-                s, e = A.indptr[v], A.indptr[v + 1]
-                idx_parts.append(A.indices[s:e])
-                dat_parts.append(A.data[s:e])
-                indptr[pos + 1] = indptr[pos] + (e - s)
-            else:
-                k = v - n_real
-                idx_parts.append(np.array([k], dtype=A.indices.dtype))
-                dat_parts.append(np.array([self.g[k]]))
-                indptr[pos + 1] = indptr[pos] + 1
-        B = sparse.csc_array(
-            (np.concatenate(dat_parts), np.concatenate(idx_parts), indptr),
-            shape=(m, m))
         try:
-            self.lu = splu(B.tocsc(), permc_spec="COLAMD")
+            self.lu = splu(self.A[:, self.basis], permc_spec="COLAMD")
         except RuntimeError as exc:
             raise NumericalBreakdownError(
                 f"basis factorization failed: {exc}") from exc
@@ -190,11 +158,7 @@ class _Solver:
         # recompute basic values from scratch to shed accumulated drift
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        rhs = self.std.b - self.std.A_csr @ xn[:n_real]
-        art = xn[n_real:]
-        if np.any(art):
-            rhs = rhs - self.g * art
-        self.x[self.basis] = self.lu.solve(rhs)
+        self.x[self.basis] = self.lu.solve(self.std.b - self.A @ xn)
 
     def ftran(self, col: np.ndarray) -> np.ndarray:
         v = self.lu.solve(col)
@@ -215,7 +179,11 @@ class _Solver:
     # ----- initialization --------------------------------------------------
 
     def crash_basis(self) -> None:
-        """Slack crash: slacks carry their rows when feasible, else artificials."""
+        """Slack crash: slacks carry their rows when feasible, else artificials.
+
+        Also builds the solve's matrix [A | diag(g)], where g[k] is the sign
+        of row k's residual at the crash point.
+        """
         std = self.std
         n_real, m = self.n_real, self.m
         lo_f = np.isfinite(self.lo[:n_real])
@@ -226,35 +194,27 @@ class _Solver:
         self.status[n_real:] = AT_LOWER
         self.x[n_real:] = 0.0
 
-        resid = std.b - std.A_csr @ self.x[:n_real]
-        # find each row's slack column, if any: it is the trailing entry
-        # appended during standardization (column index >= n_struct).
-        A = std.A_csr
-        for k in range(m):
-            slack_idx = -1
-            sigma = 0.0
-            s, e = A.indptr[k], A.indptr[k + 1]
-            for p in range(e - 1, s - 1, -1):
-                if A.indices[p] >= std.n_struct:
-                    slack_idx = int(A.indices[p])
-                    sigma = float(A.data[p])
-                    break
-            placed = False
-            if slack_idx >= 0:
-                sval = sigma * (resid[k] + sigma * self.x[slack_idx])
-                # x[slack] is 0 here, kept explicit for clarity
-                if sval >= -1e-12:
-                    self.basis[k] = slack_idx
-                    self.status[slack_idx] = BASIC
-                    self.x[slack_idx] = max(sval, 0.0)
-                    placed = True
-            if not placed:
-                aidx = n_real + k
-                self.g[k] = 1.0 if resid[k] >= 0 else -1.0
-                self.basis[k] = aidx
-                self.status[aidx] = BASIC
-                self.x[aidx] = abs(resid[k])
-                self.up[aidx] = np.inf
+        resid = std.b - std.A @ self.x[:n_real]
+        # a row's slack carries it when that leaves the slack nonnegative
+        sigma = std.slack_sign
+        use_slack = (sigma != 0) & (sigma * resid >= -1e-12)
+        slack_col = std.n_struct - 1 + np.cumsum(sigma != 0)
+        art_col = n_real + np.arange(m)
+        self.basis[:] = np.where(use_slack, slack_col, art_col)
+        self.status[self.basis] = BASIC
+        self.x[self.basis] = np.where(use_slack, np.maximum(sigma * resid, 0.0),
+                                      np.abs(resid))
+        self.up[art_col[~use_slack]] = np.inf
+
+        g = np.where(resid >= 0, 1.0, -1.0)
+        A = std.A
+        diag = np.arange(m + 1, dtype=A.indptr.dtype)
+        self.A = sparse.csc_array(
+            (np.concatenate([A.data, g]),
+             np.concatenate([A.indices, diag[:m]]),
+             np.concatenate([A.indptr, A.indptr[-1] + diag[1:]])),
+            shape=(m, self.N))
+        self.AT = self.A.T
 
     # ----- pricing and pivoting --------------------------------------------
 
@@ -296,9 +256,7 @@ class _Solver:
             # pricing against a clean factorization is trusted as-is
             fresh = not self.etas and self.updates_since_refactor == 0
             y = self.btran(c[self.basis])
-            d = np.empty(self.N)
-            d[:self.n_real] = c[:self.n_real] - self.std.AT_csr @ y
-            d[self.n_real:] = c[self.n_real:] - self.g * y
+            d = c - self.AT @ y
             bland = since_improve > self.bland_threshold
             q = self.choose_entering(d, dtol, bland)
             if q < 0:
@@ -416,9 +374,9 @@ class _Solver:
 
     # ----- driver -----------------------------------------------------------
 
-    def solve(self) -> CoreResult:
+    def solve(self) -> LpSolution:
         if np.any(self.lo > self.up):
-            return CoreResult(LpStatus.INFEASIBLE, None, None, 0)
+            return LpSolution(LpStatus.INFEASIBLE, None, None)
         if self.m == 0:
             return _solve_no_rows(self.std, self.lo[:self.n_real],
                                   self.up[:self.n_real])
@@ -431,26 +389,23 @@ class _Solver:
             self.run_phase(1)
             art_total = float(np.abs(self.x[self.n_real:]).sum())
             if art_total > p1_tol:
-                return CoreResult(LpStatus.INFEASIBLE, None, None, self.iterations)
+                return LpSolution(LpStatus.INFEASIBLE, None, None, self.iterations)
         # pin every artificial for phase 2
         self.up[self.n_real:] = 0.0
 
         outcome = self.run_phase(2)
         if outcome == "unbounded":
-            return CoreResult(LpStatus.UNBOUNDED, None, None, self.iterations)
+            return LpSolution(LpStatus.UNBOUNDED, None, None, self.iterations)
         self._verify()
         x_real = self.x[:self.n_real].copy()
         obj = float(self.std.cost_real @ x_real)
-        return CoreResult(LpStatus.OPTIMAL, x_real, obj, self.iterations)
+        return LpSolution(LpStatus.OPTIMAL, x_real, obj, self.iterations)
 
     def _verify(self) -> None:
         """Exact-form residual and bound check; breakdown when irreparable."""
         for attempt in range(3):
+            resid = self.A @ self.x - self.std.b
             x_real = self.x[:self.n_real]
-            resid = self.std.A_csr @ x_real - self.std.b
-            art = self.x[self.n_real:]
-            if np.any(art):
-                resid = resid + self.g * art
             row_tol = FEAS_TOL * (1.0 + np.abs(self.std.b))
             rows_ok = bool(np.all(np.abs(resid) <= row_tol * 100))
             lo, up = self.lo[:self.n_real], self.up[:self.n_real]
@@ -465,8 +420,10 @@ class _Solver:
 
 def core_solve(std: StandardForm,
                lo_struct: np.ndarray | None = None,
-               hi_struct: np.ndarray | None = None) -> CoreResult:
+               hi_struct: np.ndarray | None = None) -> LpSolution:
     """Solve the continuous program over std with optional bound overrides.
+
+    The solution's x spans all standard-form columns, structural then slack.
 
     A numerical failure triggers one full retry under conservative settings
     (tighter pivot threshold, more frequent refactorization) before the
@@ -484,9 +441,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Statuses: OPTIMAL with a primal-feasible x (rows within FEAS_TOL scaled by
     1 + |rhs|), INFEASIBLE, or UNBOUNDED. Integrality flags are ignored here.
     """
-    std = build_standard_form(lp)
-    res = core_solve(std)
+    res = core_solve(build_standard_form(lp))
     if res.status is not LpStatus.OPTIMAL:
-        return LpSolution(res.status, None, None, res.iterations)
-    x = res.x_real[:lp.num_vars].copy()
+        return res
+    x = res.x[:lp.num_vars].copy()
     return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x), res.iterations)

@@ -220,7 +220,11 @@ class TestSolve:
         data = json.loads(open(plan_path).read())
         assert data["status"] == "node_limit"
         assert data["best_bound"] is None  # nothing was explored
-        capsys.readouterr()
+        rejected = str(tmp_path / "rejected.json")
+        assert entry(["solve", "--instance", tiny1_path, "--model", "1",
+                      "--node-limit", "-1", "--out", rejected]) == 2
+        assert "--node-limit must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "rejected.json").exists()
 
     def test_workers_flag_accepted(self, tiny1_path, tmp_path, capsys):
         # both flags are kept for compatibility and change no output byte
@@ -326,7 +330,20 @@ class TestReport:
                                 demand=[[1, 1], [1, 1]]))
         assert entry(["report", "--instance", other,
                       "--plan", plan_path]) == 2
-        capsys.readouterr()
+        # arrays that disagree with the instance in any axis are rejected
+        # before rendering, not met as an IndexError or rendered anyway
+        paths = {1: self.solve_to_file(tiny1_path, tmp_path, 1), 2: plan_path}
+        for model, key, trim in ((2, "serve", lambda a: [[r[:-1] for r in z]
+                                                          for z in a]),
+                                 (1, "shortage", lambda a: a[:-1]),
+                                 (2, "shortage", lambda a: a[:-1])):
+            data = json.loads(open(paths[model]).read())
+            data["plan"][key] = trim(data["plan"][key])
+            bad = write_json(tmp_path, f"bad{model}_{key}.json", data)
+            capsys.readouterr()
+            assert entry(["report", "--instance", tiny1_path,
+                          "--plan", bad]) == 2
+            assert f"{key} has shape" in capsys.readouterr().err
 
     def test_plan_without_payload_exits_2(self, tiny1_path, tmp_path, capsys):
         payload = dict(TINY1_FILE, coverage=[[1, 0], [1, 0]])

@@ -10,9 +10,12 @@ import pytest
 from scipy.optimize import linprog
 
 from ambuplan.engine import (
+    PIVOT_TOL,
     LinearProgram,
     LinearRow,
     LpStatus,
+    NumericalBreakdownError,
+    simplex,
     solve_lp,
 )
 
@@ -238,3 +241,46 @@ class TestAgainstIndependentSolver:
                 assert first.x.tobytes() == second.x.tobytes()
                 assert first.objective == second.objective
                 assert first.iterations == second.iterations
+
+
+class TestConservativeRetry:
+    """core_solve reruns a broken-down solve once under conservative settings."""
+
+    @staticmethod
+    def textbook_form():
+        return simplex.build_standard_form(lp_of(2, [-3, -5], [0, 0], [inf, inf], [
+            LinearRow(((0, 1.0),), "<=", 4.0),
+            LinearRow(((1, 2.0),), "<=", 12.0),
+            LinearRow(((0, 3.0), (1, 2.0)), "<=", 18.0),
+        ]))
+
+    def test_breakdown_retried_and_solved(self, monkeypatch):
+        std = self.textbook_form()
+        solve = simplex._Solver.solve
+        runs = []
+
+        def breaks_by_default(solver):
+            runs.append((solver.pivot_tol, solver.refactor_every))
+            if solver.pivot_tol == PIVOT_TOL:
+                raise NumericalBreakdownError("forced breakdown")
+            return solve(solver)
+
+        monkeypatch.setattr(simplex._Solver, "solve", breaks_by_default)
+        res = simplex.core_solve(std)
+        assert runs == [(PIVOT_TOL, simplex.REFACTOR_EVERY), (1e-6, 16)]
+        assert res.status is LpStatus.OPTIMAL
+        assert res.objective == pytest.approx(-36.0, abs=1e-8)
+        assert np.allclose(res.x[:2], [2.0, 6.0], atol=1e-8)
+
+    def test_breakdown_in_both_runs_propagates(self, monkeypatch):
+        std = self.textbook_form()
+        runs = []
+
+        def always_breaks(solver):
+            runs.append(solver.pivot_tol)
+            raise NumericalBreakdownError("forced breakdown")
+
+        monkeypatch.setattr(simplex._Solver, "solve", always_breaks)
+        with pytest.raises(NumericalBreakdownError, match="forced breakdown"):
+            simplex.core_solve(std)
+        assert runs == [PIVOT_TOL, 1e-6]
