@@ -24,16 +24,18 @@ from .core import (
     AllocationPlan,
     Instance,
     SolveOutcome,
+    at_minimal_penalty,
     evaluate_allocation,
     outcome_from_milp,
     validate_instance,
 )
-from .engine import LinearProgram, LinearRow, MilpOptions, solve_milp
+from .engine import LinearProgram, MilpOptions, matrix_from_blocks, solve_milp
 
 
 @dataclass(frozen=True)
 class AllocationIndex:
-    """Column layout of the allocation program: four contiguous blocks."""
+    """Column layout of the allocation program: four contiguous blocks.
+    The accessors take index arrays as well as ints."""
 
     num_stations: int
     num_slots: int
@@ -60,84 +62,63 @@ def build_allocation_program(inst: Instance) -> tuple[LinearProgram, AllocationI
     jn, zn, tn = inst.num_stations, inst.num_zones, inst.num_slots
     ix = AllocationIndex(jn, tn)
     n = ix.num_vars
-
-    obj = np.zeros(n)
-    lower = np.zeros(n)
-    upper = np.full(n, np.inf)
-    for j in range(jn):
-        for t in range(tn):
-            obj[ix.alloc(j, t)] = inst.hold_cost[j, t]
-            obj[ix.dispatch(j, t)] = inst.dispatch_cost[j, t]
-            upper[ix.alloc(j, t)] = inst.capacity[j, t]
-    for t in range(tn):
-        obj[ix.shortage(t)] = inst.big_m
-
-    rows: list[LinearRow] = []
-    # idle stock carried from the previous slot plus net placement
-    for j in range(jn):
-        for t in range(tn):
-            coeffs = [(ix.inventory(j, t), 1.0),
-                      (ix.alloc(j, t), -1.0), (ix.dispatch(j, t), 1.0)]
-            if t > 0:
-                coeffs.append((ix.inventory(j, t - 1), -1.0))
-            rows.append(LinearRow(tuple(coeffs), "=", 0.0))
-    # fleet cap per slot
-    for t in range(tn):
-        rows.append(LinearRow(
-            tuple((ix.alloc(j, t), 1.0) for j in range(jn)),
-            "<=", float(inst.fleet_size)))
-    # placed coverage must meet each zone's demand
-    for i in range(zn):
-        for t in range(tn):
-            coeffs = tuple((ix.alloc(j, t), 1.0)
-                           for j in range(jn) if inst.coverage[j, i])
-            rows.append(LinearRow(coeffs, ">=", float(inst.demand[i, t])))
-    # dispatched coverage may fall short by the slot's shortage
-    for i in range(zn):
-        for t in range(tn):
-            coeffs = tuple((ix.dispatch(j, t), 1.0)
-                           for j in range(jn) if inst.coverage[j, i])
-            rows.append(LinearRow(coeffs + ((ix.shortage(t), 1.0),),
-                                  ">=", float(inst.demand[i, t])))
-    # every call is either answered or counted short
-    for t in range(tn):
-        total = float(inst.demand[:, t].sum())
-        coeffs = tuple((ix.dispatch(j, t), 1.0) for j in range(jn))
-        rows.append(LinearRow(coeffs + ((ix.shortage(t), 1.0),), "=", total))
-    # cannot dispatch more than was placed
-    for j in range(jn):
-        for t in range(tn):
-            rows.append(LinearRow(
-                ((ix.dispatch(j, t), 1.0), (ix.alloc(j, t), -1.0)),
-                "<=", 0.0))
-
-    lp = LinearProgram(n, obj, lower, upper, np.ones(n, dtype=bool), rows)
+    jt = np.arange(jn * tn)             # station-major (j, t)
+    j, t = np.divmod(jt, tn)
+    it = np.arange(zn * tn)             # zone-major (i, t)
+    slot = np.arange(tn)
+    cj, ci = np.nonzero(inst.coverage)  # covering (j, i) pairs, once per slot
+    cj, ct = np.repeat(cj, tn), np.tile(slot, ci.size)
+    cover = np.repeat(ci, tn) * tn + ct  # the (i, t) row each pair-slot covers
+    sizes = [jt.size, tn, it.size, it.size, tn, jt.size]
+    fleet, placed, dispatched, total, limit = np.cumsum(sizes[:-1]).tolist()
+    blocks = [
+        # idle stock carried from the previous slot plus net placement
+        (jt, ix.inventory(j, t), 1.0), (jt, ix.alloc(j, t), -1.0),
+        (jt, ix.dispatch(j, t), 1.0), (jt[t > 0], ix.inventory(j, t - 1)[t > 0], -1.0),
+        # fleet cap per slot
+        (fleet + t, ix.alloc(j, t), 1.0),
+        # placed coverage must meet each zone's demand
+        (placed + cover, ix.alloc(cj, ct), 1.0),
+        # dispatched coverage may fall short by the slot's shortage
+        (dispatched + cover, ix.dispatch(cj, ct), 1.0),
+        (dispatched + it, ix.shortage(it % tn), 1.0),
+        # every call is either answered or counted short
+        (total + t, ix.dispatch(j, t), 1.0), (total + slot, ix.shortage(slot), 1.0),
+        # cannot dispatch more than was placed
+        (limit + jt, ix.dispatch(j, t), 1.0), (limit + jt, ix.alloc(j, t), -1.0),
+    ]
+    sense = np.repeat([0.0, 1.0, -1.0, -1.0, 0.0, 1.0], sizes)
+    demand = inst.demand.ravel()
+    rhs = np.concatenate([np.zeros(jt.size), np.full(tn, float(inst.fleet_size)),
+                          demand, demand, inst.demand.sum(axis=0), np.zeros(jt.size)])
+    obj = np.concatenate([inst.hold_cost.ravel(), inst.dispatch_cost.ravel(),
+                          np.zeros(jt.size), np.full(tn, float(inst.big_m))])
+    upper = np.concatenate([inst.capacity.ravel(), np.full(n - jt.size, np.inf)])
+    lp = LinearProgram(n, obj, np.zeros(n), upper, np.ones(n, dtype=bool),
+                       matrix_from_blocks(blocks, (sense.size, n)), sense, rhs)
     return lp, ix
 
 
 def _extract_plan(x: np.ndarray, ix: AllocationIndex) -> AllocationPlan:
-    jn, tn = ix.num_stations, ix.num_slots
-    jt = jn * tn
+    jt = ix.num_stations * ix.num_slots
     vals = np.rint(x).astype(np.int64)
-    return AllocationPlan(
-        alloc=vals[:jt].reshape(jn, tn),
-        dispatch=vals[jt:2 * jt].reshape(jn, tn),
-        inventory=vals[2 * jt:3 * jt].reshape(jn, tn),
-        shortage=vals[3 * jt:3 * jt + tn],
-    )
+    alloc, dispatch, inventory = vals[:3 * jt].reshape(3, ix.num_stations, ix.num_slots)
+    return AllocationPlan(alloc, dispatch, inventory, shortage=vals[3 * jt:])
 
 
 def solve_allocation(inst: Instance,
                      options: MilpOptions | None = None) -> SolveOutcome:
     """Solve the allocation model to proven optimality.
 
-    Raises ValueError on an invalid instance. On OPTIMAL the returned
-    objective is the exact integer cost recomputed from the plan, and the
-    plan has been re-checked against every model rule.
+    Raises ValueError on an invalid instance. The program prices shortage at
+    the smallest valid ``big_m``. On OPTIMAL the returned objective is the
+    exact integer cost of the plan at ``inst.big_m``, and the plan has been
+    re-checked against every model rule.
     """
     problems = validate_instance(inst)
     if problems:
         raise ValueError(f"invalid instance: {problems[0].message}")
-    lp, ix = build_allocation_program(inst)
-    return outcome_from_milp(solve_milp(lp, options), inst, ix, _extract_plan,
-                             evaluate_allocation, "allocation")
+    priced = at_minimal_penalty(inst)
+    lp, ix = build_allocation_program(priced)
+    return outcome_from_milp(solve_milp(lp, options), inst, priced.big_m, ix,
+                             _extract_plan, evaluate_allocation, "allocation")

@@ -163,24 +163,14 @@ def save_instance(inst: Instance, path: str) -> None:
     write_text_atomic(path, dump_json(instance_to_mapping(inst)))
 
 
+_ALLOC_PLAN_KEYS = ("alloc", "dispatch", "inventory", "shortage")
+_TRANSFER_PLAN_KEYS = ("stock", "serve", "transfer_in", "transfer_out", "shortage")
+
+
 def plan_to_mapping(model: int, outcome) -> dict:
-    body = None
     plan = outcome.plan
-    if isinstance(plan, AllocationPlan):
-        body = {
-            "alloc": plan.alloc.tolist(),
-            "dispatch": plan.dispatch.tolist(),
-            "inventory": plan.inventory.tolist(),
-            "shortage": plan.shortage.tolist(),
-        }
-    elif isinstance(plan, TransferPlan):
-        body = {
-            "stock": plan.stock.tolist(),
-            "serve": plan.serve.tolist(),
-            "transfer_in": plan.transfer_in.tolist(),
-            "transfer_out": plan.transfer_out.tolist(),
-            "shortage": plan.shortage.tolist(),
-        }
+    keys = _ALLOC_PLAN_KEYS if isinstance(plan, AllocationPlan) else _TRANSFER_PLAN_KEYS
+    body = None if plan is None else {k: getattr(plan, k).tolist() for k in keys}
     best_bound = outcome.best_bound
     if best_bound is not None:
         bb = float(best_bound)
@@ -200,10 +190,6 @@ def plan_to_mapping(model: int, outcome) -> dict:
         "iterations": outcome.iterations,
         "plan": body,
     }
-
-
-_ALLOC_PLAN_KEYS = ("alloc", "dispatch", "inventory", "shortage")
-_TRANSFER_PLAN_KEYS = ("stock", "serve", "transfer_in", "transfer_out", "shortage")
 
 
 def plan_from_mapping(data) -> tuple[int, str, AllocationPlan | TransferPlan | None]:

@@ -20,7 +20,7 @@ integers, so a reported objective is never a rounded number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable
 
@@ -43,7 +43,8 @@ def _frozen_int_array(value: Any, name: str) -> np.ndarray:
     if arr.dtype == object:
         raise ValueError(f"{name} is not a rectangular array of integers")
     if not np.issubdtype(arr.dtype, np.integer):
-        if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.floor(arr)):
+        if np.issubdtype(arr.dtype, np.floating) and np.all(np.isfinite(arr)) \
+                and np.all(arr == np.floor(arr)):
             arr = arr.astype(np.int64)
         else:
             raise ValueError(f"{name} must contain integers, got dtype {arr.dtype}")
@@ -51,6 +52,16 @@ def _frozen_int_array(value: Any, name: str) -> np.ndarray:
         arr = arr.astype(np.int64)
     arr.setflags(write=False)
     return arr
+
+
+def _int_scalar(value: Any, name: str) -> int:
+    """Coerce ``value`` to a Python int: integers of any size and integral
+    floats pass, as in _frozen_int_array; bools and the rest raise ValueError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +90,7 @@ class Instance:
             object.__setattr__(self, name, _frozen_int_array(getattr(self, name), name))
         for name in ("num_stations", "num_zones", "num_slots", "fleet_size",
                      "big_m", "transfer_cost"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, _int_scalar(getattr(self, name), name))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
@@ -198,6 +209,27 @@ class SolveOutcome:
 # instance validation
 # ---------------------------------------------------------------------------
 
+def big_m_bound(hold_cost: np.ndarray, dispatch_cost: np.ndarray,
+                transfer_cost: int, fleet_size: int, num_slots: int) -> int:
+    """The most any plan can spend on holding, dispatch and transfers: a valid
+    ``big_m`` exceeds it, so one unit of shortage outweighs every other cost."""
+    max_unit = (int(hold_cost.max(initial=0)) + int(dispatch_cost.max(initial=0))
+                + int(transfer_cost))
+    return max_unit * int(fleet_size) * int(num_slots)
+
+
+def at_minimal_penalty(inst: Instance) -> Instance:
+    """``inst`` with the smallest ``big_m`` validate_instance accepts.
+
+    Every valid ``big_m`` ranks plans alike (fewest shortages first, then
+    least cost); the smallest keeps the solver's costs, and with them its
+    pricing tolerance, as small as they can be.
+    """
+    big_m = big_m_bound(inst.hold_cost, inst.dispatch_cost, inst.transfer_cost,
+                        inst.fleet_size, inst.num_slots) + 1
+    return inst if inst.big_m == big_m else replace(inst, big_m=big_m)
+
+
 def validate_instance(inst: Instance) -> list[Violation]:
     """Check every structural invariant of an Instance.
 
@@ -261,9 +293,8 @@ def validate_instance(inst: Instance) -> list[Violation]:
         out.append(Violation("big_m_not_positive", (), inst.big_m, 1,
                              f"big_m must be a positive integer, got {inst.big_m}"))
     else:
-        max_hold = int(inst.hold_cost.max()) if inst.hold_cost.size else 0
-        max_disp = int(inst.dispatch_cost.max()) if inst.dispatch_cost.size else 0
-        bound = (max_hold + max_disp + inst.transfer_cost) * inst.fleet_size * T
+        bound = big_m_bound(inst.hold_cost, inst.dispatch_cost, inst.transfer_cost,
+                            inst.fleet_size, T)
         if inst.big_m <= bound:
             out.append(Violation(
                 "big_m_too_small", (), inst.big_m, bound,
@@ -507,6 +538,7 @@ def evaluate_transfer(inst: Instance, plan: TransferPlan) -> tuple[int, list[Vio
 def outcome_from_milp(
     res: MilpSolution,
     inst: Instance,
+    penalty: int,
     ix: Any,
     extract_plan: Callable[[np.ndarray, Any], AllocationPlan | TransferPlan],
     evaluate: Callable[[Instance, Any], tuple[int, list[Violation]]],
@@ -514,11 +546,13 @@ def outcome_from_milp(
 ) -> SolveOutcome:
     """Turn an engine result for one planning model into a SolveOutcome.
 
-    ``extract_plan(x, ix)`` reads a plan from the solver's columns laid out
-    by ``ix``; ``evaluate`` is the model's exact evaluator. A NODE_LIMIT
-    incumbent is priced without judging it. An OPTIMAL plan must pass every
-    model rule and cost exactly what the solver reported, or EngineError is
-    raised: the objective returned is the exact integer cost of the plan.
+    The program priced shortage at ``penalty`` <= ``inst.big_m``, so its
+    bounds stay valid. ``extract_plan(x, ix)`` reads a plan from the solver's
+    columns laid out by ``ix``; ``evaluate`` is the model's exact evaluator.
+    A NODE_LIMIT incumbent is priced without judging it. An OPTIMAL plan must
+    pass every model rule and cost, at ``penalty``, exactly what the solver
+    reported, or EngineError is raised; the objective returned is the exact
+    integer cost of the plan at ``inst.big_m``.
     """
     if res.status is MilpStatus.INFEASIBLE:
         return SolveOutcome(SolveStatus.INFEASIBLE, None, None,
@@ -533,9 +567,10 @@ def outcome_from_milp(
     if violations:
         raise EngineError(
             f"solver returned an invalid {model} plan: {violations[0].message}")
-    if abs(obj - res.objective) > 1e-6 * (1 + abs(obj)):
+    priced = obj - (inst.big_m - penalty) * int(plan.shortage.sum())
+    if priced != res.objective:
         raise EngineError(
-            f"objective mismatch: plan costs {obj}, solver reported {res.objective}")
+            f"objective mismatch: plan costs {priced}, solver reported {res.objective}")
     return SolveOutcome(SolveStatus.OPTIMAL, obj, plan,
                         nodes=res.nodes, iterations=res.iterations,
                         best_bound=obj)

@@ -16,6 +16,7 @@ from .program import (
     MilpStatus,
     NumericalBreakdownError,
     UnboundedProgramError,
+    matrix_from_blocks,
 )
 from .simplex import FEAS_TOL, INTEGRALITY_TOL, PIVOT_TOL, solve_lp
 
@@ -33,6 +34,7 @@ __all__ = [
     "MilpStatus",
     "NumericalBreakdownError",
     "UnboundedProgramError",
+    "matrix_from_blocks",
     "solve_lp",
     "solve_milp",
 ]

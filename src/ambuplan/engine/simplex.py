@@ -1,13 +1,14 @@
 """Bounded-variable primal simplex over a sparse revised formulation.
 
-Rows are converted once into equality standard form (slack columns for
-inequalities). Each solve works on one matrix [A | diag(g)]: the artificial
-column of row k is the unit column scaled by the sign g[k] of that row's
-residual at the crash basis. The basis inverse is represented by a sparse LU
-factorization (scipy ``splu``) plus a product-form eta file that is folded
-back into a fresh factorization every few dozen pivots. Phase 1 minimizes
-the total artificial value from a slack crash basis; phase 2 continues on the
-true costs from the feasible basis phase 1 leaves behind.
+The program's constraint matrix is converted once into equality standard
+form (slack columns for inequalities). Each solve works on one matrix
+[A | diag(g)]: the artificial column of row k is the unit column scaled by
+the sign g[k] of that row's residual at the crash basis. The basis inverse
+is represented by a sparse LU factorization (scipy ``splu``) plus a
+product-form eta file that is folded back into a fresh factorization every
+few dozen pivots. Phase 1 minimizes the total artificial value from a slack
+crash basis; phase 2 continues on the true costs from the feasible basis
+phase 1 leaves behind.
 
 Anti-cycling: Dantzig pricing by default, switching to Bland's rule whenever
 the objective has not improved for 5 * (num_vars + num_rows) iterations.
@@ -54,59 +55,27 @@ class StandardForm:
     upper_real: np.ndarray
 
 
+def _with_unit_columns(A: sparse.csc_array, rows: np.ndarray,
+                       signs: np.ndarray) -> sparse.csc_array:
+    """A with one column appended per entry of ``rows``: signs[k] at rows[k]."""
+    ends = A.indptr[-1] + np.arange(1, rows.size + 1, dtype=A.indptr.dtype)
+    return sparse.csc_array(
+        (np.concatenate([A.data, signs]),
+         np.concatenate([A.indices, rows.astype(A.indices.dtype)]),
+         np.concatenate([A.indptr, ends])),
+        shape=(A.shape[0], A.shape[1] + rows.size))
+
+
 def build_standard_form(lp: LinearProgram) -> StandardForm:
     """Append one slack column per inequality row; equalities get none."""
-    m = lp.num_rows
-    n = lp.num_vars
-    slack_count = sum(1 for r in lp.rows if r.relation != "=")
-    n_real = n + slack_count
-
-    rows_idx: list[int] = []
-    cols_idx: list[int] = []
-    vals: list[float] = []
-    b = np.zeros(m)
-    slack_sign = np.zeros(m)
-    next_slack = n
-    for k, row in enumerate(lp.rows):
-        b[k] = row.rhs
-        for i, v in row.coeffs:
-            if v != 0.0:
-                rows_idx.append(k)
-                cols_idx.append(i)
-                vals.append(v)
-        if row.relation != "=":
-            slack_sign[k] = 1.0 if row.relation == "<=" else -1.0
-            rows_idx.append(k)
-            cols_idx.append(next_slack)
-            vals.append(slack_sign[k])
-            next_slack += 1
-
-    A = sparse.coo_array(
-        (np.asarray(vals, dtype=np.float64),
-         (np.asarray(rows_idx, dtype=np.int64), np.asarray(cols_idx, dtype=np.int64))),
-        shape=(m, n_real)).tocsc()
-
-    cost = np.zeros(n_real)
-    cost[:n] = lp.objective
-    lower = np.zeros(n_real)
-    upper = np.full(n_real, np.inf)
-    lower[:n] = lp.lower
-    upper[:n] = lp.upper
-    return StandardForm(m=m, n_struct=n, n_real=n_real, A=A,
-                        slack_sign=slack_sign, b=b, cost_real=cost,
-                        lower_real=lower, upper_real=upper)
-
-
-def _solve_no_rows(std: StandardForm, lo: np.ndarray, up: np.ndarray) -> LpSolution:
-    """Row-free program: each variable sits at its cost-preferred bound."""
-    c = std.cost_real
-    x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(up), up, 0.0))
-    pick_up = (c < 0) & np.isfinite(up)
-    x[pick_up] = up[pick_up]
-    unbounded = ((c < 0) & ~np.isfinite(up)) | ((c > 0) & ~np.isfinite(lo))
-    if np.any(unbounded):
-        return LpSolution(LpStatus.UNBOUNDED, None, None)
-    return LpSolution(LpStatus.OPTIMAL, x, float(c @ x))
+    slack_rows = np.flatnonzero(lp.sense)
+    s = slack_rows.size
+    return StandardForm(m=lp.num_rows, n_struct=lp.num_vars, n_real=lp.num_vars + s,
+                        A=_with_unit_columns(lp.A, slack_rows, lp.sense[slack_rows]),
+                        slack_sign=lp.sense.copy(), b=lp.rhs.copy(),
+                        cost_real=np.concatenate([lp.objective, np.zeros(s)]),
+                        lower_real=np.concatenate([lp.lower, np.zeros(s)]),
+                        upper_real=np.concatenate([lp.upper, np.full(s, np.inf)]))
 
 
 class _Solver:
@@ -207,13 +176,7 @@ class _Solver:
         self.up[art_col[~use_slack]] = np.inf
 
         g = np.where(resid >= 0, 1.0, -1.0)
-        A = std.A
-        diag = np.arange(m + 1, dtype=A.indptr.dtype)
-        self.A = sparse.csc_array(
-            (np.concatenate([A.data, g]),
-             np.concatenate([A.indices, diag[:m]]),
-             np.concatenate([A.indptr, A.indptr[-1] + diag[1:]])),
-            shape=(m, self.N))
+        self.A = _with_unit_columns(std.A, np.arange(m), g)
         self.AT = self.A.T
 
     # ----- pricing and pivoting --------------------------------------------
@@ -377,9 +340,6 @@ class _Solver:
     def solve(self) -> LpSolution:
         if np.any(self.lo > self.up):
             return LpSolution(LpStatus.INFEASIBLE, None, None)
-        if self.m == 0:
-            return _solve_no_rows(self.std, self.lo[:self.n_real],
-                                  self.up[:self.n_real])
         self.crash_basis()
         self.refactor()
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Instance
+from .core import Instance, big_m_bound, validate_instance
 
 _MASK64 = (1 << 64) - 1
 
@@ -120,15 +120,21 @@ def tiny_params(seed: int) -> GenParams:
 def default_big_m(hold_cost: np.ndarray, dispatch_cost: np.ndarray,
                   transfer_cost: int, fleet_size: int, num_slots: int) -> int:
     """Smallest shortage weight that provably dominates any routing cost."""
-    max_unit = int(hold_cost.max(initial=0) + dispatch_cost.max(initial=0)
-                   + transfer_cost)
-    return max_unit * fleet_size * num_slots + 1
+    return big_m_bound(hold_cost, dispatch_cost, transfer_cost, fleet_size,
+                       num_slots) + 1
 
 
 def generate(params: GenParams, seed: int) -> Instance:
-    """Draw one instance from the family; same (params, seed) -> same bytes."""
-    rng = SplitMix64(seed)
+    """Draw one instance from the family; same (params, seed) -> same bytes.
+
+    Raises ValueError when a dimension is below 1, or when the family yields
+    an instance that validate_instance rejects.
+    """
     j_n, i_n, t_n = params.num_stations, params.num_zones, params.num_slots
+    if min(j_n, i_n, t_n) < 1:
+        raise ValueError("num_stations, num_zones and num_slots must be >= 1,"
+                         f" got {j_n}, {i_n}, {t_n}")
+    rng = SplitMix64(seed)
     lo, hi = params.capacity_range
     capacity = np.array([[rng.uniform_int(lo, hi) for _ in range(t_n)]
                          for _ in range(j_n)], dtype=np.int64)
@@ -153,7 +159,7 @@ def generate(params: GenParams, seed: int) -> Instance:
     if big_m is None:
         big_m = default_big_m(hold, dispatch, params.transfer_cost,
                               params.fleet_size, t_n)
-    return Instance(
+    inst = Instance(
         num_stations=j_n,
         num_zones=i_n,
         num_slots=t_n,
@@ -166,6 +172,10 @@ def generate(params: GenParams, seed: int) -> Instance:
         big_m=big_m,
         transfer_cost=params.transfer_cost,
     )
+    problems = validate_instance(inst)
+    if problems:
+        raise ValueError(f"params give an invalid instance: {problems[0].message}")
+    return inst
 
 
 def scaled(params: GenParams, fleet_factor: int = 1,

@@ -25,17 +25,19 @@ from .core import (
     Instance,
     SolveOutcome,
     TransferPlan,
+    at_minimal_penalty,
     evaluate_transfer,
     outcome_from_milp,
     validate_instance,
 )
-from .engine import LinearProgram, LinearRow, MilpOptions, solve_milp
+from .engine import LinearProgram, MilpOptions, matrix_from_blocks, solve_milp
 
 
 @dataclass(frozen=True)
 class TransferIndex:
     """Column layout: stock block, serve block (covered pairs, station-major),
-    transfer-in block, transfer-out block, shortage block."""
+    transfer-in block, transfer-out block, shortage block. The accessors
+    other than ``serve`` take index arrays as well as ints."""
 
     num_stations: int
     num_zones: int
@@ -45,40 +47,34 @@ class TransferIndex:
 
     @classmethod
     def for_instance(cls, inst: Instance) -> "TransferIndex":
-        pairs = tuple((j, i)
-                      for j in range(inst.num_stations)
-                      for i in range(inst.num_zones)
-                      if inst.coverage[j, i])
-        pos = {pair: k for k, pair in enumerate(pairs)}
+        pairs = tuple(zip(*(a.tolist() for a in np.nonzero(inst.coverage))))
+        pos = dict(zip(pairs, range(len(pairs))))
         return cls(inst.num_stations, inst.num_zones, inst.num_slots, pairs, pos)
 
     def stock(self, j: int, t: int) -> int:
         return j * self.num_slots + t
 
     def serve(self, j: int, i: int, t: int) -> int:
-        base = self.num_stations * self.num_slots
-        return base + self.pair_pos[(j, i)] * self.num_slots + t
+        return self.serve_pair(self.pair_pos[(j, i)], t)
+
+    # each block starts where the previous one ends
+    def serve_pair(self, k: int, t: int) -> int:
+        # k is the position of the (j, i) pair in ``pairs``
+        return (self.num_stations + k) * self.num_slots + t
 
     def transfer_in(self, j: int, t: int) -> int:
         # t >= 1; transfers into the first slot do not exist
-        base = (self.num_stations + len(self.pairs)) * self.num_slots
-        return base + j * (self.num_slots - 1) + (t - 1)
+        return self.serve_pair(len(self.pairs), 0) + j * (self.num_slots - 1) + t - 1
 
     def transfer_out(self, j: int, t: int) -> int:
-        base = ((self.num_stations + len(self.pairs)) * self.num_slots
-                + self.num_stations * (self.num_slots - 1))
-        return base + j * (self.num_slots - 1) + (t - 1)
+        return self.transfer_in(self.num_stations, 1) + j * (self.num_slots - 1) + t - 1
 
     def shortage(self, i: int, t: int) -> int:
-        base = ((self.num_stations + len(self.pairs)) * self.num_slots
-                + 2 * self.num_stations * (self.num_slots - 1))
-        return base + i * self.num_slots + t
+        return self.transfer_out(self.num_stations, 1) + i * self.num_slots + t
 
     @property
     def num_vars(self) -> int:
-        return ((self.num_stations + len(self.pairs) + self.num_zones)
-                * self.num_slots
-                + 2 * self.num_stations * (self.num_slots - 1))
+        return self.shortage(self.num_zones, 0)
 
 
 def build_transfer_program(inst: Instance) -> tuple[LinearProgram, TransferIndex]:
@@ -86,95 +82,73 @@ def build_transfer_program(inst: Instance) -> tuple[LinearProgram, TransferIndex
     jn, zn, tn = inst.num_stations, inst.num_zones, inst.num_slots
     ix = TransferIndex.for_instance(inst)
     n = ix.num_vars
-
-    obj = np.zeros(n)
-    lower = np.zeros(n)
-    upper = np.full(n, np.inf)
-    for j in range(jn):
-        for t in range(tn):
-            obj[ix.stock(j, t)] = inst.hold_cost[j, t]
-            upper[ix.stock(j, t)] = inst.capacity[j, t]
-    for (j, i) in ix.pairs:
-        for t in range(tn):
-            obj[ix.serve(j, i, t)] = inst.dispatch_cost[j, t]
-    for j in range(jn):
-        for t in range(1, tn):
-            obj[ix.transfer_in(j, t)] = inst.transfer_cost
-    for i in range(zn):
-        for t in range(tn):
-            obj[ix.shortage(i, t)] = inst.big_m
-
-    rows: list[LinearRow] = []
-    # the whole fleet is positioned once, in the first slot
-    rows.append(LinearRow(
-        tuple((ix.stock(j, 0), 1.0) for j in range(jn)),
-        "<=", float(inst.fleet_size)))
-    # stock evolves only through transfers
-    for j in range(jn):
-        for t in range(1, tn):
-            rows.append(LinearRow((
-                (ix.stock(j, t), 1.0), (ix.stock(j, t - 1), -1.0),
-                (ix.transfer_in(j, t), -1.0), (ix.transfer_out(j, t), 1.0),
-            ), "=", 0.0))
-    # a station cannot send vehicles it did not hold
-    for j in range(jn):
-        for t in range(1, tn):
-            rows.append(LinearRow((
-                (ix.transfer_out(j, t), 1.0), (ix.stock(j, t - 1), -1.0),
-            ), "<=", 0.0))
-    # transfers are paired: every arrival left somewhere
-    for t in range(1, tn):
-        coeffs = tuple((ix.transfer_in(j, t), 1.0) for j in range(jn)) \
-            + tuple((ix.transfer_out(j, t), -1.0) for j in range(jn))
-        rows.append(LinearRow(coeffs, "=", 0.0))
-    # serving is limited by on-site stock
-    for j in range(jn):
-        for t in range(tn):
-            covered = [i for i in range(zn) if inst.coverage[j, i]]
-            coeffs = tuple((ix.serve(j, i, t), 1.0) for i in covered) \
-                + ((ix.stock(j, t), -1.0),)
-            rows.append(LinearRow(coeffs, "<=", 0.0))
-    # every call is either answered by a covering station or counted short
-    for i in range(zn):
-        for t in range(tn):
-            covering = [j for j in range(jn) if inst.coverage[j, i]]
-            coeffs = tuple((ix.serve(j, i, t), 1.0) for j in covering) \
-                + ((ix.shortage(i, t), 1.0),)
-            rows.append(LinearRow(coeffs, "=", float(inst.demand[i, t])))
-
-    lp = LinearProgram(n, obj, lower, upper, np.ones(n, dtype=bool), rows)
+    jt = np.arange(jn * tn)                    # station-major (j, t)
+    j, t = np.divmod(jt, tn)
+    mj, mt = j[t > 0], t[t > 0]                # the (j, t) a transfer can reach
+    prev, tin, tout = ix.stock(mj, mt - 1), ix.transfer_in(mj, mt), ix.transfer_out(mj, mt)
+    i, it = np.divmod(np.arange(zn * tn), tn)  # zone-major (i, t)
+    k, kt = np.divmod(np.arange(len(ix.pairs) * tn), tn)  # pair-major (pair, t)
+    pj, pi = np.nonzero(inst.coverage)         # the pairs, in ix.pairs order
+    serve = ix.serve_pair(k, kt)
+    sizes = [1, mj.size, mj.size, tn - 1, jt.size, zn * tn]
+    evolve, send, paired, limit, demand = np.cumsum(sizes[:-1]).tolist()
+    jm = np.arange(mj.size)
+    blocks = [
+        # the whole fleet is positioned once, in the first slot
+        (np.zeros(jn, dtype=np.intp), ix.stock(np.arange(jn), 0), 1.0),
+        # stock evolves only through transfers
+        (evolve + jm, ix.stock(mj, mt), 1.0), (evolve + jm, prev, -1.0),
+        (evolve + jm, tin, -1.0), (evolve + jm, tout, 1.0),
+        # a station cannot send vehicles it did not hold
+        (send + jm, tout, 1.0), (send + jm, prev, -1.0),
+        # transfers are paired: every arrival left somewhere
+        (paired + mt - 1, tin, 1.0), (paired + mt - 1, tout, -1.0),
+        # serving is limited by on-site stock
+        (limit + pj[k] * tn + kt, serve, 1.0), (limit + jt, ix.stock(j, t), -1.0),
+        # every call is either answered by a covering station or counted short
+        (demand + pi[k] * tn + kt, serve, 1.0), (demand + i * tn + it, ix.shortage(i, it), 1.0),
+    ]
+    sense = np.repeat([1.0, 0.0, 1.0, 0.0, 1.0, 0.0], sizes)
+    rhs = np.concatenate([[float(inst.fleet_size)], np.zeros(demand - 1),
+                          inst.demand.ravel()])
+    obj = np.concatenate([inst.hold_cost.ravel(), inst.dispatch_cost[pj].ravel(),
+                          np.full(jm.size, float(inst.transfer_cost)), np.zeros(jm.size),
+                          np.full(zn * tn, float(inst.big_m))])
+    upper = np.concatenate([inst.capacity.ravel(), np.full(n - jt.size, np.inf)])
+    lp = LinearProgram(n, obj, np.zeros(n), upper, np.ones(n, dtype=bool),
+                       matrix_from_blocks(blocks, (sense.size, n)), sense, rhs)
     return lp, ix
 
 
 def _extract_plan(x: np.ndarray, ix: TransferIndex) -> TransferPlan:
     jn, zn, tn = ix.num_stations, ix.num_zones, ix.num_slots
     vals = np.rint(x).astype(np.int64)
-    serve_at = jn * tn
-    tin_at, tout_at = ix.transfer_in(0, 1), ix.transfer_out(0, 1)
-    short_at = ix.shortage(0, 0)
+    serve_at, tin_at = ix.serve_pair(0, 0), ix.transfer_in(0, 1)
+    tout_at, short_at = ix.transfer_out(0, 1), ix.shortage(0, 0)
     serve = np.zeros((jn, zn, tn), dtype=np.int64)
     js, zs = np.array(ix.pairs, dtype=np.intp).reshape(-1, 2).T
     serve[js, zs] = vals[serve_at:tin_at].reshape(-1, tn)
-    tin = np.zeros((jn, tn), dtype=np.int64)
-    tout = np.zeros((jn, tn), dtype=np.int64)
-    tin[:, 1:] = vals[tin_at:tout_at].reshape(jn, tn - 1)
-    tout[:, 1:] = vals[tout_at:short_at].reshape(jn, tn - 1)
-    return TransferPlan(stock=vals[:serve_at].reshape(jn, tn), serve=serve,
-                        transfer_in=tin, transfer_out=tout,
-                        shortage=vals[short_at:].reshape(zn, tn))
+    first_slot = np.zeros((jn, 1), dtype=np.int64)  # no transfers into it
+    return TransferPlan(
+        stock=vals[:serve_at].reshape(jn, tn), serve=serve,
+        transfer_in=np.hstack([first_slot, vals[tin_at:tout_at].reshape(jn, tn - 1)]),
+        transfer_out=np.hstack([first_slot, vals[tout_at:short_at].reshape(jn, tn - 1)]),
+        shortage=vals[short_at:].reshape(zn, tn))
 
 
 def solve_transfer(inst: Instance,
                    options: MilpOptions | None = None) -> SolveOutcome:
     """Solve the transfer model to proven optimality.
 
-    Raises ValueError on an invalid instance. On OPTIMAL the returned
-    objective is the exact integer cost recomputed from the plan, and the
-    plan has been re-checked against every model rule.
+    Raises ValueError on an invalid instance. The program prices shortage at
+    the smallest valid ``big_m``. On OPTIMAL the returned objective is the
+    exact integer cost of the plan at ``inst.big_m``, and the plan has been
+    re-checked against every model rule.
     """
     problems = validate_instance(inst)
     if problems:
         raise ValueError(f"invalid instance: {problems[0].message}")
-    lp, ix = build_transfer_program(inst)
-    return outcome_from_milp(solve_milp(lp, options), inst, ix, _extract_plan,
-                             evaluate_transfer, "transfer")
+    priced = at_minimal_penalty(inst)
+    lp, ix = build_transfer_program(priced)
+    return outcome_from_milp(solve_milp(lp, options), inst, priced.big_m, ix,
+                             _extract_plan, evaluate_transfer, "transfer")

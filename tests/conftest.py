@@ -63,3 +63,24 @@ def run_cli():
                               env=env)
 
     return run
+
+
+@pytest.fixture(scope="session")
+def unmet_rows():
+    """``unmet_rows(lp, x)``: the rows of ``lp.rows`` that ``x`` breaks.
+
+    Left-hand sides are summed in exact integer arithmetic, so the check
+    suits integer plans only.
+    """
+    def unmet(lp, x):
+        xs = [int(v) for v in x]
+        out = []
+        for k, row in enumerate(lp.rows):
+            lhs = sum(int(coef) * xs[i] for i, coef in row.coeffs)
+            rhs = int(row.rhs)
+            held = {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}
+            if not held[row.relation]:
+                out.append(k)
+        return out
+
+    return unmet

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from ambuplan import (
+    AllocationPlan,
     Instance,
     SolveStatus,
+    brute_force_allocation,
     build_allocation_program,
     evaluate_allocation,
     generate,
@@ -15,8 +17,64 @@ from ambuplan import (
     solve_allocation,
     tiny_params,
 )
-from ambuplan.allocation import _extract_plan
-from ambuplan.engine import LpStatus, MilpOptions, solve_lp
+from ambuplan.allocation import AllocationIndex, _extract_plan
+from ambuplan.engine import LinearProgram, LinearRow, LpStatus, MilpOptions, solve_lp
+
+
+def one_dispatch_short(plan: AllocationPlan) -> AllocationPlan | None:
+    """The plan with its latest dispatch left idle and counted short."""
+    js, ts = np.nonzero(plan.dispatch)
+    if js.size == 0:
+        return None
+    j, t = js[np.argmax(ts)], ts.max()
+    dispatch, inventory = plan.dispatch.copy(), plan.inventory.copy()
+    shortage = plan.shortage.copy()
+    dispatch[j, t] -= 1
+    inventory[j, t:] += 1
+    shortage[t] += 1
+    return AllocationPlan(plan.alloc, dispatch, inventory, shortage)
+
+
+def row_by_row_program(inst: Instance) -> LinearProgram:
+    """The allocation program written one LinearRow at a time, as a reference."""
+    jn, zn, tn = inst.num_stations, inst.num_zones, inst.num_slots
+    ix = AllocationIndex(jn, tn)
+    obj, upper = np.zeros(ix.num_vars), np.full(ix.num_vars, np.inf)
+    rows = []
+    for j in range(jn):
+        for t in range(tn):
+            obj[ix.alloc(j, t)] = inst.hold_cost[j, t]
+            obj[ix.dispatch(j, t)] = inst.dispatch_cost[j, t]
+            upper[ix.alloc(j, t)] = inst.capacity[j, t]
+            coeffs = [(ix.inventory(j, t), 1.0), (ix.alloc(j, t), -1.0),
+                      (ix.dispatch(j, t), 1.0)]
+            if t > 0:
+                coeffs.append((ix.inventory(j, t - 1), -1.0))
+            rows.append(LinearRow(tuple(coeffs), "=", 0.0))
+    for t in range(tn):
+        obj[ix.shortage(t)] = inst.big_m
+        rows.append(LinearRow(tuple((ix.alloc(j, t), 1.0) for j in range(jn)),
+                              "<=", inst.fleet_size))
+    covering = [[j for j in range(jn) if inst.coverage[j, i]] for i in range(zn)]
+    for i in range(zn):
+        for t in range(tn):
+            rows.append(LinearRow(tuple((ix.alloc(j, t), 1.0) for j in covering[i]),
+                                  ">=", inst.demand[i, t]))
+    for i in range(zn):
+        for t in range(tn):
+            coeffs = [(ix.dispatch(j, t), 1.0) for j in covering[i]]
+            rows.append(LinearRow((*coeffs, (ix.shortage(t), 1.0)), ">=",
+                                  inst.demand[i, t]))
+    for t in range(tn):
+        coeffs = [(ix.dispatch(j, t), 1.0) for j in range(jn)]
+        rows.append(LinearRow((*coeffs, (ix.shortage(t), 1.0)), "=",
+                              inst.demand[:, t].sum()))
+    for j in range(jn):
+        for t in range(tn):
+            rows.append(LinearRow(((ix.dispatch(j, t), 1.0), (ix.alloc(j, t), -1.0)),
+                                  "<=", 0.0))
+    return LinearProgram.from_rows(ix.num_vars, obj, np.zeros(ix.num_vars), upper,
+                                   np.ones(ix.num_vars), rows)
 
 
 class TestProgramShape:
@@ -49,6 +107,45 @@ class TestProgramShape:
         relaxed = solve_lp(lp)
         assert relaxed.status is LpStatus.OPTIMAL
         assert relaxed.objective <= 5 + 1e-9
+
+    def test_rows_hold_at_the_oracle_plans(self, unmet_rows):
+        # the exhaustive search's plans, and the same plans with their last
+        # dispatch left idle and counted short, laid out by the index
+        # accessors, meet every row exactly and cost what the evaluator says
+        checked = 0
+        for seed in range(60):
+            inst = generate(tiny_params(seed), seed)
+            ref = brute_force_allocation(inst)
+            if ref.plan is None:
+                continue
+            lp, ix = build_allocation_program(inst)
+            for plan in (ref.plan, one_dispatch_short(ref.plan)):
+                if plan is None:
+                    continue
+                cost, violations = evaluate_allocation(inst, plan)
+                assert violations == [], f"seed {seed}"
+                x = np.zeros(lp.num_vars)
+                for j in range(inst.num_stations):
+                    for t in range(inst.num_slots):
+                        x[ix.alloc(j, t)] = plan.alloc[j, t]
+                        x[ix.dispatch(j, t)] = plan.dispatch[j, t]
+                        x[ix.inventory(j, t)] = plan.inventory[j, t]
+                for t in range(inst.num_slots):
+                    x[ix.shortage(t)] = plan.shortage[t]
+                assert unmet_rows(lp, x) == [], f"seed {seed}"
+                assert np.all((lp.lower <= x) & (x <= lp.upper)), f"seed {seed}"
+                assert lp.objective @ x == cost, f"seed {seed}"
+                checked += 1
+        assert checked >= 40  # many tiny allocation instances are infeasible
+
+    def test_matches_the_row_by_row_reference(self):
+        cases = [generate(tiny_params(s), s) for s in range(60)]
+        for inst in cases + [generate(preset(1), 0)]:
+            lp, _ = build_allocation_program(inst)
+            ref = row_by_row_program(inst)
+            assert (lp.A != ref.A).nnz == 0
+            for name in ("sense", "rhs", "objective", "lower", "upper", "integrality"):
+                assert np.array_equal(getattr(lp, name), getattr(ref, name)), name
 
     def test_plan_extraction_follows_the_column_layout(self):
         inst = generate(preset(1), 0)

@@ -134,6 +134,19 @@ class TestGenerate:
         assert max(max(row) for row in data["demand"]) <= 2
         capsys.readouterr()
 
+    def test_params_without_a_valid_instance_exit_2(self, tmp_path, capsys):
+        base = {"num_stations": 2, "num_zones": 3, "num_slots": 2,
+                "fleet_size": 5}
+        out = tmp_path / "inst.json"
+        for change in ({"num_stations": 0}, {"num_zones": 0}, {"num_slots": 0},
+                       {"fleet_size": -3}, {"demand_range": [-2, 1]},
+                       {"hold_cost_range": [-9, -1]}):
+            params = write_json(tmp_path, "params.json", dict(base, **change))
+            assert entry(["generate", "--params", params, "--seed", "1",
+                          "--out", str(out)]) == 2, change
+            assert capsys.readouterr().err.startswith("error: "), change
+            assert not out.exists(), change
+
     def test_params_unknown_key_exits_2(self, tmp_path, capsys):
         params = write_json(tmp_path, "params.json",
                             {"num_stations": 1, "bogus": 2})
@@ -267,6 +280,12 @@ class TestSolve:
         negative = write_json(tmp_path, "neg.json",
                               dict(TINY1_FILE, demand=[[-1], [1]]))
         assert entry(["solve", "--instance", negative, "--model", "1"]) == 2
+        for key, value in (("fleet", 2.7), ("fleet", True), ("big_m", 1000.5),
+                           ("transfer_cost", 0.9)):
+            bad = write_json(tmp_path, f"bad_{key}.json",
+                             dict(TINY1_FILE, **{key: value}))
+            assert entry(["solve", "--instance", bad, "--model", "1"]) == 2, key
+            assert key in capsys.readouterr().err
         capsys.readouterr()
 
     def test_failed_write_leaves_no_partial_file(self, tiny1_path, tmp_path,

@@ -38,6 +38,24 @@ class TestInstance:
         assert isinstance(tiny1.fleet_size, int)
         assert isinstance(tiny1.big_m, int)
 
+    def test_fractional_or_boolean_scalars_rejected(self, tiny1):
+        import dataclasses
+        for name, value in (("fleet_size", 100.7), ("big_m", 1000.5),
+                            ("transfer_cost", 0.9), ("fleet_size", True),
+                            ("num_slots", np.bool_(True)),
+                            ("big_m", float("inf"))):
+            with pytest.raises(ValueError, match=name):
+                dataclasses.replace(tiny1, **{name: value})
+
+    def test_integral_scalars_of_any_size_accepted(self, tiny1):
+        import dataclasses
+        inst = dataclasses.replace(tiny1, fleet_size=3.0,
+                                   transfer_cost=np.int32(0), big_m=10**20)
+        assert (inst.fleet_size, inst.transfer_cost) == (3, 0)
+        assert type(inst.fleet_size) is int and type(inst.transfer_cost) is int
+        assert inst.big_m == 10**20
+        assert validate_instance(inst) == []
+
     def test_value_equality_not_identity(self, tiny1):
         import dataclasses
         clone = dataclasses.replace(tiny1)

@@ -7,6 +7,7 @@ programs is strong evidence for both statuses and objectives.
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 from ambuplan.engine import (
@@ -25,7 +26,7 @@ inf = np.inf
 def lp_of(n, cost, lower, upper, rows, integrality=None):
     if integrality is None:
         integrality = np.zeros(n)
-    return LinearProgram(n, cost, lower, upper, integrality, rows)
+    return LinearProgram.from_rows(n, cost, lower, upper, integrality, rows)
 
 
 def residuals_ok(lp: LinearProgram, x: np.ndarray, tol=1e-7) -> bool:
@@ -171,6 +172,23 @@ class TestProgramValidation:
     def test_nan_cost_rejected(self):
         with pytest.raises(ValueError):
             lp_of(1, [np.nan], [0], [1], [])
+
+    def test_matrix_form_accepted(self):
+        lp = LinearProgram(2, [1, 1], [0, 0], [1, 1], [0, 0],
+                           sparse.csc_array(np.ones((1, 2))), [1], [1.0])
+        assert lp.num_rows == 1
+        assert lp.rows == [LinearRow(((0, 1.0), (1, 1.0)), "<=", 1.0)]
+
+    @pytest.mark.parametrize("bad", [
+        {"A": sparse.csc_array(np.ones((1, 3)))},  # wrong column count
+        {"sense": [2]},
+        {"rhs": [np.nan]},
+    ])
+    def test_matrix_form_rejected(self, bad):
+        parts = dict(A=sparse.csc_array(np.ones((1, 2))), sense=[1], rhs=[1.0])
+        parts.update(bad)
+        with pytest.raises(ValueError):
+            LinearProgram(2, [1, 1], [0, 0], [1, 1], [0, 0], **parts)
 
 
 def random_program(rng):

@@ -19,7 +19,7 @@ inf = np.inf
 
 def knapsack():
     # max 8a+11b+6c+4d with weights 5,7,4,3 under 14: take b, c, d for 21
-    return LinearProgram(4, [-8, -11, -6, -4], [0] * 4, [1] * 4, [1] * 4, [
+    return LinearProgram.from_rows(4, [-8, -11, -6, -4], [0] * 4, [1] * 4, [1] * 4, [
         LinearRow(((0, 5.0), (1, 7.0), (2, 4.0), (3, 3.0)), "<=", 14.0),
     ])
 
@@ -60,12 +60,12 @@ class TestDirected:
         assert sol.nodes >= 1
 
     def test_integer_infeasibility_from_parity(self):
-        lp = LinearProgram(1, [1], [0], [3], [1],
+        lp = LinearProgram.from_rows(1, [1], [0], [3], [1],
                            [LinearRow(((0, 2.0),), "=", 1.0)])
         assert solve_milp(lp).status is MilpStatus.INFEASIBLE
 
     def test_mixed_integer_continuous(self):
-        lp = LinearProgram(2, [-1, -2], [0, 0], [2.5, 1.8], [1, 0], [
+        lp = LinearProgram.from_rows(2, [-1, -2], [0, 0], [2.5, 1.8], [1, 0], [
             LinearRow(((0, 1.0), (1, 1.0)), "<=", 3.2),
         ])
         sol = solve_milp(lp)
@@ -74,7 +74,7 @@ class TestDirected:
         assert sol.objective == pytest.approx(-4.6, abs=1e-7)  # x=1, y=1.8
 
     def test_all_continuous_delegates_to_relaxation(self):
-        lp = LinearProgram(2, [1, 1], [0, 0], [10, 10], [0, 0],
+        lp = LinearProgram.from_rows(2, [1, 1], [0, 0], [10, 10], [0, 0],
                            [LinearRow(((0, 1.0), (1, 1.0)), ">=", 1.0)])
         sol = solve_milp(lp)
         assert sol.status is MilpStatus.OPTIMAL
@@ -82,7 +82,7 @@ class TestDirected:
         assert sol.nodes == 1
 
     def test_unbounded_integer_program_raises(self):
-        lp = LinearProgram(1, [-1], [0], [inf], [1], [])
+        lp = LinearProgram.from_rows(1, [-1], [0], [inf], [1], [])
         with pytest.raises(UnboundedProgramError):
             solve_milp(lp)
 
@@ -107,7 +107,7 @@ class TestDirected:
     def test_integral_costs_give_exact_int_objective(self):
         # relaxation sits at -23.5; the integer optimum packs two of the
         # better item for exactly -22, reported as a Python int
-        lp = LinearProgram(2, [-10, -11], [0, 0], [2, 2], [1, 1], [
+        lp = LinearProgram.from_rows(2, [-10, -11], [0, 0], [2, 2], [1, 1], [
             LinearRow(((0, 2.0), (1, 2.0)), "<=", 4.3),
         ])
         sol = solve_milp(lp)
@@ -116,7 +116,7 @@ class TestDirected:
         assert sol.best_bound == -22
 
     def test_fractional_costs_stay_float(self):
-        lp = LinearProgram(1, [-0.5], [0], [3.0], [1], [])
+        lp = LinearProgram.from_rows(1, [-0.5], [0], [3.0], [1], [])
         sol = solve_milp(lp)
         assert sol.objective == pytest.approx(-1.5, abs=1e-9)
 
@@ -138,7 +138,7 @@ class TestAgainstBruteForce:
                 rhs = float(rng.integers(-8, 9))
                 rows.append(LinearRow(
                     tuple((j, a[j]) for j in range(n) if a[j]), rel, rhs))
-            lp = LinearProgram(n, cost, lo, hi, np.ones(n), rows)
+            lp = LinearProgram.from_rows(n, cost, lo, hi, np.ones(n), rows)
             sol = solve_milp(lp)
             expected = brute_force(lp)
             label = f"trial {trial}"
@@ -156,7 +156,7 @@ class TestAgainstBruteForce:
 
 class TestDeterminism:
     def problem(self):
-        return LinearProgram(4, [-8, -11, -6, -4], [0] * 4, [3] * 4, [1] * 4, [
+        return LinearProgram.from_rows(4, [-8, -11, -6, -4], [0] * 4, [3] * 4, [1] * 4, [
             LinearRow(((0, 5.0), (1, 7.0), (2, 4.0), (3, 3.0)), "<=", 14.0),
             LinearRow(((0, 1.0), (1, -1.0)), ">=", -1.0),
         ])

@@ -188,3 +188,26 @@ class TestSolverAgreementSpotCheck:
             mine = solve_transfer(inst)
             ref = brute_force_transfer(inst)
             assert mine.objective == ref.objective, f"seed {seed}"
+
+
+class TestPenaltyIndependence:
+    """Every valid big_m gives the exhaustive search's answer.
+
+    Solves price shortage at the smallest valid penalty and report the plan's
+    cost at the instance's own, so large penalties no longer swamp the
+    simplex's tolerances.
+    """
+
+    @pytest.mark.parametrize("solve, search", [
+        (solve_allocation, brute_force_allocation),
+        (solve_transfer, brute_force_transfer),
+    ], ids=["allocation", "transfer"])
+    def test_matches_brute_force_at_any_big_m(self, solve, search):
+        for seed in range(60):
+            base = generate(tiny_params(seed), seed)
+            for big_m in (base.big_m, 10**12, 10**18):
+                inst = dataclasses.replace(base, big_m=big_m)
+                mine, ref = solve(inst), search(inst)
+                label = f"seed {seed} big_m {big_m}"
+                assert mine.status is ref.status, label
+                assert mine.objective == ref.objective, label

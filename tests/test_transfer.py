@@ -7,7 +7,9 @@ import pytest
 
 from ambuplan import (
     Instance,
+    TransferPlan,
     SolveStatus,
+    brute_force_transfer,
     build_transfer_program,
     evaluate_transfer,
     generate,
@@ -15,8 +17,65 @@ from ambuplan import (
     solve_transfer,
     tiny_params,
 )
-from ambuplan.engine import LpStatus, MilpOptions, solve_lp
+from ambuplan.engine import LinearProgram, LinearRow, LpStatus, MilpOptions, solve_lp
 from ambuplan.transfer import TransferIndex, _extract_plan
+
+
+def one_serve_short(plan: TransferPlan) -> TransferPlan | None:
+    """The plan with its latest served call counted short instead."""
+    js, zs, ts = np.nonzero(plan.serve)
+    if js.size == 0:
+        return None
+    k = np.argmax(ts)
+    serve, shortage = plan.serve.copy(), plan.shortage.copy()
+    serve[js[k], zs[k], ts[k]] -= 1
+    shortage[zs[k], ts[k]] += 1
+    return TransferPlan(plan.stock, serve, plan.transfer_in, plan.transfer_out,
+                        shortage)
+
+
+def row_by_row_program(inst: Instance) -> LinearProgram:
+    """The transfer program written one LinearRow at a time, as a reference."""
+    jn, zn, tn = inst.num_stations, inst.num_zones, inst.num_slots
+    ix = TransferIndex.for_instance(inst)
+    obj, upper = np.zeros(ix.num_vars), np.full(ix.num_vars, np.inf)
+    for j in range(jn):
+        for t in range(tn):
+            obj[ix.stock(j, t)] = inst.hold_cost[j, t]
+            upper[ix.stock(j, t)] = inst.capacity[j, t]
+            if t > 0:
+                obj[ix.transfer_in(j, t)] = inst.transfer_cost
+    for (j, i) in ix.pairs:
+        for t in range(tn):
+            obj[ix.serve(j, i, t)] = inst.dispatch_cost[j, t]
+    for i in range(zn):
+        for t in range(tn):
+            obj[ix.shortage(i, t)] = inst.big_m
+    rows = [LinearRow(tuple((ix.stock(j, 0), 1.0) for j in range(jn)), "<=",
+                      inst.fleet_size)]
+    moves = [(j, t) for j in range(jn) for t in range(1, tn)]
+    for j, t in moves:
+        rows.append(LinearRow(((ix.stock(j, t), 1.0), (ix.stock(j, t - 1), -1.0),
+                               (ix.transfer_in(j, t), -1.0),
+                               (ix.transfer_out(j, t), 1.0)), "=", 0.0))
+    for j, t in moves:
+        rows.append(LinearRow(((ix.transfer_out(j, t), 1.0),
+                               (ix.stock(j, t - 1), -1.0)), "<=", 0.0))
+    for t in range(1, tn):
+        rows.append(LinearRow(tuple((ix.transfer_in(j, t), 1.0) for j in range(jn))
+                              + tuple((ix.transfer_out(j, t), -1.0) for j in range(jn)),
+                              "=", 0.0))
+    for j in range(jn):
+        for t in range(tn):
+            coeffs = [(ix.serve(j, i, t), 1.0) for i in range(zn) if inst.coverage[j, i]]
+            rows.append(LinearRow((*coeffs, (ix.stock(j, t), -1.0)), "<=", 0.0))
+    for i in range(zn):
+        for t in range(tn):
+            coeffs = [(ix.serve(j, i, t), 1.0) for j in range(jn) if inst.coverage[j, i]]
+            rows.append(LinearRow((*coeffs, (ix.shortage(i, t), 1.0)), "=",
+                                  inst.demand[i, t]))
+    return LinearProgram.from_rows(ix.num_vars, obj, np.zeros(ix.num_vars), upper,
+                                   np.ones(ix.num_vars), rows)
 
 
 class TestProgramShape:
@@ -52,6 +111,45 @@ class TestProgramShape:
         relaxed = solve_lp(lp)
         assert relaxed.status is LpStatus.OPTIMAL
         assert relaxed.objective <= 5 + 1e-9
+
+    def test_rows_hold_at_the_oracle_plans(self, unmet_rows):
+        # the exhaustive search's plans, and the same plans with one served
+        # call counted short, laid out by the index accessors, meet every row
+        # exactly and cost what the evaluator says
+        for seed in range(60):
+            inst = generate(tiny_params(seed), seed)
+            ref = brute_force_transfer(inst)
+            lp, ix = build_transfer_program(inst)
+            for plan in (ref.plan, one_serve_short(ref.plan)):
+                if plan is None:
+                    continue
+                cost, violations = evaluate_transfer(inst, plan)
+                assert violations == [], f"seed {seed}"
+                x = np.zeros(lp.num_vars)
+                for j in range(inst.num_stations):
+                    for t in range(inst.num_slots):
+                        x[ix.stock(j, t)] = plan.stock[j, t]
+                        if t > 0:
+                            x[ix.transfer_in(j, t)] = plan.transfer_in[j, t]
+                            x[ix.transfer_out(j, t)] = plan.transfer_out[j, t]
+                for (j, i) in ix.pairs:
+                    for t in range(inst.num_slots):
+                        x[ix.serve(j, i, t)] = plan.serve[j, i, t]
+                for i in range(inst.num_zones):
+                    for t in range(inst.num_slots):
+                        x[ix.shortage(i, t)] = plan.shortage[i, t]
+                assert unmet_rows(lp, x) == [], f"seed {seed}"
+                assert np.all((lp.lower <= x) & (x <= lp.upper)), f"seed {seed}"
+                assert lp.objective @ x == cost, f"seed {seed}"
+
+    def test_matches_the_row_by_row_reference(self):
+        cases = [generate(tiny_params(s), s) for s in range(60)]
+        for inst in cases + [generate(preset(1), 0)]:
+            lp, _ = build_transfer_program(inst)
+            ref = row_by_row_program(inst)
+            assert (lp.A != ref.A).nnz == 0
+            for name in ("sense", "rhs", "objective", "lower", "upper", "integrality"):
+                assert np.array_equal(getattr(lp, name), getattr(ref, name)), name
 
     def test_plan_extraction_follows_the_column_layout(self):
         inst = generate(preset(1), 0)
