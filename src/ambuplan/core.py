@@ -45,6 +45,8 @@ def _frozen_int_array(value: Any, name: str) -> np.ndarray:
     if not np.issubdtype(arr.dtype, np.integer):
         if np.issubdtype(arr.dtype, np.floating) and np.all(np.isfinite(arr)) \
                 and np.all(arr == np.floor(arr)):
+            if not np.all((arr >= -2.0**63) & (arr < 2.0**63)):
+                raise ValueError(f"{name} has entries outside the 64-bit integer range")
             arr = arr.astype(np.int64)
         else:
             raise ValueError(f"{name} must contain integers, got dtype {arr.dtype}")
@@ -274,19 +276,18 @@ def validate_instance(inst: Instance) -> list[Violation]:
     if not shapes_ok:
         return out
 
-    for j in range(J):
-        for i in range(I):
-            a = int(inst.coverage[j, i])
-            if a not in (0, 1):
-                out.append(Violation("coverage_not_binary", (j, i), a, 1,
-                                     f"coverage[{j}][{i}] = {a}, must be 0 or 1"))
+    cov = inst.coverage
+    for j, i in np.argwhere((cov != 0) & (cov != 1)).tolist():
+        a = int(cov[j, i])
+        out.append(Violation("coverage_not_binary", (j, i), a, 1,
+                             f"coverage[{j}][{i}] = {a}, must be 0 or 1"))
 
     for name in ("capacity", "hold_cost", "dispatch_cost", "demand"):
         arr = getattr(inst, name)
         if arr.size and int(arr.min()) < 0:
-            idx = np.unravel_index(int(np.argmin(arr)), arr.shape)
+            idx = tuple(int(k) for k in np.unravel_index(int(np.argmin(arr)), arr.shape))
             out.append(Violation(
-                "negative_entry", tuple(int(k) for k in idx), int(arr.min()), 0,
+                "negative_entry", idx, int(arr.min()), 0,
                 f"{name}{list(idx)} = {int(arr.min())}, must be >= 0"))
 
     if inst.big_m < 1:

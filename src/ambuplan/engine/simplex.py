@@ -6,9 +6,12 @@ form (slack columns for inequalities). Each solve works on one matrix
 the sign g[k] of that row's residual at the crash basis. The basis inverse
 is represented by a sparse LU factorization (scipy ``splu``) plus a
 product-form eta file that is folded back into a fresh factorization every
-few dozen pivots. Phase 1 minimizes the total artificial value from a slack
-crash basis; phase 2 continues on the true costs from the feasible basis
-phase 1 leaves behind.
+few dozen pivots. The crash basis gives each row to its slack when the
+slack can carry it, else to a structural column singleton that can absorb
+the row's residual within its bounds, and only otherwise to the row's
+artificial. Phase 1 minimizes the total artificial value and runs only when
+that total starts above zero; phase 2 continues on the true costs from the
+feasible basis phase 1 leaves behind.
 
 Anti-cycling: Dantzig pricing by default, switching to Bland's rule whenever
 the objective has not improved for 5 * (num_vars + num_rows) iterations.
@@ -148,7 +151,15 @@ class _Solver:
     # ----- initialization --------------------------------------------------
 
     def crash_basis(self) -> None:
-        """Slack crash: slacks carry their rows when feasible, else artificials.
+        """Crash basis: slacks carry their rows when feasible, then column
+        singletons, then artificials.
+
+        A row the slack cannot carry (or without a slack) whose residual is
+        nonzero goes to a structural column with its only nonzero in that
+        row, |a| >= pivot_tol, when moving that column to x + resid / a keeps
+        it within this solve's bounds; the lowest such column wins (Bixby,
+        ORSA J. Computing 4(3), 1992). Only the remaining rows start on an
+        artificial.
 
         Also builds the solve's matrix [A | diag(g)], where g[k] is the sign
         of row k's residual at the crash point.
@@ -169,11 +180,30 @@ class _Solver:
         use_slack = (sigma != 0) & (sigma * resid >= -1e-12)
         slack_col = std.n_struct - 1 + np.cumsum(sigma != 0)
         art_col = n_real + np.arange(m)
-        self.basis[:] = np.where(use_slack, slack_col, art_col)
-        self.status[self.basis] = BASIC
-        self.x[self.basis] = np.where(use_slack, np.maximum(sigma * resid, 0.0),
-                                      np.abs(resid))
-        self.up[art_col[~use_slack]] = np.inf
+        basis = np.where(use_slack, slack_col, art_col)
+        value = np.where(use_slack, np.maximum(sigma * resid, 0.0), np.abs(resid))
+
+        # structural column singletons, in column order
+        indptr = std.A.indptr
+        cols = np.flatnonzero(np.diff(indptr[:std.n_struct + 1]) == 1)
+        rows = std.A.indices[indptr[cols]]
+        a = std.A.data[indptr[cols]]
+        need = ~use_slack & (resid != 0)
+        ok = need[rows] & (np.abs(a) >= self.pivot_tol)
+        cols, rows, a = cols[ok], rows[ok], a[ok]
+        x_new = self.x[cols] + resid[rows] / a
+        ok = (x_new >= self.lo[cols]) & (x_new <= self.up[cols])
+        # the first occurrence of a row is its lowest fitting column
+        rows, first = np.unique(rows[ok], return_index=True)
+        basis[rows] = cols[ok][first]
+        value[rows] = x_new[ok][first]
+        use_art = ~use_slack
+        use_art[rows] = False
+
+        self.basis[:] = basis
+        self.status[basis] = BASIC
+        self.x[basis] = value
+        self.up[art_col[use_art]] = np.inf
 
         g = np.where(resid >= 0, 1.0, -1.0)
         self.A = _with_unit_columns(std.A, np.arange(m), g)

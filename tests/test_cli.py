@@ -1,6 +1,7 @@
 """Command-line front end: files, exit codes, reports, and round-trips."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,15 @@ class TestSolve:
             assert entry(["solve", "--instance", bad, "--model", "1"]) == 2, key
             assert key in capsys.readouterr().err
         capsys.readouterr()
+
+    def test_float_beyond_int64_exits_2(self, tmp_path, capsys):
+        huge = write_json(tmp_path, "huge.json",
+                          dict(TINY1_FILE, demand=[[1e30], [1]]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert entry(["solve", "--instance", huge, "--model", "1"]) == 2
+        assert "demand" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_failed_write_leaves_no_partial_file(self, tiny1_path, tmp_path,
                                                  capsys):

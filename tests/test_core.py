@@ -83,16 +83,21 @@ class TestInstance:
 
     def test_coverage_must_be_binary(self, tiny1):
         import dataclasses
-        bad = dataclasses.replace(tiny1, coverage=np.array([[2, 0], [1, 1]]))
+        bad = dataclasses.replace(tiny1, coverage=np.array([[2, 0], [-1, 3]]))
         found = [v for v in validate_instance(bad)
                  if v.kind == "coverage_not_binary"]
-        assert found and found[0].indices == (0, 0)
+        assert [(v.indices, v.message) for v in found] == [
+            ((0, 0), "coverage[0][0] = 2, must be 0 or 1"),
+            ((1, 0), "coverage[1][0] = -1, must be 0 or 1"),
+            ((1, 1), "coverage[1][1] = 3, must be 0 or 1"),
+        ]
 
     def test_negative_entry_detected(self, tiny1):
         import dataclasses
         bad = dataclasses.replace(tiny1, demand=np.array([[1], [-1]]))
-        kinds = {v.kind for v in validate_instance(bad)}
-        assert "negative_entry" in kinds
+        found = [v for v in validate_instance(bad) if v.kind == "negative_entry"]
+        assert [(v.indices, v.message) for v in found] == [
+            ((1, 0), "demand[1, 0] = -1, must be >= 0")]
 
     def test_big_m_must_dominate_service_costs(self, tiny1):
         import dataclasses

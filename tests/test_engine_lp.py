@@ -10,6 +10,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+from ambuplan import build_transfer_program, generate, preset
 from ambuplan.engine import (
     PIVOT_TOL,
     LinearProgram,
@@ -46,8 +47,20 @@ def residuals_ok(lp: LinearProgram, x: np.ndarray, tol=1e-7) -> bool:
 
 class TestDirected:
     def test_single_covering_row(self):
+        # both columns are singletons, so the crash may start at the optimum
         lp = lp_of(2, [1, 1], [0, 0], [10, 10],
                    [LinearRow(((0, 1.0), (1, 1.0)), ">=", 1.0)])
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(1.0, abs=1e-9)
+        assert residuals_ok(lp, sol.x)
+
+    def test_covering_row_without_singletons_pivots(self):
+        # a second row leaves no column singleton to carry the covering row
+        lp = lp_of(2, [1, 1], [0, 0], [10, 10], [
+            LinearRow(((0, 1.0), (1, 1.0)), ">=", 1.0),
+            LinearRow(((0, 1.0), (1, 1.0)), "<=", 10.0),
+        ])
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
@@ -158,6 +171,85 @@ class TestDirected:
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         assert residuals_ok(lp, sol.x)
+
+
+class TestCrash:
+    """The crash gives a row to a column singleton that fits its bounds."""
+
+    @staticmethod
+    def crashed(lp, lo_struct=None, hi_struct=None):
+        solver = simplex._Solver(simplex.build_standard_form(lp), lo_struct, hi_struct)
+        solver.crash_basis()
+        return solver
+
+    @staticmethod
+    def phases_run(monkeypatch):
+        phases = []
+        run_phase = simplex._Solver.run_phase
+
+        def recorded(solver, phase):
+            phases.append(phase)
+            return run_phase(solver, phase)
+
+        monkeypatch.setattr(simplex._Solver, "run_phase", recorded)
+        return phases
+
+    def test_singleton_within_bounds_takes_its_row(self, monkeypatch):
+        # x0 and x3 are singletons of the equality row; the lower index wins
+        lp = lp_of(4, [3, 1, 2, 4], [0] * 4, [10, inf, inf, 10], [
+            LinearRow(((0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)), "=", 4.0),
+            LinearRow(((1, 1.0), (2, -1.0)), "<=", 1.0),
+        ])
+        solver = self.crashed(lp)
+        assert solver.basis[0] == 0
+        assert solver.x[0] == 4.0
+        assert not solver.x[solver.n_real:].any()
+        phases = self.phases_run(monkeypatch)
+        sol = solve_lp(lp)
+        assert phases == [2]
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(5.5, abs=1e-9)
+        assert np.allclose(sol.x, [0.0, 2.5, 1.5, 0.0], atol=1e-9)
+
+    def test_singleton_beyond_its_bound_leaves_the_artificial(self):
+        # x0 alone would need 5 > 2, and x1 <= 1 caps the rest: infeasible
+        lp = lp_of(2, [1, 1], [0, 0], [2, inf], [
+            LinearRow(((0, 1.0), (1, 1.0)), "=", 5.0),
+            LinearRow(((1, 1.0),), "<=", 1.0),
+        ])
+        solver = self.crashed(lp)
+        assert solver.basis[0] == solver.n_real
+        assert solve_lp(lp).status is LpStatus.INFEASIBLE
+
+    def test_node_bounds_decide_the_crash(self, monkeypatch):
+        lp = lp_of(2, [1, 2], [0, 0], [10, 10], [
+            LinearRow(((0, 1.0), (1, 1.0)), "=", 3.0),
+            LinearRow(((1, 1.0),), "<=", 5.0),
+        ])
+        std = simplex.build_standard_form(lp)
+        assert self.crashed(lp).basis[0] == 0
+        hi = np.array([1.0, 10.0])
+        assert self.crashed(lp, hi_struct=hi).basis[0] == std.n_real
+        phases = self.phases_run(monkeypatch)
+        res = simplex.core_solve(std, None, hi)
+        assert phases == [1, 2]
+        assert res.status is LpStatus.OPTIMAL
+        assert res.objective == pytest.approx(5.0, abs=1e-9)
+        assert np.allclose(res.x[:2], [1.0, 2.0], atol=1e-9)
+
+    def test_transfer_demand_rows_start_on_shortage(self):
+        inst = generate(preset(1), 0)
+        lp, ix = build_transfer_program(inst)
+        solver = self.crashed(lp)
+        zones, slots = inst.demand.shape
+        i, t = np.divmod(np.arange(zones * slots), slots)
+        demand_rows = lp.num_rows - zones * slots + np.arange(zones * slots)
+        short, calls = ix.shortage(i, t), inst.demand.ravel()
+        assert np.array_equal(solver.basis[demand_rows[calls > 0]], short[calls > 0])
+        # a row without calls has nothing to carry and keeps its artificial
+        zero = demand_rows[calls == 0]
+        assert zero.size and np.array_equal(solver.basis[zero], solver.n_real + zero)
+        assert np.array_equal(solver.x[short], calls)
 
 
 class TestProgramValidation:
