@@ -10,13 +10,17 @@ Decision variables, all integer, for stations j and slots t:
 Placement must cover every zone's demand outright (a zone whose demand cannot
 be covered makes the instance infeasible), while dispatch shortfalls are
 merely priced at the ``big_m`` weight. Inventory ties consecutive slots
-together through a balance equation but carries no cost, so the model
-decomposes across slots; it is kept because reports show it.
+together through a balance equation but carries no cost, and ``dispatch <=
+alloc`` keeps it nonnegative, so the program separates exactly by slot.
+``build_allocation_program`` still writes the whole day as one program, for
+inspection and independent checks; ``solve_allocation`` solves one small
+program per slot and rebuilds inventory from the plan as the running sum of
+``alloc - dispatch``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +33,14 @@ from .core import (
     outcome_from_milp,
     validate_instance,
 )
-from .engine import LinearProgram, MilpOptions, matrix_from_blocks, solve_milp
+from .engine import (
+    LinearProgram,
+    MilpOptions,
+    MilpSolution,
+    MilpStatus,
+    matrix_from_blocks,
+    solve_milp,
+)
 
 
 @dataclass(frozen=True)
@@ -108,17 +119,56 @@ def _extract_plan(x: np.ndarray, ix: AllocationIndex) -> AllocationPlan:
 
 def solve_allocation(inst: Instance,
                      options: MilpOptions | None = None) -> SolveOutcome:
-    """Solve the allocation model to proven optimality.
+    """Solve the allocation model to proven optimality, one slot at a time.
 
     Raises ValueError on an invalid instance. The program prices shortage at
     the smallest valid ``big_m``. On OPTIMAL the returned objective is the
     exact integer cost of the plan at ``inst.big_m``, and the plan has been
-    re-checked against every model rule.
+    re-checked against every model rule. Nodes and iterations are summed
+    over the slots, and ``options.node_limit`` is one budget that each slot
+    draws what is left of. The first infeasible slot makes the instance
+    infeasible; a slot that runs out of nodes makes the result NODE_LIMIT,
+    with a plan only when every slot found one.
     """
     problems = validate_instance(inst)
     if problems:
         raise ValueError(f"invalid instance: {problems[0].message}")
     priced = at_minimal_penalty(inst)
-    lp, ix = build_allocation_program(priced)
-    return outcome_from_milp(solve_milp(lp, options), inst, priced.big_m, ix,
+    jn, tn = inst.num_stations, inst.num_slots
+    budget = None if options is None else options.node_limit
+    cols = np.zeros((3, jn, tn))        # alloc, dispatch, inventory blocks
+    shortage = np.zeros(tn)
+    status, found = MilpStatus.OPTIMAL, True
+    objective = nodes = iterations = bound = 0
+    for t in range(tn):
+        one = slice(t, t + 1)
+        slot = replace(priced, num_slots=1, capacity=priced.capacity[:, one],
+                       hold_cost=priced.hold_cost[:, one],
+                       dispatch_cost=priced.dispatch_cost[:, one],
+                       demand=priced.demand[:, one])
+        lp, _ = build_allocation_program(slot)
+        slot_options = options if budget is None else replace(
+            options, node_limit=budget - nodes)
+        res = solve_milp(lp, slot_options)
+        nodes += res.nodes
+        iterations += res.iterations
+        if res.status is MilpStatus.INFEASIBLE:
+            status, found = res.status, False
+            break
+        if res.status is MilpStatus.NODE_LIMIT:
+            status = res.status
+        bound += res.best_bound
+        found = found and res.x is not None
+        if found:
+            # a one-slot program's columns: alloc, dispatch, inventory, shortage
+            objective += res.objective
+            cols[:, :, t] = res.x[:3 * jn].reshape(3, jn)
+            shortage[t] = res.x[-1]
+    x = None
+    if found:
+        cols[2] = np.cumsum(cols[0] - cols[1], axis=1)
+        x = np.concatenate([cols.ravel(), shortage])
+    res = MilpSolution(status, x, objective if found else None, nodes=nodes,
+                       best_bound=bound, iterations=iterations)
+    return outcome_from_milp(res, inst, priced.big_m, AllocationIndex(jn, tn),
                              _extract_plan, evaluate_allocation, "allocation")

@@ -32,26 +32,30 @@ from .engine import EngineError, MilpSolution, MilpStatus
 def _frozen_int_array(value: Any, name: str) -> np.ndarray:
     """Coerce ``value`` to an immutable integer ndarray.
 
-    Raises ValueError for ragged or non-integer input. Shape checking is left
-    to validate_instance so that malformed-but-rectangular data can still be
+    Raises ValueError for ragged or non-integer input, and for integers that
+    int64 cannot hold, whether they arrive as Python ints (an object array),
+    as uint64 or as integral floats. Shape checking is left to
+    validate_instance so that malformed-but-rectangular data can still be
     inspected and reported as violations.
     """
     try:
         arr = np.asarray(value)
     except ValueError as exc:  # ragged nested lists
         raise ValueError(f"{name} is not a rectangular array: {exc}") from exc
-    if arr.dtype == object:
+    kind = arr.dtype.kind
+    if kind == "O" and all(type(v) is int for v in arr.flat):
+        fits = all(-2**63 <= v < 2**63 for v in arr.flat)
+    elif kind == "O":
         raise ValueError(f"{name} is not a rectangular array of integers")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if np.issubdtype(arr.dtype, np.floating) and np.all(np.isfinite(arr)) \
-                and np.all(arr == np.floor(arr)):
-            if not np.all((arr >= -2.0**63) & (arr < 2.0**63)):
-                raise ValueError(f"{name} has entries outside the 64-bit integer range")
-            arr = arr.astype(np.int64)
-        else:
-            raise ValueError(f"{name} must contain integers, got dtype {arr.dtype}")
+    elif kind in "iu":
+        fits = kind == "i" or arr.size == 0 or arr.max() < 2**63
+    elif kind == "f" and np.all(np.isfinite(arr)) and np.all(arr == np.floor(arr)):
+        fits = bool(np.all((arr >= -2.0**63) & (arr < 2.0**63)))
     else:
-        arr = arr.astype(np.int64)
+        raise ValueError(f"{name} must contain integers, got dtype {arr.dtype}")
+    if not fits:
+        raise ValueError(f"{name} has entries outside the 64-bit integer range")
+    arr = arr.astype(np.int64)
     arr.setflags(write=False)
     return arr
 

@@ -1,6 +1,7 @@
 """Per-slot allocation model: program construction and exact solves."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -230,6 +231,46 @@ class TestSolve:
         outcome = solve_allocation(tiny1, MilpOptions(node_limit=0))
         assert outcome.status is SolveStatus.NODE_LIMIT
         assert outcome.plan is None
+
+    def test_node_budget_is_shared_by_the_slots(self):
+        inst = generate(preset(1), 0)
+        assert inst.num_slots == 4
+        for limit in range(4):
+            outcome = solve_allocation(inst, MilpOptions(node_limit=limit))
+            assert outcome.status is SolveStatus.NODE_LIMIT, limit
+            assert outcome.nodes == limit
+            # slot `limit` onwards was never explored
+            assert outcome.plan is None and outcome.objective is None
+            assert outcome.best_bound == -math.inf
+        outcome = solve_allocation(inst, MilpOptions(node_limit=4))
+        assert outcome.status is SolveStatus.OPTIMAL
+        assert outcome.nodes == 4
+        assert outcome.objective == solve_allocation(inst).objective
+
+    def test_one_uncoverable_slot_makes_the_day_infeasible(self):
+        def day(capacity):
+            return Instance(num_stations=1, num_zones=1, num_slots=3, fleet_size=5,
+                            coverage=[[1]], capacity=[capacity],
+                            hold_cost=[[1, 1, 1]], dispatch_cost=[[1, 1, 1]],
+                            demand=[[2, 1, 1]], big_m=1000)
+
+        assert solve_allocation(day([3, 3, 3])).status is SolveStatus.OPTIMAL
+        last = solve_allocation(day([3, 3, 0]))
+        assert last.status is SolveStatus.INFEASIBLE
+        assert last.plan is None and last.objective is None
+        assert last.nodes == 3
+        # the search stops at the first infeasible slot
+        assert solve_allocation(day([0, 3, 3])).nodes == 1
+
+    def test_inventory_is_the_running_sum_of_idle_vehicles(self):
+        plans = [solve_allocation(generate(preset(2), seed)).plan for seed in range(3)]
+        plans += [solve_allocation(generate(tiny_params(seed), seed)).plan
+                  for seed in range(40)]
+        plans = [plan for plan in plans if plan is not None]
+        assert len(plans) > 10
+        for plan in plans:
+            np.testing.assert_array_equal(
+                plan.inventory, np.cumsum(plan.alloc - plan.dispatch, axis=1))
 
     def test_invalid_instance_rejected(self, tiny1):
         bad = dataclasses.replace(tiny1, big_m=1)

@@ -298,6 +298,16 @@ class TestSolve:
         assert "demand" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("demand", [[[10**30], [1]], [[2**63], [2**63]]],
+                             ids=["object", "uint64"])
+    def test_integer_beyond_int64_exits_2(self, tmp_path, capsys, demand):
+        # numpy holds 10**30 as an object and 2**63 as uint64, which int64
+        # would wrap to -2**63
+        huge = write_json(tmp_path, "huge.json", dict(TINY1_FILE, demand=demand))
+        assert entry(["solve", "--instance", huge, "--model", "1"]) == 2
+        assert "demand has entries outside the 64-bit integer range" \
+            in capsys.readouterr().err
+
     def test_failed_write_leaves_no_partial_file(self, tiny1_path, tmp_path,
                                                  capsys):
         target = tmp_path / "no_such_dir" / "plan.json"

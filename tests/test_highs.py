@@ -3,7 +3,8 @@
 HiGHS shares no code with the built-in engine. Both solve the same program
 from ``build_*_program``, so equal integer optima on presets 1-3 check the
 crash, the simplex and the branch and bound at a scale that brute force
-cannot reach.
+cannot reach. ``solve_allocation`` solves one program per slot, so its
+answers also check that split against the one program over every slot.
 """
 
 import numpy as np
@@ -49,3 +50,15 @@ def test_matches_highs(model, level):
         assert ref.status == 0, label
         assert outcome.status is SolveStatus.OPTIMAL, label
         assert outcome.objective == round(ref.fun), label
+
+
+def test_allocation_slots_match_highs_on_the_whole_day():
+    # solve_allocation solves slot by slot; HiGHS gets the one program over
+    # all 12 slots, so this checks the decomposition at scale
+    inst = generate(preset(4), 0)
+    lp, _ = build_allocation_program(inst)
+    ref = highs(lp)
+    outcome = solve_allocation(inst)
+    assert ref.status == 0
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.objective == round(ref.fun)
