@@ -20,6 +20,7 @@ program per slot and rebuilds inventory from the plan as the running sum of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,11 +137,15 @@ def solve_allocation(inst: Instance,
     priced = at_minimal_penalty(inst)
     jn, tn = inst.num_stations, inst.num_slots
     budget = None if options is None else options.node_limit
-    cols = np.zeros((3, jn, tn))        # alloc, dispatch, inventory blocks
+    placed = np.zeros((2, jn, tn))      # the alloc and dispatch blocks
     shortage = np.zeros(tn)
     status, found = MilpStatus.OPTIMAL, True
     objective = nodes = iterations = bound = 0
     for t in range(tn):
+        if nodes == budget:
+            # the shared budget is spent: this slot and the rest go unexplored
+            status, found, bound = MilpStatus.NODE_LIMIT, False, -math.inf
+            break
         one = slice(t, t + 1)
         slot = replace(priced, num_slots=1, capacity=priced.capacity[:, one],
                        hold_cost=priced.hold_cost[:, one],
@@ -162,12 +167,12 @@ def solve_allocation(inst: Instance,
         if found:
             # a one-slot program's columns: alloc, dispatch, inventory, shortage
             objective += res.objective
-            cols[:, :, t] = res.x[:3 * jn].reshape(3, jn)
+            placed[:, :, t] = res.x[:2 * jn].reshape(2, jn)
             shortage[t] = res.x[-1]
     x = None
     if found:
-        cols[2] = np.cumsum(cols[0] - cols[1], axis=1)
-        x = np.concatenate([cols.ravel(), shortage])
+        inventory = np.cumsum(placed[0] - placed[1], axis=1)
+        x = np.concatenate([placed.ravel(), inventory.ravel(), shortage])
     res = MilpSolution(status, x, objective if found else None, nodes=nodes,
                        best_bound=bound, iterations=iterations)
     return outcome_from_milp(res, inst, priced.big_m, AllocationIndex(jn, tn),

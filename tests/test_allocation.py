@@ -262,16 +262,6 @@ class TestSolve:
         # the search stops at the first infeasible slot
         assert solve_allocation(day([0, 3, 3])).nodes == 1
 
-    def test_inventory_is_the_running_sum_of_idle_vehicles(self):
-        plans = [solve_allocation(generate(preset(2), seed)).plan for seed in range(3)]
-        plans += [solve_allocation(generate(tiny_params(seed), seed)).plan
-                  for seed in range(40)]
-        plans = [plan for plan in plans if plan is not None]
-        assert len(plans) > 10
-        for plan in plans:
-            np.testing.assert_array_equal(
-                plan.inventory, np.cumsum(plan.alloc - plan.dispatch, axis=1))
-
     def test_invalid_instance_rejected(self, tiny1):
         bad = dataclasses.replace(tiny1, big_m=1)
         with pytest.raises(ValueError):

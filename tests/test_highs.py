@@ -62,3 +62,7 @@ def test_allocation_slots_match_highs_on_the_whole_day():
     assert ref.status == 0
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == round(ref.fun)
+    # inventory is rebuilt from the slot plans, not solved for
+    plan = outcome.plan
+    np.testing.assert_array_equal(plan.inventory,
+                                  np.cumsum(plan.alloc - plan.dispatch, axis=1))
