@@ -4,18 +4,19 @@ Decision variables, all integer, for stations j and slots t:
 
 * ``alloc[j][t]``   vehicles placed at station j during slot t
 * ``dispatch[j][t]`` vehicles from station j that answer calls in slot t
-* ``inventory[j][t]`` running count of placed-but-idle vehicles
 * ``shortage[t]``   calls in slot t that no covering vehicle answers
 
 Placement must cover every zone's demand outright (a zone whose demand cannot
 be covered makes the instance infeasible), while dispatch shortfalls are
-merely priced at the ``big_m`` weight. Inventory ties consecutive slots
-together through a balance equation but carries no cost, and ``dispatch <=
-alloc`` keeps it nonnegative, so the program separates exactly by slot.
-``build_allocation_program`` still writes the whole day as one program, for
-inspection and independent checks; ``solve_allocation`` solves one small
-program per slot and rebuilds inventory from the plan as the running sum of
+merely priced at the ``big_m`` weight. No balance equation ties one slot to
+another, so the program separates exactly by slot, and its columns come in
+one block per slot. The plan's ``inventory``, the placed-but-idle vehicles,
+carries no cost and is not a program variable: ``dispatch <= alloc`` keeps
+it nonnegative, and the plan derives it as the running sum of
 ``alloc - dispatch``.
+``build_allocation_program`` writes the whole day as one program, for
+inspection and independent checks; ``solve_allocation`` solves one small
+program per slot and joins their blocks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .core import (
 )
 from .engine import (
     LinearProgram,
-    MilpOptions,
     MilpSolution,
     MilpStatus,
     matrix_from_blocks,
@@ -46,27 +46,25 @@ from .engine import (
 
 @dataclass(frozen=True)
 class AllocationIndex:
-    """Column layout of the allocation program: four contiguous blocks.
-    The accessors take index arrays as well as ints."""
+    """Column layout of the allocation program: one block per slot holding
+    its alloc, dispatch and shortage columns. The accessors take index
+    arrays as well as ints."""
 
     num_stations: int
     num_slots: int
 
     def alloc(self, j: int, t: int) -> int:
-        return j * self.num_slots + t
+        return t * (2 * self.num_stations + 1) + j
 
     def dispatch(self, j: int, t: int) -> int:
-        return self.num_stations * self.num_slots + j * self.num_slots + t
-
-    def inventory(self, j: int, t: int) -> int:
-        return 2 * self.num_stations * self.num_slots + j * self.num_slots + t
+        return self.alloc(j, t) + self.num_stations
 
     def shortage(self, t: int) -> int:
-        return 3 * self.num_stations * self.num_slots + t
+        return self.alloc(0, t) + 2 * self.num_stations
 
     @property
     def num_vars(self) -> int:
-        return 3 * self.num_stations * self.num_slots + self.num_slots
+        return self.alloc(0, self.num_slots)
 
 
 def build_allocation_program(inst: Instance) -> tuple[LinearProgram, AllocationIndex]:
@@ -81,14 +79,11 @@ def build_allocation_program(inst: Instance) -> tuple[LinearProgram, AllocationI
     cj, ci = np.nonzero(inst.coverage)  # covering (j, i) pairs, once per slot
     cj, ct = np.repeat(cj, tn), np.tile(slot, ci.size)
     cover = np.repeat(ci, tn) * tn + ct  # the (i, t) row each pair-slot covers
-    sizes = [jt.size, tn, it.size, it.size, tn, jt.size]
-    fleet, placed, dispatched, total, limit = np.cumsum(sizes[:-1]).tolist()
+    sizes = [tn, it.size, it.size, tn, jt.size]
+    placed, dispatched, total, limit = np.cumsum(sizes[:-1]).tolist()
     blocks = [
-        # idle stock carried from the previous slot plus net placement
-        (jt, ix.inventory(j, t), 1.0), (jt, ix.alloc(j, t), -1.0),
-        (jt, ix.dispatch(j, t), 1.0), (jt[t > 0], ix.inventory(j, t - 1)[t > 0], -1.0),
         # fleet cap per slot
-        (fleet + t, ix.alloc(j, t), 1.0),
+        (t, ix.alloc(j, t), 1.0),
         # placed coverage must meet each zone's demand
         (placed + cover, ix.alloc(cj, ct), 1.0),
         # dispatched coverage may fall short by the slot's shortage
@@ -99,35 +94,36 @@ def build_allocation_program(inst: Instance) -> tuple[LinearProgram, AllocationI
         # cannot dispatch more than was placed
         (limit + jt, ix.dispatch(j, t), 1.0), (limit + jt, ix.alloc(j, t), -1.0),
     ]
-    sense = np.repeat([0.0, 1.0, -1.0, -1.0, 0.0, 1.0], sizes)
+    sense = np.repeat([1.0, -1.0, -1.0, 0.0, 1.0], sizes)
     demand = inst.demand.ravel()
-    rhs = np.concatenate([np.zeros(jt.size), np.full(tn, float(inst.fleet_size)),
-                          demand, demand, inst.demand.sum(axis=0), np.zeros(jt.size)])
-    obj = np.concatenate([inst.hold_cost.ravel(), inst.dispatch_cost.ravel(),
-                          np.zeros(jt.size), np.full(tn, float(inst.big_m))])
-    upper = np.concatenate([inst.capacity.ravel(), np.full(n - jt.size, np.inf)])
+    rhs = np.concatenate([np.full(tn, float(inst.fleet_size)), demand, demand,
+                          inst.demand.sum(axis=0), np.zeros(jt.size)])
+    # each slot's block: alloc, dispatch, shortage
+    obj = np.column_stack([inst.hold_cost.T, inst.dispatch_cost.T,
+                           np.full(tn, float(inst.big_m))]).ravel()
+    upper = np.column_stack([inst.capacity.T, np.full((tn, jn + 1), np.inf)]).ravel()
     lp = LinearProgram(n, obj, np.zeros(n), upper, np.ones(n, dtype=bool),
                        matrix_from_blocks(blocks, (sense.size, n)), sense, rhs)
     return lp, ix
 
 
 def _extract_plan(x: np.ndarray, ix: AllocationIndex) -> AllocationPlan:
-    jt = ix.num_stations * ix.num_slots
-    vals = np.rint(x).astype(np.int64)
-    alloc, dispatch, inventory = vals[:3 * jt].reshape(3, ix.num_stations, ix.num_slots)
-    return AllocationPlan(alloc, dispatch, inventory, shortage=vals[3 * jt:])
+    jn = ix.num_stations
+    vals = np.rint(x).astype(np.int64).reshape(ix.num_slots, 2 * jn + 1)
+    alloc, dispatch = vals[:, :jn].T, vals[:, jn:2 * jn].T
+    return AllocationPlan(alloc, dispatch, np.cumsum(alloc - dispatch, axis=1),
+                          shortage=vals[:, -1])
 
 
-def solve_allocation(inst: Instance,
-                     options: MilpOptions | None = None) -> SolveOutcome:
+def solve_allocation(inst: Instance, node_limit: int | None = None) -> SolveOutcome:
     """Solve the allocation model to proven optimality, one slot at a time.
 
     Raises ValueError on an invalid instance. The program prices shortage at
     the smallest valid ``big_m``. On OPTIMAL the returned objective is the
     exact integer cost of the plan at ``inst.big_m``, and the plan has been
     re-checked against every model rule. Nodes and iterations are summed
-    over the slots, and ``options.node_limit`` is one budget that each slot
-    draws what is left of. The first infeasible slot makes the instance
+    over the slots, and ``node_limit`` is one budget that each slot draws
+    what is left of. The first infeasible slot makes the instance
     infeasible; a slot that runs out of nodes makes the result NODE_LIMIT,
     with a plan only when every slot found one.
     """
@@ -135,14 +131,11 @@ def solve_allocation(inst: Instance,
     if problems:
         raise ValueError(f"invalid instance: {problems[0].message}")
     priced = at_minimal_penalty(inst)
-    jn, tn = inst.num_stations, inst.num_slots
-    budget = None if options is None else options.node_limit
-    placed = np.zeros((2, jn, tn))      # the alloc and dispatch blocks
-    shortage = np.zeros(tn)
+    blocks = []                         # each solved slot's columns
     status, found = MilpStatus.OPTIMAL, True
     objective = nodes = iterations = bound = 0
-    for t in range(tn):
-        if nodes == budget:
+    for t in range(inst.num_slots):
+        if nodes == node_limit:
             # the shared budget is spent: this slot and the rest go unexplored
             status, found, bound = MilpStatus.NODE_LIMIT, False, -math.inf
             break
@@ -152,9 +145,7 @@ def solve_allocation(inst: Instance,
                        dispatch_cost=priced.dispatch_cost[:, one],
                        demand=priced.demand[:, one])
         lp, _ = build_allocation_program(slot)
-        slot_options = options if budget is None else replace(
-            options, node_limit=budget - nodes)
-        res = solve_milp(lp, slot_options)
+        res = solve_milp(lp, None if node_limit is None else node_limit - nodes)
         nodes += res.nodes
         iterations += res.iterations
         if res.status is MilpStatus.INFEASIBLE:
@@ -165,15 +156,11 @@ def solve_allocation(inst: Instance,
         bound += res.best_bound
         found = found and res.x is not None
         if found:
-            # a one-slot program's columns: alloc, dispatch, inventory, shortage
             objective += res.objective
-            placed[:, :, t] = res.x[:2 * jn].reshape(2, jn)
-            shortage[t] = res.x[-1]
-    x = None
-    if found:
-        inventory = np.cumsum(placed[0] - placed[1], axis=1)
-        x = np.concatenate([placed.ravel(), inventory.ravel(), shortage])
-    res = MilpSolution(status, x, objective if found else None, nodes=nodes,
+            blocks.append(res.x)
+    res = MilpSolution(status, np.concatenate(blocks) if found else None,
+                       objective if found else None, nodes=nodes,
                        best_bound=bound, iterations=iterations)
-    return outcome_from_milp(res, inst, priced.big_m, AllocationIndex(jn, tn),
+    return outcome_from_milp(res, inst, priced.big_m,
+                             AllocationIndex(inst.num_stations, inst.num_slots),
                              _extract_plan, evaluate_allocation, "allocation")

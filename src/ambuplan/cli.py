@@ -37,7 +37,7 @@ from .core import (
     require_plan_shape,
     validate_instance,
 )
-from .engine import EngineError, MilpOptions
+from .engine import EngineError
 from .generator import GenParams, generate, preset, tiny_params
 from .oracle import brute_force_allocation, brute_force_transfer
 from .transfer import solve_transfer
@@ -278,10 +278,10 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _solve(inst: Instance, model: int, options: MilpOptions):
+def _solve(inst: Instance, model: int, node_limit: int | None):
     if model == 1:
-        return solve_allocation(inst, options)
-    return solve_transfer(inst, options)
+        return solve_allocation(inst, node_limit)
+    return solve_transfer(inst, node_limit)
 
 
 def cmd_solve(args) -> int:
@@ -293,7 +293,7 @@ def cmd_solve(args) -> int:
     # --workers and --deterministic are accepted for compatibility only: the
     # search is serial and reproducible whatever they say
     started = time.perf_counter()
-    outcome = _solve(inst, args.model, MilpOptions(node_limit=args.node_limit))
+    outcome = _solve(inst, args.model, args.node_limit)
     elapsed = time.perf_counter() - started
     if args.out:
         write_text_atomic(args.out, dump_json(plan_to_mapping(args.model, outcome)))

@@ -11,7 +11,6 @@ from .program import (
     LinearRow,
     LpSolution,
     LpStatus,
-    MilpOptions,
     MilpSolution,
     MilpStatus,
     NumericalBreakdownError,
@@ -29,7 +28,6 @@ __all__ = [
     "LinearRow",
     "LpSolution",
     "LpStatus",
-    "MilpOptions",
     "MilpSolution",
     "MilpStatus",
     "NumericalBreakdownError",

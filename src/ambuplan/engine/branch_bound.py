@@ -26,7 +26,6 @@ import numpy as np
 from .program import (
     LinearProgram,
     LpStatus,
-    MilpOptions,
     MilpSolution,
     MilpStatus,
     NumericalBreakdownError,
@@ -62,11 +61,11 @@ class _Search:
     """Bookkeeping for one branch-and-bound run."""
 
     def __init__(self, lp: LinearProgram, std: StandardForm,
-                 int_idx: np.ndarray, options: MilpOptions):
+                 int_idx: np.ndarray, node_limit: int | None):
         self.lp = lp
         self.std = std
         self.int_idx = int_idx
-        self.options = options
+        self.node_limit = node_limit
         self.int_obj = _integral_objective(lp)
         self.heap: list[_Node] = []
         self.stack: list[_Node] = []
@@ -164,7 +163,7 @@ class _Search:
 
 
 def _run_serial(search: _Search) -> MilpSolution:
-    limit = search.options.node_limit
+    limit = search.node_limit
     search.stack.append((-math.inf, search.next_seq(), ()))
     while search.stack or search.heap:
         if limit is not None and search.nodes >= limit:
@@ -186,17 +185,15 @@ def _run_serial(search: _Search) -> MilpSolution:
     return search.finish(hit_limit=False)
 
 
-def solve_milp(lp: LinearProgram,
-               options: MilpOptions | None = None) -> MilpSolution:
+def solve_milp(lp: LinearProgram, node_limit: int | None = None) -> MilpSolution:
     """Minimize lp subject to its integrality flags.
 
     Statuses: OPTIMAL (x integral within 1e-6, objective proved optimal),
     INFEASIBLE, or NODE_LIMIT (budget exhausted; best_bound is still a valid
-    lower bound and x/objective carry the incumbent, if any). An unbounded
-    relaxation raises UnboundedProgramError.
+    lower bound and x/objective carry the incumbent, if any); ``node_limit``
+    caps the number of nodes solved. An unbounded relaxation raises
+    UnboundedProgramError.
     """
-    if options is None:
-        options = MilpOptions()
     int_idx = np.flatnonzero(lp.integrality)
     std = build_standard_form(lp)
-    return _run_serial(_Search(lp, std, int_idx, options))
+    return _run_serial(_Search(lp, std, int_idx, node_limit))

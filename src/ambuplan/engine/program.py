@@ -174,10 +174,3 @@ class MilpSolution:
     nodes: int = 0
     best_bound: float | None = None
     iterations: int = 0
-
-
-@dataclass(frozen=True)
-class MilpOptions:
-    """Search options: ``node_limit`` caps the number of nodes solved."""
-
-    node_limit: int | None = None

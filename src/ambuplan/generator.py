@@ -16,7 +16,7 @@ would silently change every seeded benchmark, so treat it as frozen:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,18 +176,3 @@ def generate(params: GenParams, seed: int) -> Instance:
     if problems:
         raise ValueError(f"params give an invalid instance: {problems[0].message}")
     return inst
-
-
-def scaled(params: GenParams, fleet_factor: int = 1,
-           capacity_factor: int = 1) -> GenParams:
-    """Same family with fleet and capacity ranges multiplied up.
-
-    Useful for growth experiments: keep the seed, scale the resources. big_m
-    is left alone when explicitly set; when defaulted it re-derives from the
-    scaled fleet, so monotonicity comparisons should pass an explicit big_m
-    sized for the largest variant.
-    """
-    lo, hi = params.capacity_range
-    return replace(params,
-                   fleet_size=params.fleet_size * fleet_factor,
-                   capacity_range=(lo * capacity_factor, hi * capacity_factor))

@@ -238,15 +238,16 @@ class _TransferSearch:
         self.covered = [[i for i in range(self.zn) if inst.coverage[j, i]]
                         for j in range(self.jn)]
         self.memo: dict = {}
-        # admissible completion bound per slot: each call costs at least its
-        # cheapest covering dispatch rate, or the shortage weight if uncovered
+        # admissible completion bound per slot: each call costs at least the
+        # lesser of its cheapest covering dispatch rate and the shortage
+        # weight (with an empty fleet, a valid big_m may undercut every rate)
         self.slot_lb = []
         for t in range(self.tn):
             lb = 0
             for i in range(self.zn):
-                rates = [int(inst.dispatch_cost[j, t])
-                         for j in range(self.jn) if inst.coverage[j, i]]
-                unit = min(rates) if rates else inst.big_m
+                unit = min([int(inst.dispatch_cost[j, t])
+                            for j in range(self.jn) if inst.coverage[j, i]]
+                           + [inst.big_m])
                 lb += unit * int(inst.demand[i, t])
             self.slot_lb.append(lb)
         self.tail = [0] * (self.tn + 1)

@@ -30,7 +30,7 @@ from .core import (
     outcome_from_milp,
     validate_instance,
 )
-from .engine import LinearProgram, MilpOptions, matrix_from_blocks, solve_milp
+from .engine import LinearProgram, matrix_from_blocks, solve_milp
 
 
 @dataclass(frozen=True)
@@ -136,19 +136,19 @@ def _extract_plan(x: np.ndarray, ix: TransferIndex) -> TransferPlan:
         shortage=vals[short_at:].reshape(zn, tn))
 
 
-def solve_transfer(inst: Instance,
-                   options: MilpOptions | None = None) -> SolveOutcome:
+def solve_transfer(inst: Instance, node_limit: int | None = None) -> SolveOutcome:
     """Solve the transfer model to proven optimality.
 
     Raises ValueError on an invalid instance. The program prices shortage at
     the smallest valid ``big_m``. On OPTIMAL the returned objective is the
     exact integer cost of the plan at ``inst.big_m``, and the plan has been
-    re-checked against every model rule.
+    re-checked against every model rule. ``node_limit`` caps the number of
+    branch-and-bound nodes solved.
     """
     problems = validate_instance(inst)
     if problems:
         raise ValueError(f"invalid instance: {problems[0].message}")
     priced = at_minimal_penalty(inst)
     lp, ix = build_transfer_program(priced)
-    return outcome_from_milp(solve_milp(lp, options), inst, priced.big_m, ix,
+    return outcome_from_milp(solve_milp(lp, node_limit), inst, priced.big_m, ix,
                              _extract_plan, evaluate_transfer, "transfer")

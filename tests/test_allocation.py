@@ -19,7 +19,7 @@ from ambuplan import (
     tiny_params,
 )
 from ambuplan.allocation import AllocationIndex, _extract_plan
-from ambuplan.engine import LinearProgram, LinearRow, LpStatus, MilpOptions, solve_lp
+from ambuplan.engine import LinearProgram, LinearRow, LpStatus, solve_lp
 
 
 def one_dispatch_short(plan: AllocationPlan) -> AllocationPlan | None:
@@ -47,11 +47,6 @@ def row_by_row_program(inst: Instance) -> LinearProgram:
             obj[ix.alloc(j, t)] = inst.hold_cost[j, t]
             obj[ix.dispatch(j, t)] = inst.dispatch_cost[j, t]
             upper[ix.alloc(j, t)] = inst.capacity[j, t]
-            coeffs = [(ix.inventory(j, t), 1.0), (ix.alloc(j, t), -1.0),
-                      (ix.dispatch(j, t), 1.0)]
-            if t > 0:
-                coeffs.append((ix.inventory(j, t - 1), -1.0))
-            rows.append(LinearRow(tuple(coeffs), "=", 0.0))
     for t in range(tn):
         obj[ix.shortage(t)] = inst.big_m
         rows.append(LinearRow(tuple((ix.alloc(j, t), 1.0) for j in range(jn)),
@@ -81,10 +76,10 @@ def row_by_row_program(inst: Instance) -> LinearProgram:
 class TestProgramShape:
     def test_two_station_single_slot_counts(self, tiny1):
         lp, ix = build_allocation_program(tiny1)
-        # blocks: alloc 2, dispatch 2, inventory 2, shortage 1
-        assert lp.num_vars == 7 and ix.num_vars == 7
-        # balance 2, fleet 1, alloc-cover 2, dispatch-cover 2, total 1, s<=x 2
-        assert lp.num_rows == 10
+        # one slot block: alloc 2, dispatch 2, shortage 1
+        assert lp.num_vars == 5 and ix.num_vars == 5
+        # fleet 1, alloc-cover 2, dispatch-cover 2, total 1, s<=x 2
+        assert lp.num_rows == 8
 
     def test_capacity_lands_on_alloc_bounds(self, tiny1):
         lp, ix = build_allocation_program(tiny1)
@@ -101,7 +96,6 @@ class TestProgramShape:
         assert lp.objective[ix.shortage(0)] == tiny1.big_m
         assert lp.objective[ix.alloc(1, 0)] == tiny1.hold_cost[1, 0]
         assert lp.objective[ix.dispatch(1, 0)] == tiny1.dispatch_cost[1, 0]
-        assert lp.objective[ix.inventory(1, 0)] == 0  # bookkeeping only
 
     def test_relaxation_bounds_integer_optimum(self, tiny1):
         lp, _ = build_allocation_program(tiny1)
@@ -130,7 +124,6 @@ class TestProgramShape:
                     for t in range(inst.num_slots):
                         x[ix.alloc(j, t)] = plan.alloc[j, t]
                         x[ix.dispatch(j, t)] = plan.dispatch[j, t]
-                        x[ix.inventory(j, t)] = plan.inventory[j, t]
                 for t in range(inst.num_slots):
                     x[ix.shortage(t)] = plan.shortage[t]
                 assert unmet_rows(lp, x) == [], f"seed {seed}"
@@ -153,10 +146,13 @@ class TestProgramShape:
         _, ix = build_allocation_program(inst)
         plan = _extract_plan(np.arange(ix.num_vars, dtype=float), ix)
         for j in range(inst.num_stations):
+            idle = 0
             for t in range(inst.num_slots):
                 assert plan.alloc[j, t] == ix.alloc(j, t)
                 assert plan.dispatch[j, t] == ix.dispatch(j, t)
-                assert plan.inventory[j, t] == ix.inventory(j, t)
+                # inventory is no column: it is the running sum of idle vehicles
+                idle += ix.alloc(j, t) - ix.dispatch(j, t)
+                assert plan.inventory[j, t] == idle
         for t in range(inst.num_slots):
             assert plan.shortage[t] == ix.shortage(t)
 
@@ -228,7 +224,7 @@ class TestSolve:
         assert outcome.objective == 2 * 2 + 3 * 2
 
     def test_node_limit_surfaces_in_outcome(self, tiny1):
-        outcome = solve_allocation(tiny1, MilpOptions(node_limit=0))
+        outcome = solve_allocation(tiny1, node_limit=0)
         assert outcome.status is SolveStatus.NODE_LIMIT
         assert outcome.plan is None
 
@@ -236,13 +232,13 @@ class TestSolve:
         inst = generate(preset(1), 0)
         assert inst.num_slots == 4
         for limit in range(4):
-            outcome = solve_allocation(inst, MilpOptions(node_limit=limit))
+            outcome = solve_allocation(inst, node_limit=limit)
             assert outcome.status is SolveStatus.NODE_LIMIT, limit
             assert outcome.nodes == limit
             # slot `limit` onwards was never explored
             assert outcome.plan is None and outcome.objective is None
             assert outcome.best_bound == -math.inf
-        outcome = solve_allocation(inst, MilpOptions(node_limit=4))
+        outcome = solve_allocation(inst, node_limit=4)
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.nodes == 4
         assert outcome.objective == solve_allocation(inst).objective

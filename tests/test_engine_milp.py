@@ -8,7 +8,6 @@ import pytest
 from ambuplan.engine import (
     LinearProgram,
     LinearRow,
-    MilpOptions,
     MilpStatus,
     UnboundedProgramError,
     solve_milp,
@@ -87,20 +86,20 @@ class TestDirected:
             solve_milp(lp)
 
     def test_node_limit_stops_with_valid_bound(self):
-        sol = solve_milp(knapsack(), MilpOptions(node_limit=1))
+        sol = solve_milp(knapsack(), node_limit=1)
         assert sol.status is MilpStatus.NODE_LIMIT
         assert sol.nodes <= 1
         assert sol.best_bound is not None
         assert sol.best_bound <= -21  # never above the true optimum
 
     def test_node_limit_zero_explores_nothing(self):
-        sol = solve_milp(knapsack(), MilpOptions(node_limit=0))
+        sol = solve_milp(knapsack(), node_limit=0)
         assert sol.status is MilpStatus.NODE_LIMIT
         assert sol.nodes == 0
         assert sol.objective is None and sol.x is None
 
     def test_generous_node_limit_still_optimal(self):
-        sol = solve_milp(knapsack(), MilpOptions(node_limit=10_000))
+        sol = solve_milp(knapsack(), node_limit=10_000)
         assert sol.status is MilpStatus.OPTIMAL
         assert sol.objective == -21
 

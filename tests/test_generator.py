@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ambuplan import GenParams, generate, preset, tiny_params, validate_instance
-from ambuplan.generator import SplitMix64, default_big_m, scaled
+from ambuplan.generator import SplitMix64, default_big_m
 
 
 class TestStream:
@@ -97,6 +97,12 @@ class TestDrawOrder:
         assert inst.dispatch_cost.tolist() == dispatch
         assert inst.demand.tolist() == demand
         assert inst.coverage.tolist() == coverage
+        # fleet size is never drawn, so growing it leaves the arrays alone
+        a = generate(preset(1), 5)
+        b = generate(dataclasses.replace(preset(1), fleet_size=300), 5)
+        assert np.array_equal(a.capacity, b.capacity)
+        assert np.array_equal(a.demand, b.demand)
+        assert b.fleet_size == 3 * a.fleet_size
 
     def test_coverage_repair_replays_exactly(self):
         # probability zero leaves every zone uncovered, so the repair pass
@@ -197,21 +203,3 @@ class TestBigM:
     def test_explicit_override_respected(self):
         params = dataclasses.replace(preset(1), big_m=10 ** 9)
         assert generate(params, 4).big_m == 10 ** 9
-
-
-class TestScaled:
-    def test_fleet_factor_changes_only_the_fleet(self):
-        params = preset(1)
-        grown = scaled(params, fleet_factor=3)
-        assert grown.fleet_size == 300
-        assert grown.capacity_range == params.capacity_range
-        # the drawn arrays are identical because fleet size is never drawn
-        a = generate(params, 5)
-        b = generate(grown, 5)
-        assert np.array_equal(a.capacity, b.capacity)
-        assert np.array_equal(a.demand, b.demand)
-        assert b.fleet_size == 3 * a.fleet_size
-
-    def test_capacity_factor_scales_the_range(self):
-        grown = scaled(preset(1), capacity_factor=2)
-        assert grown.capacity_range == (2, 12)

@@ -19,6 +19,7 @@ from ambuplan import (
     solve_transfer,
     tiny_params,
 )
+from ambuplan.core import at_minimal_penalty
 from ambuplan.oracle import SEARCH_BUDGET
 
 
@@ -211,3 +212,18 @@ class TestPenaltyIndependence:
                 label = f"seed {seed} big_m {big_m}"
                 assert mine.status is ref.status, label
                 assert mine.objective == ref.objective, label
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect, ROADMAP item 5: the simplex's tolerances grow with the"
+        " fleet row's right-hand side and the priced big_m: at a 10**12 fleet"
+        " the transfer optimum is wrong and the allocation plan is rejected"))
+    @pytest.mark.parametrize("solve, search", [
+        (solve_allocation, brute_force_allocation),
+        (solve_transfer, brute_force_transfer),
+    ], ids=["allocation", "transfer"])
+    def test_matches_brute_force_at_a_huge_fleet(self, solve, search):
+        base = generate(tiny_params(1), 1)
+        inst = at_minimal_penalty(dataclasses.replace(base, fleet_size=10**12))
+        mine, ref = solve(inst), search(inst)
+        assert mine.status is ref.status
+        assert mine.objective == ref.objective

@@ -17,7 +17,7 @@ from ambuplan import (
     solve_transfer,
     tiny_params,
 )
-from ambuplan.engine import LinearProgram, LinearRow, LpStatus, MilpOptions, solve_lp
+from ambuplan.engine import LinearProgram, LinearRow, LpStatus, solve_lp
 from ambuplan.transfer import TransferIndex, _extract_plan
 
 
@@ -263,7 +263,7 @@ class TestSolve:
         assert int(outcome.plan.shortage.sum()) == 0
 
     def test_node_limit_surfaces_in_outcome(self, tiny1):
-        outcome = solve_transfer(tiny1, MilpOptions(node_limit=0))
+        outcome = solve_transfer(tiny1, node_limit=0)
         assert outcome.status is SolveStatus.NODE_LIMIT
         assert outcome.plan is None
 
