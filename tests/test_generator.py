@@ -97,12 +97,6 @@ class TestDrawOrder:
         assert inst.dispatch_cost.tolist() == dispatch
         assert inst.demand.tolist() == demand
         assert inst.coverage.tolist() == coverage
-        # fleet size is never drawn, so growing it leaves the arrays alone
-        a = generate(preset(1), 5)
-        b = generate(dataclasses.replace(preset(1), fleet_size=300), 5)
-        assert np.array_equal(a.capacity, b.capacity)
-        assert np.array_equal(a.demand, b.demand)
-        assert b.fleet_size == 3 * a.fleet_size
 
     def test_coverage_repair_replays_exactly(self):
         # probability zero leaves every zone uncovered, so the repair pass
@@ -203,3 +197,15 @@ class TestBigM:
     def test_explicit_override_respected(self):
         params = dataclasses.replace(preset(1), big_m=10 ** 9)
         assert generate(params, 4).big_m == 10 ** 9
+
+
+class TestScaled:
+    def test_fleet_factor_changes_only_the_fleet(self):
+        # fleet size is never drawn, so growing it leaves the arrays alone
+        params = preset(1)
+        grown = dataclasses.replace(params, fleet_size=3 * params.fleet_size)
+        a = generate(params, 5)
+        b = generate(grown, 5)
+        assert np.array_equal(a.capacity, b.capacity)
+        assert np.array_equal(a.demand, b.demand)
+        assert b.fleet_size == 3 * a.fleet_size
