@@ -5,12 +5,21 @@ shares no code with this engine, so agreement over hundreds of seeded
 programs is strong evidence for both statuses and objectives.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.sparse.linalg import splu
 
-from ambuplan import build_transfer_program, generate, preset
+from ambuplan import (
+    build_allocation_program,
+    build_transfer_program,
+    generate,
+    preset,
+    tiny_params,
+)
 from ambuplan.engine import (
     PIVOT_TOL,
     LinearProgram,
@@ -129,6 +138,11 @@ class TestDirected:
         assert sol.status is LpStatus.OPTIMAL
         assert np.allclose(sol.x, [-2.0, 5.0, 1.0])
         assert sol.objective == pytest.approx(-7.0)
+
+    def test_empty_program_is_optimal(self):
+        sol = solve_lp(lp_of(0, [], [], [], []))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.x.size == 0 and sol.objective == 0.0
 
     def test_no_rows_unbounded(self):
         lp = lp_of(1, [-1], [0], [inf], [])
@@ -394,3 +408,141 @@ class TestConservativeRetry:
         with pytest.raises(NumericalBreakdownError, match="forced breakdown"):
             simplex.core_solve(std)
         assert runs == [PIVOT_TOL, 1e-6]
+
+
+def dense_ratio(s, q, sigma, w, bland):
+    """The ratio test over every basis position, with no sparsity shortcut."""
+    xB, loB, upB = s.x[s.basis], s.lo[s.basis], s.up[s.basis]
+    sw = sigma * w
+    tol = s.pivot_tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = np.where(sw > tol, (xB - loB) / sw, np.inf)
+        t_up = np.where(sw < -tol, (xB - upB) / sw, np.inf)
+    steps = np.minimum(t_lo, t_up)
+    np.nan_to_num(steps, copy=False, nan=np.inf, posinf=np.inf)
+    np.maximum(steps, 0.0, out=steps)
+    m = w.size
+    r = int(np.argmin(steps)) if m else -1
+    step_basic = float(steps[r]) if m else np.inf
+    if m and np.isfinite(step_basic):
+        cand = np.flatnonzero(steps <= step_basic + 1e-9 * (1.0 + step_basic))
+        if bland:
+            r = int(cand[np.argmin(s.basis[cand])])
+        else:
+            r = int(cand[np.argmax(np.abs(sw[cand]))])
+        step_basic = float(steps[r])
+    step_self = s.up[q] - s.lo[q]
+    if step_self <= step_basic:
+        return (None, -1) if not np.isfinite(step_self) else (step_self, -1)
+    return (None, -1) if not np.isfinite(step_basic) else (step_basic, r)
+
+
+class TestKernel:
+    """Pivot-by-pivot invariants of the sparse eta file, the ratio test over
+    the pivot column's nonzeros and the maintained pricing direction."""
+
+    @staticmethod
+    def kernel_programs():
+        transfer, _ = build_transfer_program(generate(preset(1), 0))
+        tiny, _ = build_allocation_program(generate(tiny_params(3), 3))
+        # x0 and x1 cross their whole range without any basis change
+        flips = lp_of(3, [-1, -1, 2], [0, 0, -1], [2, 2, 3],
+                      [LinearRow(((0, 1.0), (1, 1.0), (2, 1.0)), "<=", 10.0)])
+        return [transfer, tiny, flips]
+
+    @staticmethod
+    def solve_watched(lp, monkeypatch, check):
+        """Solve lp, calling check(solver, q, r, leaving) after every pivot."""
+        apply = simplex._Solver._apply
+
+        def watched(solver, q, sigma, w, step, r):
+            leaving = int(solver.basis[r]) if r >= 0 else -1
+            apply(solver, q, sigma, w, step, r)
+            check(solver, q, r, leaving)
+
+        monkeypatch.setattr(simplex._Solver, "_apply", watched)
+        solver = simplex._Solver(simplex.build_standard_form(lp), None, None)
+        assert solver.solve().status is LpStatus.OPTIMAL
+
+    def test_eta_solves_match_a_fresh_factorization(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        pivots = []
+
+        def check(solver, q, r, leaving):
+            fresh = splu(solver.A[:, solver.basis])
+            others = rng.integers(0, solver.N, size=3)
+            for j in (q, *others):
+                col = solver.column(int(j))
+                want = fresh.solve(col)
+                err = np.abs(solver.ftran(col) - want).max()
+                assert err <= 1e-9 * max(1.0, np.abs(want).max()), (q, j)
+            for phase in (1, 2):
+                cB = solver.phase_cost(phase)[solver.basis]
+                want = fresh.solve(cB, trans="T")
+                err = np.abs(solver.btran(cB) - want).max()
+                assert err <= 1e-9 * max(1.0, np.abs(want).max()), (q, phase)
+            pivots.append(len(solver.etas))
+
+        for lp in self.kernel_programs()[:2]:
+            self.solve_watched(lp, monkeypatch, check)
+        # the check ran on long eta files, not only after refactorizations
+        assert len(pivots) > 200 and max(pivots) == simplex.REFACTOR_EVERY
+
+    def test_ratio_matches_the_dense_formula(self):
+        rng = np.random.default_rng(11)
+        tol = PIVOT_TOL
+        for trial in range(400):
+            m = int(rng.integers(0, 10))
+            N = m + 6
+            lo = rng.integers(-4, 3, size=N).astype(float)
+            up = lo + rng.integers(0, 5, size=N)
+            lo[rng.random(N) < 0.2] = -inf
+            up[rng.random(N) < 0.2] = inf
+            basis = rng.permutation(N)[:m]
+            x = rng.integers(-6, 7, size=N).astype(float)  # often out of bounds
+            # integral entries give exact ties; the rest sit at or near the
+            # pivot tolerance or are exact zeros
+            w = rng.integers(-3, 4, size=m).astype(float)
+            kind = rng.random(m)
+            w[kind < 0.15] = 0.9 * tol
+            w[(kind >= 0.15) & (kind < 0.25)] = -0.9 * tol
+            w[(kind >= 0.25) & (kind < 0.3)] = 2 * tol
+            s = SimpleNamespace(x=x, lo=lo, up=up, basis=basis, pivot_tol=tol)
+            q = int(rng.permutation(np.setdiff1d(np.arange(N), basis))[0])
+            for sigma in (1.0, -1.0):
+                for bland in (False, True):
+                    got = simplex._Solver._ratio(s, q, sigma, w, bland)
+                    assert got == dense_ratio(s, q, sigma, w, bland), (trial, sigma, bland)
+
+    def test_maintained_direction_matches_status(self, monkeypatch):
+        seen = {"flip": 0, "artificial": 0, "phase": 0}
+
+        def expected(solver):
+            movable = solver.lo < solver.up
+            st = solver.status
+            dirn = np.where(movable & (st == simplex.AT_LOWER), -1.0,
+                            np.where(movable & (st == simplex.AT_UPPER), 1.0, 0.0))
+            return dirn, np.flatnonzero(st == simplex.FREE)
+
+        def assert_current(solver):
+            dirn, free = expected(solver)
+            np.testing.assert_array_equal(solver.dirn, dirn)
+            np.testing.assert_array_equal(solver.free, free)
+
+        def check(solver, q, r, leaving):
+            assert_current(solver)
+            seen["flip"] += r < 0
+            seen["artificial"] += leaving >= solver.n_real
+
+        run_phase = simplex._Solver.run_phase
+
+        def phase_start(solver, phase):
+            # after the crash (phase 1) or the pin of the artificials (phase 2)
+            assert_current(solver)
+            seen["phase"] += 1
+            return run_phase(solver, phase)
+
+        monkeypatch.setattr(simplex._Solver, "run_phase", phase_start)
+        for lp in self.kernel_programs():
+            self.solve_watched(lp, monkeypatch, check)
+        assert min(seen.values()) > 0, seen

@@ -1,10 +1,11 @@
 """Benchmark-scale answers against HiGHS (scipy.optimize.milp).
 
 HiGHS shares no code with the built-in engine. Both solve the same program
-from ``build_*_program``, so equal integer optima on presets 1-3 check the
-crash, the simplex and the branch and bound at a scale that brute force
-cannot reach. ``solve_allocation`` solves one program per slot, so its
-answers also check that split against the one program over every slot.
+from ``build_*_program``, so equal integer optima on presets 1-3, and on
+preset 4 for each model, check the crash, the simplex and the branch and
+bound at a scale that brute force cannot reach. ``solve_allocation`` solves
+one program per slot, so its answers also check that split against the one
+program over every slot.
 """
 
 import numpy as np
@@ -66,3 +67,15 @@ def test_allocation_slots_match_highs_on_the_whole_day():
     plan = outcome.plan
     np.testing.assert_array_equal(plan.inventory,
                                   np.cumsum(plan.alloc - plan.dispatch, axis=1))
+
+
+def test_transfer_matches_highs_on_twelve_slots():
+    # the largest transfer program in Tier-1: about 2,000 pivots through the
+    # sparse eta file, the ratio test and the maintained pricing direction
+    inst = generate(preset(4), 0)
+    lp, _ = build_transfer_program(inst)
+    ref = highs(lp)
+    outcome = solve_transfer(inst)
+    assert ref.status == 0
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.objective == round(ref.fun)
