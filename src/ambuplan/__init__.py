@@ -5,9 +5,15 @@ emergency vehicles across candidate stations over the slots of a planning
 day, solves them with its own exact LP/MILP engine, and ships a seeded
 instance generator, a brute-force reference solver for small cases, and a
 command line front end.
+
+``import ambuplan`` loads numpy only. The names that need the engine
+(and with it scipy), ``solve_allocation``, ``solve_transfer``,
+``build_allocation_program`` and ``build_transfer_program``, are loaded
+from their model modules on first use (PEP 562).
 """
 
-from .allocation import build_allocation_program, solve_allocation
+import importlib
+
 from .core import (
     AllocationPlan,
     Instance,
@@ -21,7 +27,10 @@ from .core import (
 )
 from .generator import GenParams, generate, preset, tiny_params
 from .oracle import SearchSpaceError, brute_force_allocation, brute_force_transfer
-from .transfer import build_transfer_program, solve_transfer
+
+# name -> the model module that defines it (and imports the engine)
+_ENGINE_NAMES = {name: module for module in ("allocation", "transfer")
+                 for name in (f"build_{module}_program", f"solve_{module}")}
 
 __all__ = [
     "AllocationPlan",
@@ -47,3 +56,15 @@ __all__ = [
 ]
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    if name not in _ENGINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_ENGINE_NAMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ENGINE_NAMES))

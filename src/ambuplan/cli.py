@@ -11,6 +11,10 @@ files), 3 the instance is infeasible, 4 the node budget ran out before
 optimality was proven, 5 a ``check`` run found a solver/reference mismatch,
 6 the solver failed (numerical breakdown, unbounded relaxation, or a plan
 that did not pass its re-check); no plan file is written then.
+
+Only ``solve`` and ``check`` load the engine and scipy: they call the module
+attributes ``solve_allocation`` and ``solve_transfer``, which the package
+serves on first use (PEP 562). ``generate`` and ``report`` load numpy only.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import time
 
 import numpy as np
 
-from .allocation import solve_allocation
 from .core import (
     AllocationPlan,
     Instance,
@@ -37,10 +40,8 @@ from .core import (
     require_plan_shape,
     validate_instance,
 )
-from .engine import EngineError
 from .generator import GenParams, generate, preset, tiny_params
 from .oracle import brute_force_allocation, brute_force_transfer
-from .transfer import solve_transfer
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -56,6 +57,21 @@ _REQUIRED_KEYS = frozenset({
     "capacity", "hold_cost", "dispatch_cost", "demand", "big_m",
 })
 _OPTIONAL_KEYS = frozenset({"transfer_cost"})
+
+_SOLVERS = {1: "solve_allocation", 2: "solve_transfer"}   # model -> name
+
+
+def __getattr__(name):
+    if name not in _SOLVERS.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(sys.modules[__package__], name)
+    globals()[name] = value
+    return value
+
+
+def _solver(model: int):
+    """The solve function for ``model``, read from this module's attributes."""
+    return getattr(sys.modules[__name__], _SOLVERS[model])
 
 
 class InputError(Exception):
@@ -278,12 +294,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _solve(inst: Instance, model: int, node_limit: int | None):
-    if model == 1:
-        return solve_allocation(inst, node_limit)
-    return solve_transfer(inst, node_limit)
-
-
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     if args.workers < 1:
@@ -293,7 +303,7 @@ def cmd_solve(args) -> int:
     # --workers and --deterministic are accepted for compatibility only: the
     # search is serial and reproducible whatever they say
     started = time.perf_counter()
-    outcome = _solve(inst, args.model, args.node_limit)
+    outcome = _solver(args.model)(inst, args.node_limit)
     elapsed = time.perf_counter() - started
     if args.out:
         write_text_atomic(args.out, dump_json(plan_to_mapping(args.model, outcome)))
@@ -384,7 +394,7 @@ def cmd_check(args) -> int:
         raise InputError(f"--max-cases must be >= 0, got {args.max_cases}")
     models = (1, 2) if args.model == "both" else (int(args.model),)
     for model in models:
-        solver = solve_allocation if model == 1 else solve_transfer
+        solver = _solver(model)
         reference = brute_force_allocation if model == 1 else brute_force_transfer
         evaluator = evaluate_allocation if model == 1 else evaluate_transfer
         matched = 0
@@ -476,12 +486,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _engine_errors() -> tuple:
+    """EngineError once a solve has loaded the engine; before that none exists."""
+    engine = sys.modules.get("ambuplan.engine")
+    return () if engine is None else (engine.EngineError,)
+
+
 def entry(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EngineError as exc:
+    except _engine_errors() as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
     except (InputError, ValueError, OSError) as exc:

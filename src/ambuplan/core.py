@@ -15,18 +15,21 @@ Two plan shapes exist on top of an instance:
 Evaluation is exact: all arithmetic on plans uses arbitrary-precision Python
 integers, so a reported objective is never a rounded number.
 ``outcome_from_milp`` turns an engine result for either model into a
-:class:`SolveOutcome`, re-checking an optimal plan with that evaluator.
+:class:`SolveOutcome`, re-checking an optimal plan with that evaluator; it is
+the only part of this module that uses the engine, and it imports it when
+called, so loading ``core`` loads numpy but not scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from .engine import EngineError, MilpSolution, MilpStatus
+if TYPE_CHECKING:
+    from .engine import MilpSolution
 
 
 def _frozen_int_array(value: Any, name: str) -> np.ndarray:
@@ -559,6 +562,8 @@ def outcome_from_milp(
     reported, or EngineError is raised; the objective returned is the exact
     integer cost of the plan at ``inst.big_m``.
     """
+    from .engine import EngineError, MilpStatus  # loaded by the solve already
+
     if res.status is MilpStatus.INFEASIBLE:
         return SolveOutcome(SolveStatus.INFEASIBLE, None, None,
                             nodes=res.nodes, iterations=res.iterations)

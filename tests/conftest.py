@@ -43,24 +43,29 @@ def tiny_corpus(start: int, count: int) -> list[tuple[int, Instance]]:
 
 
 @pytest.fixture(scope="session")
-def run_cli():
-    """Run ``python -m ambuplan ARGS`` in a child interpreter, output captured.
+def cli_env():
+    """Environment for a child interpreter that imports this package.
 
-    The child imports the same package as this process: the absolute
-    directory that holds it goes first on ``PYTHONPATH``, ahead of any
-    inherited entries. A relative entry such as ``src`` would not resolve
-    from the temporary working directories the tests use, and the package
-    need not be installed.
+    The absolute directory that holds the package goes first on
+    ``PYTHONPATH``, ahead of any inherited entries. A relative entry such as
+    ``src`` would not resolve from the temporary working directories the
+    tests use, and the package need not be installed.
     """
     env = dict(os.environ)
     src = str(Path(ambuplan.__file__).resolve().parent.parent)
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + (os.pathsep + rest if rest else "")
+    return env
 
+
+@pytest.fixture(scope="session")
+def run_cli(cli_env):
+    """Run ``python -m ambuplan ARGS`` in a child interpreter (see
+    ``cli_env``), output captured."""
     def run(*args, cwd):
         return subprocess.run([sys.executable, "-m", "ambuplan", *args],
                               capture_output=True, text=True, cwd=cwd,
-                              env=env)
+                              env=cli_env)
 
     return run
 

@@ -1,6 +1,8 @@
 """Command-line front end: files, exit codes, reports, and round-trips."""
 
 import json
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -255,14 +257,16 @@ class TestSolve:
                       "--workers", "0"]) == 2
         capsys.readouterr()
 
-    def test_solver_failure_exits_6_without_plan(self, tiny1_path, tmp_path,
-                                                 capsys, monkeypatch):
-        def breakdown(inst, options=None):
+    @pytest.mark.parametrize("model, solver", [(1, "solve_allocation"),
+                                               (2, "solve_transfer")])
+    def test_solver_failure_exits_6_without_plan(self, model, solver, tiny1_path,
+                                                 tmp_path, capsys, monkeypatch):
+        def breakdown(inst, node_limit=None):
             raise NumericalBreakdownError("no acceptable pivot")
 
-        monkeypatch.setattr("ambuplan.cli.solve_allocation", breakdown)
+        monkeypatch.setattr(f"ambuplan.cli.{solver}", breakdown)
         plan_path = tmp_path / "plan.json"
-        assert entry(["solve", "--instance", tiny1_path, "--model", "1",
+        assert entry(["solve", "--instance", tiny1_path, "--model", str(model),
                       "--out", str(plan_path)]) == 6
         err = capsys.readouterr().err
         assert err == "error: solver failure: no acceptable pivot\n"
@@ -431,6 +435,35 @@ class TestSubprocessPipeline:
                        "--seed", "0", cwd=cwd)
         assert done.returncode == 0, done.stderr
         assert "2/2 match" in done.stdout
+
+    def test_only_solving_commands_load_scipy(self, tmp_path, cli_env):
+        # run the command in a child interpreter, then report whether scipy
+        # was imported along the way
+        probe = ("import runpy, sys\n"
+                 "if sys.argv[1] == 'import':\n"
+                 "    __import__(sys.argv[2])\n"
+                 "else:\n"
+                 "    try:\n"
+                 "        runpy.run_module('ambuplan', run_name='__main__')\n"
+                 "    except SystemExit as exc:\n"
+                 "        assert not exc.code, exc.code\n"
+                 "print('scipy loaded:', 'scipy' in sys.modules)\n")
+
+        def scipy_loaded(*args):
+            done = subprocess.run([sys.executable, "-c", probe, *args],
+                                  capture_output=True, text=True,
+                                  cwd=str(tmp_path), env=cli_env)
+            assert done.returncode == 0, done.stderr
+            return done.stdout.splitlines()[-1] == "scipy loaded: True"
+
+        assert not scipy_loaded("import", "ambuplan")
+        assert not scipy_loaded("import", "ambuplan.cli")
+        assert not scipy_loaded("generate", "--tiny", "--seed", "6",
+                                "--out", "inst.json")
+        assert scipy_loaded("solve", "--instance", "inst.json", "--model", "2",
+                            "--out", "plan.json")
+        assert not scipy_loaded("report", "--instance", "inst.json",
+                                "--plan", "plan.json")
 
     def test_usage_error_exits_2(self, tmp_path, run_cli):
         done = run_cli("solve", "--instance", "inst.json", cwd=str(tmp_path))
