@@ -166,14 +166,13 @@ def _run_serial(search: _Search) -> MilpSolution:
     limit = search.node_limit
     search.stack.append((-math.inf, search.next_seq(), ()))
     while search.stack or search.heap:
-        if limit is not None and search.nodes >= limit:
-            return search.finish(hit_limit=True)
-        if search.stack:
-            bound, _, fixes = search.stack.pop()
-        else:
-            bound, _, fixes = heapq.heappop(search.heap)
+        node = search.stack.pop() if search.stack else heapq.heappop(search.heap)
+        bound, _, fixes = node
         if search.prunable(bound):
             continue
+        if limit is not None and search.nodes >= limit:
+            search.stack.append(node)               # still open: its bound counts
+            return search.finish(hit_limit=True)
         lo, hi = _materialize(search.lp, fixes)
         res = core_solve(search.std, lo, hi)
         search.nodes += 1

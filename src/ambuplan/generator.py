@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, big_m_bound, validate_instance
+from .core import Instance, at_minimal_penalty, validate_instance
 
 _MASK64 = (1 << 64) - 1
 
@@ -117,13 +117,6 @@ def tiny_params(seed: int) -> GenParams:
     )
 
 
-def default_big_m(hold_cost: np.ndarray, dispatch_cost: np.ndarray,
-                  transfer_cost: int, fleet_size: int, num_slots: int) -> int:
-    """Smallest shortage weight that provably dominates any routing cost."""
-    return big_m_bound(hold_cost, dispatch_cost, transfer_cost, fleet_size,
-                       num_slots) + 1
-
-
 def generate(params: GenParams, seed: int) -> Instance:
     """Draw one instance from the family; same (params, seed) -> same bytes.
 
@@ -155,10 +148,6 @@ def generate(params: GenParams, seed: int) -> Instance:
             if not coverage[:, i].any():
                 coverage[rng.uniform_int(0, j_n - 1), i] = 1
 
-    big_m = params.big_m
-    if big_m is None:
-        big_m = default_big_m(hold, dispatch, params.transfer_cost,
-                              params.fleet_size, t_n)
     inst = Instance(
         num_stations=j_n,
         num_zones=i_n,
@@ -169,9 +158,11 @@ def generate(params: GenParams, seed: int) -> Instance:
         hold_cost=hold,
         dispatch_cost=dispatch,
         demand=demand,
-        big_m=big_m,
+        big_m=0 if params.big_m is None else params.big_m,
         transfer_cost=params.transfer_cost,
     )
+    if params.big_m is None:
+        inst = at_minimal_penalty(inst)
     problems = validate_instance(inst)
     if problems:
         raise ValueError(f"params give an invalid instance: {problems[0].message}")

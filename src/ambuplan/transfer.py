@@ -4,15 +4,16 @@ Decision variables, all integer, for stations j, zones i, slots t:
 
 * ``stock[j][t]``      vehicles stationed at j during slot t
 * ``serve[j][i][t]``   calls from zone i answered by station j (covered pairs only)
-* ``transfer_in/out[j][t]`` vehicles arriving at / leaving station j between
-  slot t-1 and t (undefined for the first slot)
+* ``tin[j][t]``        paid arrivals at station j between slot t-1 and t (t >= 1)
 * ``shortage[i][t]``   calls from zone i in slot t that nobody answers
+* ``fleet``            vehicles in service, at most ``fleet_size``
 
-The fleet enters in the first slot and afterwards only moves by paired
-transfers (total in == total out each slot, and a station cannot send more
-than it held). Serving is limited by on-site stock; unmet demand is priced
-per zone at the ``big_m`` weight, and each transfer arrival costs
-``transfer_cost`` on top of the usual holding and service costs.
+Every slot stations all ``fleet`` vehicles, so they only move between
+stations, and the moves are not variables: the plan derives them from the
+stock as ``transfer_in = max(0, Δstock)`` and ``transfer_out = max(0,
+-Δstock)``. Each arrival costs ``transfer_cost`` through ``tin >= Δstock``,
+on top of the holding and service costs. Serving is limited by on-site
+stock; unmet demand is priced per zone at the ``big_m`` weight.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .engine import LinearProgram, matrix_from_blocks, solve_milp
 @dataclass(frozen=True)
 class TransferIndex:
     """Column layout: stock block, serve block (covered pairs, station-major),
-    transfer-in block, transfer-out block, shortage block. The accessors
+    tin block, shortage block, then the one fleet column. The accessors
     other than ``serve`` take index arrays as well as ints."""
 
     num_stations: int
@@ -66,15 +67,16 @@ class TransferIndex:
         # t >= 1; transfers into the first slot do not exist
         return self.serve_pair(len(self.pairs), 0) + j * (self.num_slots - 1) + t - 1
 
-    def transfer_out(self, j: int, t: int) -> int:
-        return self.transfer_in(self.num_stations, 1) + j * (self.num_slots - 1) + t - 1
-
     def shortage(self, i: int, t: int) -> int:
-        return self.transfer_out(self.num_stations, 1) + i * self.num_slots + t
+        return self.transfer_in(self.num_stations, 1) + i * self.num_slots + t
+
+    @property
+    def fleet(self) -> int:
+        return self.shortage(self.num_zones, 0)
 
     @property
     def num_vars(self) -> int:
-        return self.shortage(self.num_zones, 0)
+        return self.fleet + 1
 
 
 def build_transfer_program(inst: Instance) -> tuple[LinearProgram, TransferIndex]:
@@ -85,36 +87,31 @@ def build_transfer_program(inst: Instance) -> tuple[LinearProgram, TransferIndex
     jt = np.arange(jn * tn)                    # station-major (j, t)
     j, t = np.divmod(jt, tn)
     mj, mt = j[t > 0], t[t > 0]                # the (j, t) a transfer can reach
-    prev, tin, tout = ix.stock(mj, mt - 1), ix.transfer_in(mj, mt), ix.transfer_out(mj, mt)
     i, it = np.divmod(np.arange(zn * tn), tn)  # zone-major (i, t)
     k, kt = np.divmod(np.arange(len(ix.pairs) * tn), tn)  # pair-major (pair, t)
     pj, pi = np.nonzero(inst.coverage)         # the pairs, in ix.pairs order
     serve = ix.serve_pair(k, kt)
-    sizes = [1, mj.size, mj.size, tn - 1, jt.size, zn * tn]
-    evolve, send, paired, limit, demand = np.cumsum(sizes[:-1]).tolist()
+    sizes = [tn, mj.size, jt.size, zn * tn]
+    move, limit, demand = np.cumsum(sizes[:-1]).tolist()
     jm = np.arange(mj.size)
     blocks = [
-        # the whole fleet is positioned once, in the first slot
-        (np.zeros(jn, dtype=np.intp), ix.stock(np.arange(jn), 0), 1.0),
-        # stock evolves only through transfers
-        (evolve + jm, ix.stock(mj, mt), 1.0), (evolve + jm, prev, -1.0),
-        (evolve + jm, tin, -1.0), (evolve + jm, tout, 1.0),
-        # a station cannot send vehicles it did not hold
-        (send + jm, tout, 1.0), (send + jm, prev, -1.0),
-        # transfers are paired: every arrival left somewhere
-        (paired + mt - 1, tin, 1.0), (paired + mt - 1, tout, -1.0),
+        # every slot stations the whole fleet in service
+        (t, ix.stock(j, t), 1.0), (np.arange(tn), np.full(tn, ix.fleet), -1.0),
+        # each arrival is paid: tin covers the stock's rise
+        (move + jm, ix.transfer_in(mj, mt), 1.0), (move + jm, ix.stock(mj, mt), -1.0),
+        (move + jm, ix.stock(mj, mt - 1), 1.0),
         # serving is limited by on-site stock
         (limit + pj[k] * tn + kt, serve, 1.0), (limit + jt, ix.stock(j, t), -1.0),
         # every call is either answered by a covering station or counted short
         (demand + pi[k] * tn + kt, serve, 1.0), (demand + i * tn + it, ix.shortage(i, it), 1.0),
     ]
-    sense = np.repeat([1.0, 0.0, 1.0, 0.0, 1.0, 0.0], sizes)
-    rhs = np.concatenate([[float(inst.fleet_size)], np.zeros(demand - 1),
-                          inst.demand.ravel()])
+    sense = np.repeat([0.0, -1.0, 1.0, 0.0], sizes)
+    rhs = np.concatenate([np.zeros(demand), inst.demand.ravel()])
     obj = np.concatenate([inst.hold_cost.ravel(), inst.dispatch_cost[pj].ravel(),
-                          np.full(jm.size, float(inst.transfer_cost)), np.zeros(jm.size),
-                          np.full(zn * tn, float(inst.big_m))])
-    upper = np.concatenate([inst.capacity.ravel(), np.full(n - jt.size, np.inf)])
+                          np.full(jm.size, float(inst.transfer_cost)),
+                          np.full(zn * tn, float(inst.big_m)), [0.0]])
+    upper = np.concatenate([inst.capacity.ravel(), np.full(n - jt.size - 1, np.inf),
+                            [float(inst.fleet_size)]])
     lp = LinearProgram(n, obj, np.zeros(n), upper, np.ones(n, dtype=bool),
                        matrix_from_blocks(blocks, (sense.size, n)), sense, rhs)
     return lp, ix
@@ -123,17 +120,16 @@ def build_transfer_program(inst: Instance) -> tuple[LinearProgram, TransferIndex
 def _extract_plan(x: np.ndarray, ix: TransferIndex) -> TransferPlan:
     jn, zn, tn = ix.num_stations, ix.num_zones, ix.num_slots
     vals = np.rint(x).astype(np.int64)
-    serve_at, tin_at = ix.serve_pair(0, 0), ix.transfer_in(0, 1)
-    tout_at, short_at = ix.transfer_out(0, 1), ix.shortage(0, 0)
+    serve_at, tin_at, short_at = ix.serve_pair(0, 0), ix.transfer_in(0, 1), ix.shortage(0, 0)
+    stock = vals[:serve_at].reshape(jn, tn)
     serve = np.zeros((jn, zn, tn), dtype=np.int64)
     js, zs = np.array(ix.pairs, dtype=np.intp).reshape(-1, 2).T
     serve[js, zs] = vals[serve_at:tin_at].reshape(-1, tn)
-    first_slot = np.zeros((jn, 1), dtype=np.int64)  # no transfers into it
-    return TransferPlan(
-        stock=vals[:serve_at].reshape(jn, tn), serve=serve,
-        transfer_in=np.hstack([first_slot, vals[tin_at:tout_at].reshape(jn, tn - 1)]),
-        transfer_out=np.hstack([first_slot, vals[tout_at:short_at].reshape(jn, tn - 1)]),
-        shortage=vals[short_at:].reshape(zn, tn))
+    # the moves follow from the stock; none reach the first slot
+    delta = np.diff(stock, axis=1, prepend=stock[:, :1])
+    return TransferPlan(stock=stock, serve=serve, transfer_in=np.maximum(delta, 0),
+                        transfer_out=np.maximum(-delta, 0),
+                        shortage=vals[short_at:ix.fleet].reshape(zn, tn))
 
 
 def solve_transfer(inst: Instance, node_limit: int | None = None) -> SolveOutcome:

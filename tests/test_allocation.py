@@ -243,6 +243,27 @@ class TestSolve:
         assert outcome.nodes == 4
         assert outcome.objective == solve_allocation(inst).objective
 
+    def test_the_last_open_node_is_pruned_before_the_budget_stops(self):
+        # three stations cover the three zones in pairs and the fourth covers
+        # nothing; the relaxation puts half a vehicle at each paired station
+        # for 4.5, and the search branches once
+        inst = Instance(num_stations=4, num_zones=3, num_slots=1, fleet_size=2,
+                        coverage=[[1, 0, 1], [1, 1, 0], [0, 1, 1], [0, 0, 0]],
+                        capacity=[[2]] * 4, hold_cost=[[1], [1], [1], [0]],
+                        dispatch_cost=[[0]] * 4, demand=[[1]] * 3, big_m=3)
+        free = solve_allocation(inst)
+        assert (free.status, free.objective, free.nodes) == (SolveStatus.OPTIMAL, 5, 2)
+        assert brute_force_allocation(inst).objective == 5
+        # the root alone: the floor child is still open and carries the
+        # root's bound, rounded up to the next integer
+        root = solve_allocation(inst, node_limit=1)
+        assert root.status is SolveStatus.NODE_LIMIT
+        assert root.plan is None and root.best_bound == 5
+        # the second node finds 5; the ceiling child cannot beat it and is
+        # pruned, so the budget is never the reason to stop
+        both = solve_allocation(inst, node_limit=2)
+        assert (both.status, both.objective, both.nodes) == (SolveStatus.OPTIMAL, 5, 2)
+
     def test_one_uncoverable_slot_makes_the_day_infeasible(self):
         def day(capacity):
             return Instance(num_stations=1, num_zones=1, num_slots=3, fleet_size=5,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ambuplan import GenParams, generate, preset, tiny_params, validate_instance
-from ambuplan.generator import SplitMix64, default_big_m
+from ambuplan.core import big_m_bound
+from ambuplan.generator import SplitMix64
 
 
 class TestStream:
@@ -183,16 +184,16 @@ class TestBigM:
     def test_default_dominates_any_service_cost(self):
         for level in (1, 3, 5):
             inst = generate(preset(level), 11)
-            expected = default_big_m(inst.hold_cost, inst.dispatch_cost,
-                                     inst.transfer_cost, inst.fleet_size,
-                                     inst.num_slots)
+            expected = big_m_bound(inst.hold_cost, inst.dispatch_cost,
+                                   inst.transfer_cost, inst.fleet_size,
+                                   inst.num_slots) + 1
             assert inst.big_m == expected
             assert validate_instance(inst) == []
 
     def test_default_formula(self):
         hold = np.array([[4, 2]])
         dispatch = np.array([[3, 1]])
-        assert default_big_m(hold, dispatch, 2, 10, 2) == (4 + 3 + 2) * 10 * 2 + 1
+        assert big_m_bound(hold, dispatch, 2, 10, 2) + 1 == (4 + 3 + 2) * 10 * 2 + 1
 
     def test_explicit_override_respected(self):
         params = dataclasses.replace(preset(1), big_m=10 ** 9)

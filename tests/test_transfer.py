@@ -39,6 +39,7 @@ def row_by_row_program(inst: Instance) -> LinearProgram:
     jn, zn, tn = inst.num_stations, inst.num_zones, inst.num_slots
     ix = TransferIndex.for_instance(inst)
     obj, upper = np.zeros(ix.num_vars), np.full(ix.num_vars, np.inf)
+    upper[ix.fleet] = inst.fleet_size
     for j in range(jn):
         for t in range(tn):
             obj[ix.stock(j, t)] = inst.hold_cost[j, t]
@@ -51,20 +52,12 @@ def row_by_row_program(inst: Instance) -> LinearProgram:
     for i in range(zn):
         for t in range(tn):
             obj[ix.shortage(i, t)] = inst.big_m
-    rows = [LinearRow(tuple((ix.stock(j, 0), 1.0) for j in range(jn)), "<=",
-                      inst.fleet_size)]
-    moves = [(j, t) for j in range(jn) for t in range(1, tn)]
-    for j, t in moves:
-        rows.append(LinearRow(((ix.stock(j, t), 1.0), (ix.stock(j, t - 1), -1.0),
-                               (ix.transfer_in(j, t), -1.0),
-                               (ix.transfer_out(j, t), 1.0)), "=", 0.0))
-    for j, t in moves:
-        rows.append(LinearRow(((ix.transfer_out(j, t), 1.0),
-                               (ix.stock(j, t - 1), -1.0)), "<=", 0.0))
-    for t in range(1, tn):
-        rows.append(LinearRow(tuple((ix.transfer_in(j, t), 1.0) for j in range(jn))
-                              + tuple((ix.transfer_out(j, t), -1.0) for j in range(jn)),
-                              "=", 0.0))
+    rows = [LinearRow(tuple((ix.stock(j, t), 1.0) for j in range(jn))
+                      + ((ix.fleet, -1.0),), "=", 0.0) for t in range(tn)]
+    for j in range(jn):
+        for t in range(1, tn):
+            rows.append(LinearRow(((ix.transfer_in(j, t), 1.0), (ix.stock(j, t), -1.0),
+                                   (ix.stock(j, t - 1), 1.0)), ">=", 0.0))
     for j in range(jn):
         for t in range(tn):
             coeffs = [(ix.serve(j, i, t), 1.0) for i in range(zn) if inst.coverage[j, i]]
@@ -78,13 +71,30 @@ def row_by_row_program(inst: Instance) -> LinearProgram:
                                    np.ones(ix.num_vars), rows)
 
 
+def two_stations(num_slots: int = 2, **fields) -> Instance:
+    """Two stations sharing one zone, unit costs and demand, fleet 1."""
+    ones = np.ones((2, num_slots), dtype=int)
+    base = dict(num_stations=2, num_zones=1, num_slots=num_slots, fleet_size=1,
+                coverage=[[1], [1]], capacity=ones, hold_cost=ones,
+                dispatch_cost=ones, demand=ones[:1], big_m=100)
+    return Instance(**(base | fields))
+
+
 class TestProgramShape:
     def test_two_station_single_slot_counts(self, tiny1):
         lp, ix = build_transfer_program(tiny1)
-        # stock 2 + serve 3 (three covered pairs) + shortage 2, no transfers
-        assert lp.num_vars == 7 and ix.num_vars == 7
+        # stock 2 + serve 3 (three covered pairs) + shortage 2 + fleet 1,
+        # no transfers
+        assert lp.num_vars == 8 and ix.num_vars == 8
         # 1 fleet row + 2 serve<=stock + 2 demand equalities
         assert lp.num_rows == 5
+
+    def test_day24_counts(self):
+        lp, ix = build_transfer_program(generate(preset(5), 42))
+        # one fleet row per slot and one move row per (station, later slot)
+        # on top of the 480 limit and 1,440 demand rows
+        assert lp.num_rows == 24 + 20 * 23 + 480 + 1440 == 2404
+        assert lp.num_vars == ix.num_vars == 16757
 
     def test_serve_variables_exist_only_for_covered_pairs(self, tiny1):
         ix = TransferIndex.for_instance(tiny1)
@@ -97,14 +107,10 @@ class TestProgramShape:
             assert lp.upper[ix.stock(j, 0)] == tiny1.capacity[j, 0]
 
     def test_transfer_columns_priced_on_arrival_only(self):
-        inst = Instance(num_stations=2, num_zones=1, num_slots=2, fleet_size=1,
-                        coverage=[[1], [1]], capacity=[[1, 1], [1, 1]],
-                        hold_cost=[[1, 1], [1, 1]],
-                        dispatch_cost=[[1, 1], [1, 1]],
-                        demand=[[1, 1]], big_m=100, transfer_cost=7)
+        inst = two_stations(transfer_cost=7)
         lp, ix = build_transfer_program(inst)
         assert lp.objective[ix.transfer_in(0, 1)] == 7
-        assert lp.objective[ix.transfer_out(0, 1)] == 0
+        assert lp.objective[ix.transfer_in(1, 1)] == 7
 
     def test_relaxation_bounds_integer_optimum(self, tiny1):
         lp, _ = build_transfer_program(tiny1)
@@ -126,12 +132,12 @@ class TestProgramShape:
                 cost, violations = evaluate_transfer(inst, plan)
                 assert violations == [], f"seed {seed}"
                 x = np.zeros(lp.num_vars)
+                x[ix.fleet] = plan.stock[:, 0].sum()
                 for j in range(inst.num_stations):
                     for t in range(inst.num_slots):
                         x[ix.stock(j, t)] = plan.stock[j, t]
                         if t > 0:
                             x[ix.transfer_in(j, t)] = plan.transfer_in[j, t]
-                            x[ix.transfer_out(j, t)] = plan.transfer_out[j, t]
                 for (j, i) in ix.pairs:
                     for t in range(inst.num_slots):
                         x[ix.serve(j, i, t)] = plan.serve[j, i, t]
@@ -141,6 +147,8 @@ class TestProgramShape:
                 assert unmet_rows(lp, x) == [], f"seed {seed}"
                 assert np.all((lp.lower <= x) & (x <= lp.upper)), f"seed {seed}"
                 assert lp.objective @ x == cost, f"seed {seed}"
+                # and the plan comes back out, moves included
+                assert _extract_plan(x, ix) == plan, f"seed {seed}"
 
     def test_matches_the_row_by_row_reference(self):
         cases = [generate(tiny_params(s), s) for s in range(60)]
@@ -163,14 +171,27 @@ class TestProgramShape:
                 for i in range(inst.num_zones):
                     expected = ix.serve(j, i, t) if inst.coverage[j, i] else 0
                     assert plan.serve[j, i, t] == expected
-                moved = t > 0
-                assert plan.transfer_in[j, t] == (ix.transfer_in(j, t)
-                                                  if moved else 0)
-                assert plan.transfer_out[j, t] == (ix.transfer_out(j, t)
-                                                   if moved else 0)
+                # each station's stock rises by one a slot; the tin columns'
+                # own values are not read
+                assert plan.transfer_in[j, t] == (t > 0)
+                assert plan.transfer_out[j, t] == 0
         for i in range(inst.num_zones):
             for t in range(inst.num_slots):
                 assert plan.shortage[i, t] == ix.shortage(i, t)
+
+    def test_moves_come_from_the_stock_not_the_tin_columns(self):
+        inst = two_stations(num_slots=3, fleet_size=2, capacity=np.full((2, 3), 2))
+        ix = TransferIndex.for_instance(inst)
+        x = np.zeros(ix.num_vars)
+        for j, row in enumerate([[2, 0, 1], [0, 2, 1]]):
+            for t, v in enumerate(row):
+                x[ix.stock(j, t)] = v
+        # tin may sit above the arrivals when moving is free; that is ignored
+        x[[ix.transfer_in(0, 1), ix.transfer_in(1, 1)]] = 5
+        x[ix.fleet] = 2
+        plan = _extract_plan(x, ix)
+        assert plan.transfer_in.tolist() == [[0, 0, 1], [0, 2, 0]]
+        assert plan.transfer_out.tolist() == [[0, 2, 0], [0, 0, 1]]
 
 
 class TestSolve:
@@ -223,11 +244,7 @@ class TestSolve:
         assert outcome.objective == (1 + 1) + 1
 
     def test_cheap_transfer_follows_the_demand(self):
-        inst = Instance(num_stations=2, num_zones=1, num_slots=2, fleet_size=1,
-                        coverage=[[1], [1]], capacity=[[1, 1], [1, 1]],
-                        hold_cost=[[5, 1], [1, 5]],
-                        dispatch_cost=[[1, 1], [1, 1]],
-                        demand=[[1, 1]], big_m=1000, transfer_cost=2)
+        inst = two_stations(hold_cost=[[5, 1], [1, 5]], big_m=1000, transfer_cost=2)
         outcome = solve_transfer(inst)
         # start at the cheap station, move when the prices swap: 1+1 hold,
         # 1+1 dispatch, one paid arrival
@@ -238,11 +255,7 @@ class TestSolve:
         assert plan.transfer_out.tolist() == [[0, 0], [0, 1]]
 
     def test_dear_transfer_stays_put(self):
-        inst = Instance(num_stations=2, num_zones=1, num_slots=2, fleet_size=1,
-                        coverage=[[1], [1]], capacity=[[1, 1], [1, 1]],
-                        hold_cost=[[5, 1], [1, 5]],
-                        dispatch_cost=[[1, 1], [1, 1]],
-                        demand=[[1, 1]], big_m=1000, transfer_cost=10)
+        inst = two_stations(hold_cost=[[5, 1], [1, 5]], big_m=1000, transfer_cost=10)
         outcome = solve_transfer(inst)
         # moving would cost 4 + 10; staying anywhere costs 6 + 2
         assert outcome.objective == 8
