@@ -110,9 +110,7 @@ def build_allocation_program(inst: Instance) -> tuple[LinearProgram, AllocationI
 def _extract_plan(x: np.ndarray, ix: AllocationIndex) -> AllocationPlan:
     jn = ix.num_stations
     vals = np.rint(x).astype(np.int64).reshape(ix.num_slots, 2 * jn + 1)
-    alloc, dispatch = vals[:, :jn].T, vals[:, jn:2 * jn].T
-    return AllocationPlan(alloc, dispatch, np.cumsum(alloc - dispatch, axis=1),
-                          shortage=vals[:, -1])
+    return AllocationPlan(vals[:, :jn].T, vals[:, jn:2 * jn].T, vals[:, -1])
 
 
 def solve_allocation(inst: Instance, node_limit: int | None = None) -> SolveOutcome:

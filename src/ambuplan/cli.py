@@ -179,14 +179,18 @@ def save_instance(inst: Instance, path: str) -> None:
     write_text_atomic(path, dump_json(instance_to_mapping(inst)))
 
 
-_ALLOC_PLAN_KEYS = ("alloc", "dispatch", "inventory", "shortage")
-_TRANSFER_PLAN_KEYS = ("stock", "serve", "transfer_in", "transfer_out", "shortage")
+# model -> (plan type, its decision keys, the keys derived from them)
+_PLAN_KEYS = {
+    1: (AllocationPlan, ("alloc", "dispatch", "shortage"), ("inventory",)),
+    2: (TransferPlan, ("stock", "serve", "shortage"), ("transfer_in", "transfer_out")),
+}
 
 
 def plan_to_mapping(model: int, outcome) -> dict:
     plan = outcome.plan
-    keys = _ALLOC_PLAN_KEYS if isinstance(plan, AllocationPlan) else _TRANSFER_PLAN_KEYS
-    body = None if plan is None else {k: getattr(plan, k).tolist() for k in keys}
+    _, decided, derived = _PLAN_KEYS[model]
+    body = None if plan is None else {k: getattr(plan, k).tolist()
+                                      for k in decided + derived}
     best_bound = outcome.best_bound
     if best_bound is not None:
         bb = float(best_bound)
@@ -219,12 +223,15 @@ def plan_from_mapping(data) -> tuple[int, str, AllocationPlan | TransferPlan | N
     body = data.get("plan")
     if body is None:
         return model, data.get("status", "unknown"), None
+    kind, decided, derived = _PLAN_KEYS[model]
     try:
-        if model == 1:
-            plan = AllocationPlan(*(body[k] for k in _ALLOC_PLAN_KEYS))
-        else:
-            plan = TransferPlan(*(body[k] for k in _TRANSFER_PLAN_KEYS))
-    except (KeyError, TypeError, ValueError) as exc:
+        plan = kind(*(body[k] for k in decided))
+        for k in derived:
+            # written for readers; the plan derives it, so it must agree
+            if k not in body or not np.array_equal(body[k], getattr(plan, k)):
+                raise InputError(f"plan {k} is missing or does not follow"
+                                 " from the plan's decisions")
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InputError(f"malformed plan body: {exc}") from exc
     return model, data.get("status", "unknown"), plan
 

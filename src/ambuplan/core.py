@@ -12,6 +12,10 @@ Two plan shapes exist on top of an instance:
 * :class:`TransferPlan`, where a stationed fleet is carried from slot to slot
   and may be rebalanced between stations at slot boundaries for a per-move fee.
 
+A plan holds its model's decisions only. What follows from them, model 1's
+``inventory`` and model 2's ``transfer_in``/``transfer_out``, is a read-only
+property computed from the decisions, so no plan can disagree with itself.
+
 Evaluation is exact: all arithmetic on plans uses arbitrary-precision Python
 integers, so a reported objective is never a rounded number.
 ``outcome_from_milp`` turns an engine result for either model into a
@@ -22,14 +26,20 @@ called, so loading ``core`` loads numpy but not scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
+from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 if TYPE_CHECKING:
     from .engine import MilpSolution
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _frozen_int_array(value: Any, name: str) -> np.ndarray:
@@ -58,9 +68,7 @@ def _frozen_int_array(value: Any, name: str) -> np.ndarray:
         raise ValueError(f"{name} must contain integers, got dtype {arr.dtype}")
     if not fits:
         raise ValueError(f"{name} has entries outside the 64-bit integer range")
-    arr = arr.astype(np.int64)
-    arr.setflags(write=False)
-    return arr
+    return _read_only(arr.astype(np.int64))
 
 
 def _int_scalar(value: Any, name: str) -> int:
@@ -73,8 +81,32 @@ def _int_scalar(value: Any, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+class _Record:
+    """Base of the frozen dataclasses below.
+
+    On construction every field annotated ``np.ndarray`` becomes a read-only
+    int64 array (_frozen_int_array) and then every ``int`` field a Python
+    int (_int_scalar). Records compare by value and, like their arrays, are
+    unhashable.
+    """
+
+    def __post_init__(self) -> None:
+        for coerce, kind in ((_frozen_int_array, "np.ndarray"), (_int_scalar, "int")):
+            for f in fields(self):
+                if f.type == kind:  # annotations are strings in this module
+                    object.__setattr__(self, f.name, coerce(getattr(self, f.name), f.name))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 @dataclass(frozen=True, eq=False)
-class Instance:
+class Instance(_Record):
     """One planning problem.
 
     Index convention: ``j`` runs over stations, ``i`` over zones, ``t`` over
@@ -94,89 +126,55 @@ class Instance:
     big_m: int
     transfer_cost: int = 0
 
-    def __post_init__(self) -> None:
-        for name in ("coverage", "capacity", "hold_cost", "dispatch_cost", "demand"):
-            object.__setattr__(self, name, _frozen_int_array(getattr(self, name), name))
-        for name in ("num_stations", "num_zones", "num_slots", "fleet_size",
-                     "big_m", "transfer_cost"):
-            object.__setattr__(self, name, _int_scalar(getattr(self, name), name))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Instance):
-            return NotImplemented
-        scalars = ("num_stations", "num_zones", "num_slots", "fleet_size",
-                   "big_m", "transfer_cost")
-        arrays = ("coverage", "capacity", "hold_cost", "dispatch_cost", "demand")
-        return all(getattr(self, n) == getattr(other, n) for n in scalars) and all(
-            getattr(self, n).shape == getattr(other, n).shape
-            and np.array_equal(getattr(self, n), getattr(other, n))
-            for n in arrays
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
 
 @dataclass(frozen=True, eq=False)
-class AllocationPlan:
+class AllocationPlan(_Record):
     """Per-slot allocation with station-bound vehicles.
 
-    ``alloc[j][t]`` vehicles are placed at station j for slot t, ``dispatch``
-    of them answer calls, the remainder accumulates as ``inventory``.
-    ``shortage[t]`` counts calls in slot t that no dispatch answered.
+    ``alloc[j][t]`` vehicles are placed at station j for slot t and
+    ``dispatch`` of them answer calls. ``shortage[t]`` counts calls in slot
+    t that no dispatch answered. The plan holds these decisions only; the
+    idle remainder, ``inventory``, follows from them.
     """
 
     alloc: np.ndarray      # [j][t]
     dispatch: np.ndarray   # [j][t]
-    inventory: np.ndarray  # [j][t]
     shortage: np.ndarray   # [t]
 
-    def __post_init__(self) -> None:
-        for name in ("alloc", "dispatch", "inventory", "shortage"):
-            object.__setattr__(self, name, _frozen_int_array(getattr(self, name), name))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AllocationPlan):
-            return NotImplemented
-        return all(
-            getattr(self, n).shape == getattr(other, n).shape
-            and np.array_equal(getattr(self, n), getattr(other, n))
-            for n in ("alloc", "dispatch", "inventory", "shortage")
-        )
-
-    __hash__ = None  # type: ignore[assignment]
+    @property
+    def inventory(self) -> np.ndarray:
+        """[j][t] idle vehicles so far, ``cumsum(alloc - dispatch)``; read-only."""
+        return _read_only(np.cumsum(self.alloc - self.dispatch, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
-class TransferPlan:
+class TransferPlan(_Record):
     """Stationed fleet carried across slots with paid rebalancing moves.
 
     ``stock[j][t]`` vehicles sit at station j during slot t. ``serve[j][i][t]``
     dispatches from j answer zone i in slot t (vehicles return within the
-    slot). ``transfer_in``/``transfer_out`` describe rebalancing at the start
-    of slot t; both are zero in the first slot. ``shortage[i][t]`` counts
-    unanswered calls per zone.
+    slot). ``shortage[i][t]`` counts unanswered calls per zone. The plan
+    holds these decisions only; the rebalancing moves at the start of each
+    slot, ``transfer_in`` and ``transfer_out``, follow from the stock.
     """
 
     stock: np.ndarray         # [j][t]
     serve: np.ndarray         # [j][i][t]
-    transfer_in: np.ndarray   # [j][t], column 0 all zero
-    transfer_out: np.ndarray  # [j][t], column 0 all zero
     shortage: np.ndarray      # [i][t]
 
-    def __post_init__(self) -> None:
-        for name in ("stock", "serve", "transfer_in", "transfer_out", "shortage"):
-            object.__setattr__(self, name, _frozen_int_array(getattr(self, name), name))
+    def _stock_change(self) -> np.ndarray:
+        # zero in the first slot: the fleet is placed there, not moved
+        return np.diff(self.stock, axis=1, prepend=self.stock[:, :1])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TransferPlan):
-            return NotImplemented
-        return all(
-            getattr(self, n).shape == getattr(other, n).shape
-            and np.array_equal(getattr(self, n), getattr(other, n))
-            for n in ("stock", "serve", "transfer_in", "transfer_out", "shortage")
-        )
+    @property
+    def transfer_in(self) -> np.ndarray:
+        """[j][t] arrivals before slot t, ``max(0, Δstock)``; read-only."""
+        return _read_only(np.maximum(self._stock_change(), 0))
 
-    __hash__ = None  # type: ignore[assignment]
+    @property
+    def transfer_out(self) -> np.ndarray:
+        """[j][t] departures before slot t, ``max(0, -Δstock)``; read-only."""
+        return _read_only(np.maximum(-self._stock_change(), 0))
 
 
 @dataclass(frozen=True)
@@ -316,14 +314,12 @@ def validate_instance(inst: Instance) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 def require_plan_shape(inst: Instance, plan: AllocationPlan | TransferPlan) -> None:
-    """Raise ValueError unless every plan array has the shape inst implies."""
+    """Raise ValueError unless every decision array has the shape inst implies."""
     J, I, T = inst.num_stations, inst.num_zones, inst.num_slots
     if isinstance(plan, AllocationPlan):
-        shapes = {"alloc": (J, T), "dispatch": (J, T), "inventory": (J, T),
-                  "shortage": (T,)}
+        shapes = {"alloc": (J, T), "dispatch": (J, T), "shortage": (T,)}
     else:
-        shapes = {"stock": (J, T), "serve": (J, I, T), "transfer_in": (J, T),
-                  "transfer_out": (J, T), "shortage": (I, T)}
+        shapes = {"stock": (J, T), "serve": (J, I, T), "shortage": (I, T)}
     for name, shape in shapes.items():
         got = getattr(plan, name).shape
         if got != shape:
@@ -347,7 +343,8 @@ def evaluate_allocation(inst: Instance, plan: AllocationPlan) -> tuple[int, list
     d = inst.demand.tolist()
     x = plan.alloc.tolist()
     s = plan.dispatch.tolist()
-    inv = plan.inventory.tolist()
+    # the plan's inventory, in exact integers
+    inv = [list(accumulate(u - v for u, v in zip(xj, sj))) for xj, sj in zip(x, s)]
     short = plan.shortage.tolist()
     M = inst.big_m
 
@@ -369,17 +366,6 @@ def evaluate_allocation(inst: Instance, plan: AllocationPlan) -> tuple[int, list
         if short[t] < 0:
             out.append(Violation("negative_value", (t,), short[t], 0,
                                  f"shortage[{t}] = {short[t]} < 0"))
-
-    # inventory recurrence: inv[j][t] = inv[j][t-1] + x[j][t] - s[j][t], inv[j][-1] = 0
-    for j in range(J):
-        prev = 0
-        for t in range(T):
-            want = prev + x[j][t] - s[j][t]
-            if inv[j][t] != want:
-                out.append(Violation(
-                    "inventory_balance", (j, t), inv[j][t], want,
-                    f"inventory[{j}][{t}] = {inv[j][t]}, recurrence gives {want}"))
-            prev = inv[j][t]
 
     for j in range(J):
         for t in range(T):
@@ -425,7 +411,7 @@ def evaluate_transfer(inst: Instance, plan: TransferPlan) -> tuple[int, list[Vio
     """Exact objective and invariant check for a TransferPlan.
 
     Objective: hold costs on stock, dispatch costs on serves, transfer_cost
-    per incoming move after the first slot, big_m per unit shortage.
+    per incoming move (``transfer_in``), big_m per unit shortage.
     """
     J, I, T = inst.num_stations, inst.num_zones, inst.num_slots
     require_plan_shape(inst, plan)
@@ -437,18 +423,18 @@ def evaluate_transfer(inst: Instance, plan: TransferPlan) -> tuple[int, list[Vio
     d = inst.demand.tolist()
     S = plan.stock.tolist()
     y = plan.serve.tolist()
-    tin = plan.transfer_in.tolist()
-    tout = plan.transfer_out.tolist()
     short = plan.shortage.tolist()
     M = inst.big_m
     tau = inst.transfer_cost
+    # the plan's moves in exact integers: arrivals and departures per slot
+    change = [[0] * J] + [[row[t] - row[t - 1] for row in S] for t in range(1, T)]
+    arrived = [sum(max(v, 0) for v in col) for col in change]
+    departed = [sum(max(-v, 0) for v in col) for col in change]
 
-    objective = 0
+    objective = tau * sum(arrived)
     for j in range(J):
         for t in range(T):
             objective += c[j][t] * S[j][t]
-            if t >= 1:
-                objective += tau * tin[j][t]
             for i in range(I):
                 objective += cd[j][t] * y[j][i][t]
     for i in range(I):
@@ -457,12 +443,11 @@ def evaluate_transfer(inst: Instance, plan: TransferPlan) -> tuple[int, list[Vio
 
     out: list[Violation] = []
 
-    for name, mat in (("stock", S), ("transfer_in", tin), ("transfer_out", tout)):
-        for j in range(J):
-            for t in range(T):
-                if mat[j][t] < 0:
-                    out.append(Violation("negative_value", (j, t), mat[j][t], 0,
-                                         f"{name}[{j}][{t}] = {mat[j][t]} < 0"))
+    for j in range(J):
+        for t in range(T):
+            if S[j][t] < 0:
+                out.append(Violation("negative_value", (j, t), S[j][t], 0,
+                                     f"stock[{j}][{t}] = {S[j][t]} < 0"))
     for j in range(J):
         for i in range(I):
             for t in range(T):
@@ -481,39 +466,17 @@ def evaluate_transfer(inst: Instance, plan: TransferPlan) -> tuple[int, list[Vio
                 out.append(Violation("negative_value", (i, t), short[i][t], 0,
                                      f"shortage[{i}][{t}] = {short[i][t]} < 0"))
 
-    for j in range(J):
-        if tin[j][0] != 0:
-            out.append(Violation("first_slot_transfer", (j, 0), tin[j][0], 0,
-                                 f"transfer_in[{j}][0] = {tin[j][0]}, must be 0"))
-        if tout[j][0] != 0:
-            out.append(Violation("first_slot_transfer", (j, 0), tout[j][0], 0,
-                                 f"transfer_out[{j}][0] = {tout[j][0]}, must be 0"))
-
     first = sum(S[j][0] for j in range(J))
     if first > inst.fleet_size:
         out.append(Violation("fleet_exceeded", (0,), first, inst.fleet_size,
                              f"slot 0 stocks {first} > fleet {inst.fleet_size}"))
 
-    for j in range(J):
-        for t in range(1, T):
-            want = S[j][t - 1] + tin[j][t] - tout[j][t]
-            if S[j][t] != want:
-                out.append(Violation(
-                    "stock_balance", (j, t), S[j][t], want,
-                    f"stock[{j}][{t}] = {S[j][t]}, balance gives {want}"))
-            if tout[j][t] > S[j][t - 1]:
-                out.append(Violation(
-                    "transfer_exceeds_stock", (j, t), tout[j][t], S[j][t - 1],
-                    f"transfer_out[{j}][{t}] = {tout[j][t]} > prior stock"
-                    f" {S[j][t - 1]}"))
-
+    # vehicles only move between stations: the total stock never changes
     for t in range(1, T):
-        arrived = sum(tin[j][t] for j in range(J))
-        departed = sum(tout[j][t] for j in range(J))
-        if arrived != departed:
+        if arrived[t] != departed[t]:
             out.append(Violation(
-                "transfer_conservation", (t,), arrived, departed,
-                f"slot {t}: {arrived} vehicles arrive but {departed} depart"))
+                "transfer_conservation", (t,), arrived[t], departed[t],
+                f"slot {t}: {arrived[t]} vehicles arrive but {departed[t]} depart"))
 
     for j in range(J):
         for t in range(T):

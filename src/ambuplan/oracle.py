@@ -200,9 +200,7 @@ def brute_force_allocation(inst: Instance) -> SolveOutcome:
         alloc[:, t] = x
         dispatch[:, t] = s
         shortage[t] = sh
-    inventory = np.cumsum(alloc - dispatch, axis=1)
-    plan = AllocationPlan(alloc=alloc, dispatch=dispatch,
-                          inventory=inventory, shortage=shortage)
+    plan = AllocationPlan(alloc=alloc, dispatch=dispatch, shortage=shortage)
     return SolveOutcome(SolveStatus.OPTIMAL, opt, plan, nodes=explored[0])
 
 
@@ -369,8 +367,6 @@ class _TransferSearch:
         jn, zn, tn = self.jn, self.zn, self.tn
         stock = np.zeros((jn, tn), dtype=np.int64)
         serve = np.zeros((jn, zn, tn), dtype=np.int64)
-        tin = np.zeros((jn, tn), dtype=np.int64)
-        tout = np.zeros((jn, tn), dtype=np.int64)
         shortage = np.zeros((zn, tn), dtype=np.int64)
         for t, s in enumerate(path):
             stock[:, t] = s
@@ -378,13 +374,8 @@ class _TransferSearch:
             for j in range(jn):
                 for k, i in enumerate(self.covered[j]):
                     serve[j, i, t] = rows[j][k]
-            if t > 0:
-                delta = stock[:, t] - stock[:, t - 1]
-                tin[:, t] = np.maximum(delta, 0)
-                tout[:, t] = np.maximum(-delta, 0)
             shortage[:, t] = self.inst.demand[:, t] - serve[:, :, t].sum(axis=0)
-        plan = TransferPlan(stock=stock, serve=serve, transfer_in=tin,
-                            transfer_out=tout, shortage=shortage)
+        plan = TransferPlan(stock=stock, serve=serve, shortage=shortage)
         return SolveOutcome(SolveStatus.OPTIMAL, opt, plan, nodes=explored[0])
 
 

@@ -125,11 +125,7 @@ def _extract_plan(x: np.ndarray, ix: TransferIndex) -> TransferPlan:
     serve = np.zeros((jn, zn, tn), dtype=np.int64)
     js, zs = np.array(ix.pairs, dtype=np.intp).reshape(-1, 2).T
     serve[js, zs] = vals[serve_at:tin_at].reshape(-1, tn)
-    # the moves follow from the stock; none reach the first slot
-    delta = np.diff(stock, axis=1, prepend=stock[:, :1])
-    return TransferPlan(stock=stock, serve=serve, transfer_in=np.maximum(delta, 0),
-                        transfer_out=np.maximum(-delta, 0),
-                        shortage=vals[short_at:ix.fleet].reshape(zn, tn))
+    return TransferPlan(stock, serve, vals[short_at:ix.fleet].reshape(zn, tn))
 
 
 def solve_transfer(inst: Instance, node_limit: int | None = None) -> SolveOutcome:

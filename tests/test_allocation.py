@@ -28,12 +28,10 @@ def one_dispatch_short(plan: AllocationPlan) -> AllocationPlan | None:
     if js.size == 0:
         return None
     j, t = js[np.argmax(ts)], ts.max()
-    dispatch, inventory = plan.dispatch.copy(), plan.inventory.copy()
-    shortage = plan.shortage.copy()
+    dispatch, shortage = plan.dispatch.copy(), plan.shortage.copy()
     dispatch[j, t] -= 1
-    inventory[j, t:] += 1
     shortage[t] += 1
-    return AllocationPlan(plan.alloc, dispatch, inventory, shortage)
+    return AllocationPlan(plan.alloc, dispatch, shortage)
 
 
 def row_by_row_program(inst: Instance) -> LinearProgram:

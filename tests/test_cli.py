@@ -1,5 +1,6 @@
 """Command-line front end: files, exit codes, reports, and round-trips."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
-from ambuplan import Instance, solve_transfer
+from ambuplan import (
+    Instance,
+    generate,
+    solve_allocation,
+    solve_transfer,
+    tiny_params,
+)
 from ambuplan.cli import (
     dump_json,
     entry,
@@ -90,6 +97,17 @@ class TestPlanFiles:
         model, status, plan = plan_from_mapping(data)
         assert (model, status) == (2, "optimal")
         assert plan == outcome.plan
+        # both models on tiny seeds: the file's derived keys are checked on
+        # read, and writing the plan read back gives the same bytes
+        for seed in range(5):
+            inst = generate(tiny_params(seed), seed)
+            for model, solve in ((1, solve_allocation), (2, solve_transfer)):
+                outcome = solve(inst)
+                text = dump_json(plan_to_mapping(model, outcome))
+                _, _, plan = plan_from_mapping(json.loads(text))
+                assert plan == outcome.plan, f"seed {seed} model {model}"
+                again = dataclasses.replace(outcome, plan=plan)
+                assert dump_json(plan_to_mapping(model, again)) == text
 
     def test_best_bound_written_as_exact_int(self, tiny1):
         outcome = solve_transfer(tiny1)
@@ -374,19 +392,30 @@ class TestReport:
         assert entry(["report", "--instance", other,
                       "--plan", plan_path]) == 2
         # arrays that disagree with the instance in any axis are rejected
-        # before rendering, not met as an IndexError or rendered anyway
+        # before rendering, not met as an IndexError or rendered anyway; so
+        # are derived arrays that are missing (None) or do not follow from
+        # the decisions
         paths = {1: self.solve_to_file(tiny1_path, tmp_path, 1), 2: plan_path}
-        for model, key, trim in ((2, "serve", lambda a: [[r[:-1] for r in z]
-                                                          for z in a]),
-                                 (1, "shortage", lambda a: a[:-1]),
-                                 (2, "shortage", lambda a: a[:-1])):
+        shape, derived = "{} has shape", "plan {} is missing or does not follow"
+        for model, key, edit, error in (
+                (2, "serve", lambda a: [[r[:-1] for r in z] for z in a], shape),
+                (1, "shortage", lambda a: a[:-1], shape),
+                (2, "shortage", lambda a: a[:-1], shape),
+                (1, "inventory", lambda a: [[v + 1 for v in r] for r in a], derived),
+                (1, "inventory", None, derived),
+                (2, "transfer_in", lambda a: [[1] + r[1:] for r in a], derived),
+                (2, "transfer_in", None, derived),
+                (2, "transfer_out", None, derived)):
             data = json.loads(open(paths[model]).read())
-            data["plan"][key] = trim(data["plan"][key])
+            if edit is None:
+                del data["plan"][key]
+            else:
+                data["plan"][key] = edit(data["plan"][key])
             bad = write_json(tmp_path, f"bad{model}_{key}.json", data)
             capsys.readouterr()
             assert entry(["report", "--instance", tiny1_path,
                           "--plan", bad]) == 2
-            assert f"{key} has shape" in capsys.readouterr().err
+            assert error.format(key) in capsys.readouterr().err
 
     def test_plan_without_payload_exits_2(self, tiny1_path, tmp_path, capsys):
         payload = dict(TINY1_FILE, coverage=[[1, 0], [1, 0]])

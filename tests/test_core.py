@@ -13,14 +13,12 @@ from ambuplan import (
 )
 
 
-def plan1(alloc, dispatch, inventory, shortage) -> AllocationPlan:
-    return AllocationPlan(alloc=alloc, dispatch=dispatch,
-                          inventory=inventory, shortage=shortage)
+def plan1(alloc, dispatch, shortage) -> AllocationPlan:
+    return AllocationPlan(alloc=alloc, dispatch=dispatch, shortage=shortage)
 
 
-def plan2(stock, serve, tin, tout, shortage) -> TransferPlan:
-    return TransferPlan(stock=stock, serve=serve, transfer_in=tin,
-                        transfer_out=tout, shortage=shortage)
+def plan2(stock, serve, shortage) -> TransferPlan:
+    return TransferPlan(stock=stock, serve=serve, shortage=shortage)
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +113,13 @@ class TestInstance:
 
 class TestEvaluateAllocation:
     def test_hand_checked_optimum(self, tiny1):
-        plan = plan1([[1], [1]], [[1], [1]], [[0], [0]], [0])
+        plan = plan1([[1], [1]], [[1], [1]], [0])
         objective, violations = evaluate_allocation(tiny1, plan)
         assert objective == 5
         assert violations == []
 
     def test_dispatch_beyond_alloc_flagged(self, tiny1):
-        plan = plan1([[1], [1]], [[2], [0]], [[-1], [1]], [0])
+        plan = plan1([[1], [1]], [[2], [0]], [0])
         _, violations = evaluate_allocation(tiny1, plan)
         kinds = {v.kind for v in violations}
         assert "dispatch_exceeds_alloc" in kinds
@@ -131,7 +129,7 @@ class TestEvaluateAllocation:
     def test_zero_plan_zero_demand(self, tiny1):
         import dataclasses
         inst = dataclasses.replace(tiny1, demand=np.zeros((2, 1), dtype=int))
-        plan = plan1([[0], [0]], [[0], [0]], [[0], [0]], [0])
+        plan = plan1([[0], [0]], [[0], [0]], [0])
         assert evaluate_allocation(inst, plan) == (0, [])
 
     def test_inventory_recurrence_checked(self):
@@ -139,16 +137,14 @@ class TestEvaluateAllocation:
                         coverage=[[1]], capacity=[[2, 2]], hold_cost=[[1, 1]],
                         dispatch_cost=[[1, 1]], demand=[[1, 1]], big_m=100)
         # the undispatched vehicle from slot 0 accumulates as inventory
-        good = plan1([[2, 1]], [[1, 1]], [[1, 1]], [0, 0])
+        good = plan1([[2, 1]], [[1, 1]], [0, 0])
+        assert good.inventory.tolist() == [[1, 1]]
         objective, violations = evaluate_allocation(inst, good)
         assert objective == (2 + 1) + (1 + 1)
         assert violations == []
-        drifted = plan1([[2, 1]], [[1, 1]], [[1, 0]], [0, 0])
-        _, violations = evaluate_allocation(inst, drifted)
-        assert any(v.kind == "inventory_balance" for v in violations)
 
     def test_capacity_fleet_and_coverage_checks(self, tiny1):
-        plan = plan1([[3], [0]], [[1], [0]], [[2], [0]], [1])
+        plan = plan1([[3], [0]], [[1], [0]], [1])
         _, violations = evaluate_allocation(tiny1, plan)
         kinds = {v.kind for v in violations}
         assert "alloc_exceeds_capacity" in kinds   # 3 > capacity 2
@@ -156,25 +152,24 @@ class TestEvaluateAllocation:
         assert "alloc_cover_short" in kinds        # zone 1 uncovered
 
     def test_dispatch_totals_must_balance(self, tiny1):
-        plan = plan1([[1], [1]], [[1], [1]], [[0], [0]], [1])
+        plan = plan1([[1], [1]], [[1], [1]], [1])
         _, violations = evaluate_allocation(tiny1, plan)
         assert any(v.kind == "dispatch_total_mismatch" for v in violations)
 
     def test_negative_entries_flagged(self, tiny1):
-        plan = plan1([[1], [1]], [[1], [1]], [[0], [0]], [-1])
+        plan = plan1([[1], [1]], [[1], [1]], [-1])
         _, violations = evaluate_allocation(tiny1, plan)
         assert any(v.kind == "negative_value" for v in violations)
 
     def test_shortage_priced_exactly_at_scale(self, tiny1):
         import dataclasses
         inst = dataclasses.replace(tiny1, big_m=10**18)
-        plan = plan1([[1], [1]], [[0], [0]], [[1], [1]], [2])
+        plan = plan1([[1], [1]], [[0], [0]], [2])
         objective, _ = evaluate_allocation(inst, plan)
         assert objective == 2 + 2 * 10**18  # exact integer, no float rounding
 
     def test_dimension_mismatch_raises(self, tiny1):
-        plan = plan1([[1, 1], [1, 1]], [[1, 1], [1, 1]], [[0, 0], [0, 0]],
-                     [0, 0])
+        plan = plan1([[1, 1], [1, 1]], [[1, 1], [1, 1]], [0, 0])
         with pytest.raises(ValueError):
             evaluate_allocation(tiny1, plan)
 
@@ -188,7 +183,7 @@ class TestEvaluateTransfer:
         serve = np.zeros((2, 2, 1), dtype=int)
         serve[0, 0, 0] = 1
         serve[1, 1, 0] = 1
-        plan = plan2([[1], [1]], serve, [[0], [0]], [[0], [0]], [[0], [0]])
+        plan = plan2([[1], [1]], serve, [[0], [0]])
         objective, violations = evaluate_transfer(tiny1, plan)
         assert objective == 5
         assert violations == []
@@ -200,8 +195,7 @@ class TestEvaluateTransfer:
                         dispatch_cost=[[1, 1], [1, 1]],
                         demand=[[0, 0]], big_m=100, transfer_cost=1)
         serve = np.zeros((2, 1, 2), dtype=int)
-        plan = plan2([[1, 2], [0, 0]], serve, [[0, 1], [0, 0]],
-                     [[0, 0], [0, 0]], [[0, 0]])
+        plan = plan2([[1, 2], [0, 0]], serve, [[0, 0]])  # a vehicle appears
         _, violations = evaluate_transfer(inst, plan)
         assert any(v.kind == "transfer_conservation" for v in violations)
 
@@ -213,25 +207,16 @@ class TestEvaluateTransfer:
                         demand=[[0, 1]], big_m=100, transfer_cost=7)
         serve = np.zeros((2, 1, 2), dtype=int)
         serve[1, 0, 1] = 1
-        plan = plan2([[1, 0], [0, 1]], serve, [[0, 0], [0, 1]],
-                     [[0, 1], [0, 0]], [[0, 0]])
+        plan = plan2([[1, 0], [0, 1]], serve, [[0, 0]])
         objective, violations = evaluate_transfer(inst, plan)
         assert violations == []
         assert objective == 2 + 1 + 7  # hold twice, one dispatch, one move
-
-    def test_first_slot_transfers_forbidden(self, tiny1):
-        serve = np.zeros((2, 2, 1), dtype=int)
-        serve[0, 0, 0] = 1
-        serve[1, 1, 0] = 1
-        plan = plan2([[1], [1]], serve, [[1], [0]], [[0], [1]], [[0], [0]])
-        _, violations = evaluate_transfer(tiny1, plan)
-        assert any(v.kind == "first_slot_transfer" for v in violations)
 
     def test_serving_uncovered_zone_flagged(self, tiny1):
         serve = np.zeros((2, 2, 1), dtype=int)
         serve[0, 1, 0] = 1  # station 0 does not cover zone 1
         serve[1, 0, 0] = 1
-        plan = plan2([[1], [1]], serve, [[0], [0]], [[0], [0]], [[0], [0]])
+        plan = plan2([[1], [1]], serve, [[0], [0]])
         _, violations = evaluate_transfer(tiny1, plan)
         assert any(v.kind == "serve_uncovered" for v in violations)
 
@@ -239,7 +224,7 @@ class TestEvaluateTransfer:
         serve = np.zeros((2, 2, 1), dtype=int)
         serve[1, 0, 0] = 1
         serve[1, 1, 0] = 1
-        plan = plan2([[0], [1]], serve, [[0], [0]], [[0], [0]], [[0], [0]])
+        plan = plan2([[0], [1]], serve, [[0], [0]])
         _, violations = evaluate_transfer(tiny1, plan)
         kinds = {v.kind for v in violations}
         assert "dispatch_exceeds_stock" in kinds  # 2 serves from stock 1
@@ -247,7 +232,7 @@ class TestEvaluateTransfer:
     def test_demand_rows_are_equalities(self, tiny1):
         serve = np.zeros((2, 2, 1), dtype=int)
         serve[0, 0, 0] = 1
-        plan = plan2([[1], [0]], serve, [[0], [0]], [[0], [0]], [[0], [0]])
+        plan = plan2([[1], [0]], serve, [[0], [0]])
         _, violations = evaluate_transfer(tiny1, plan)
         at = [v for v in violations if v.kind == "demand_mismatch"]
         assert at and at[0].indices == (1, 0)
@@ -255,15 +240,14 @@ class TestEvaluateTransfer:
     def test_zero_plan_zero_demand(self, tiny1):
         import dataclasses
         inst = dataclasses.replace(tiny1, demand=np.zeros((2, 1), dtype=int))
-        plan = plan2([[0], [0]], np.zeros((2, 2, 1), dtype=int),
-                     [[0], [0]], [[0], [0]], [[0], [0]])
+        plan = plan2([[0], [0]], np.zeros((2, 2, 1), dtype=int), [[0], [0]])
         assert evaluate_transfer(inst, plan) == (0, [])
 
     def test_capacity_bound_on_stock(self, tiny1):
         serve = np.zeros((2, 2, 1), dtype=int)
         serve[0, 0, 0] = 1
         serve[1, 1, 0] = 1
-        plan = plan2([[3], [1]], serve, [[0], [0]], [[0], [0]], [[0], [0]])
+        plan = plan2([[3], [1]], serve, [[0], [0]])
         _, violations = evaluate_transfer(tiny1, plan)
         kinds = {v.kind for v in violations}
         assert "stock_exceeds_capacity" in kinds  # 3 > capacity 2
@@ -272,13 +256,28 @@ class TestEvaluateTransfer:
 
 class TestPlanTypes:
     def test_plans_compare_by_value(self):
-        a = plan1([[1]], [[1]], [[0]], [0])
-        b = plan1([[1]], [[1]], [[0]], [0])
-        c = plan1([[1]], [[0]], [[1]], [0])
+        a = plan1([[1]], [[1]], [0])
+        b = plan1([[1]], [[1]], [0])
+        c = plan1([[1]], [[0]], [0])
         assert a == b and a != c
         assert AllocationPlan.__hash__ is None and TransferPlan.__hash__ is None
 
     def test_plan_arrays_frozen(self):
-        p = plan1([[1]], [[1]], [[0]], [0])
+        import dataclasses
+        p = plan1([[1]], [[1]], [0])
         with pytest.raises(ValueError):
             p.alloc[0, 0] = 5
+        with pytest.raises(ValueError):
+            p.inventory[0, 0] = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.inventory = np.zeros((1, 1), dtype=np.int64)
+
+    def test_moves_follow_from_the_stock(self):
+        p = plan2([[1, 2, 0], [1, 0, 2]], np.zeros((2, 1, 3), dtype=int),
+                  [[0, 0, 0]])
+        # nothing moves into the first slot; afterwards each rise is an
+        # arrival and each fall a departure
+        assert p.transfer_in.tolist() == [[0, 1, 0], [0, 0, 2]]
+        assert p.transfer_out.tolist() == [[0, 0, 2], [0, 1, 0]]
+        assert not p.transfer_in.flags.writeable
+        assert not p.transfer_out.flags.writeable

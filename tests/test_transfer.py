@@ -30,8 +30,7 @@ def one_serve_short(plan: TransferPlan) -> TransferPlan | None:
     serve, shortage = plan.serve.copy(), plan.shortage.copy()
     serve[js[k], zs[k], ts[k]] -= 1
     shortage[zs[k], ts[k]] += 1
-    return TransferPlan(plan.stock, serve, plan.transfer_in, plan.transfer_out,
-                        shortage)
+    return TransferPlan(plan.stock, serve, shortage)
 
 
 def row_by_row_program(inst: Instance) -> LinearProgram:
