@@ -30,9 +30,9 @@ from .core import (
     AllocationPlan,
     Instance,
     SolveOutcome,
-    at_minimal_penalty,
     evaluate_allocation,
     outcome_from_milp,
+    solving_form,
     validate_instance,
 )
 from .engine import (
@@ -116,8 +116,9 @@ def _extract_plan(x: np.ndarray, ix: AllocationIndex) -> AllocationPlan:
 def solve_allocation(inst: Instance, node_limit: int | None = None) -> SolveOutcome:
     """Solve the allocation model to proven optimality, one slot at a time.
 
-    Raises ValueError on an invalid instance. The program prices shortage at
-    the smallest valid ``big_m``. On OPTIMAL the returned objective is the
+    Raises ValueError on an invalid instance. The program is built for
+    ``solving_form(inst)``: the fleet the stations can hold and the smallest
+    ``big_m`` valid for it. On OPTIMAL the returned objective is the
     exact integer cost of the plan at ``inst.big_m``, and the plan has been
     re-checked against every model rule. Nodes and iterations are summed
     over the slots, and ``node_limit`` is one budget that each slot draws
@@ -125,10 +126,7 @@ def solve_allocation(inst: Instance, node_limit: int | None = None) -> SolveOutc
     infeasible; a slot that runs out of nodes makes the result NODE_LIMIT,
     with a plan only when every slot found one.
     """
-    problems = validate_instance(inst)
-    if problems:
-        raise ValueError(f"invalid instance: {problems[0].message}")
-    priced = at_minimal_penalty(inst)
+    priced = solving_form(inst, validate_instance(inst))
     blocks = []                         # each solved slot's columns
     status, found = MilpStatus.OPTIMAL, True
     objective = nodes = iterations = bound = 0

@@ -18,6 +18,7 @@ property computed from the decisions, so no plan can disagree with itself.
 
 Evaluation is exact: all arithmetic on plans uses arbitrary-precision Python
 integers, so a reported objective is never a rounded number.
+``solving_form`` gives the instance both solvers price, and
 ``outcome_from_milp`` turns an engine result for either model into a
 :class:`SolveOutcome`, re-checking an optimal plan with that evaluator; it is
 the only part of this module that uses the engine, and it imports it when
@@ -307,6 +308,24 @@ def validate_instance(inst: Instance) -> list[Violation]:
                 f"big_m = {inst.big_m} must exceed "
                 f"(max hold + max dispatch + transfer) * fleet * slots = {bound}"))
     return out
+
+
+def solving_form(inst: Instance, problems: list[Violation]) -> Instance:
+    """``inst`` at its usable fleet and the smallest ``big_m`` valid for it:
+    the instance both solvers build their programs for.
+
+    ``problems`` is ``validate_instance(inst)``; the first raises ValueError.
+    No model stations more than ``max_t sum_j capacity[j, t]`` vehicles in a
+    slot, so a larger fleet admits the same plans, and any valid ``big_m``
+    ranks them alike. The smaller fleet keeps the fleet bound and the priced
+    ``big_m``, and with them the simplex's tolerances, small.
+    """
+    if problems:
+        raise ValueError(f"invalid instance: {problems[0].message}")
+    usable = max(map(sum, zip(*inst.capacity.tolist())))  # exact, no int64 sum
+    if usable < inst.fleet_size:
+        inst = replace(inst, fleet_size=usable)
+    return at_minimal_penalty(inst)
 
 
 # ---------------------------------------------------------------------------

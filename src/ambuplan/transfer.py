@@ -26,9 +26,9 @@ from .core import (
     Instance,
     SolveOutcome,
     TransferPlan,
-    at_minimal_penalty,
     evaluate_transfer,
     outcome_from_milp,
+    solving_form,
     validate_instance,
 )
 from .engine import LinearProgram, matrix_from_blocks, solve_milp
@@ -131,16 +131,14 @@ def _extract_plan(x: np.ndarray, ix: TransferIndex) -> TransferPlan:
 def solve_transfer(inst: Instance, node_limit: int | None = None) -> SolveOutcome:
     """Solve the transfer model to proven optimality.
 
-    Raises ValueError on an invalid instance. The program prices shortage at
-    the smallest valid ``big_m``. On OPTIMAL the returned objective is the
+    Raises ValueError on an invalid instance. The program is built for
+    ``solving_form(inst)``: the fleet the stations can hold and the smallest
+    ``big_m`` valid for it. On OPTIMAL the returned objective is the
     exact integer cost of the plan at ``inst.big_m``, and the plan has been
     re-checked against every model rule. ``node_limit`` caps the number of
     branch-and-bound nodes solved.
     """
-    problems = validate_instance(inst)
-    if problems:
-        raise ValueError(f"invalid instance: {problems[0].message}")
-    priced = at_minimal_penalty(inst)
+    priced = solving_form(inst, validate_instance(inst))
     lp, ix = build_transfer_program(priced)
     return outcome_from_milp(solve_milp(lp, node_limit), inst, priced.big_m, ix,
                              _extract_plan, evaluate_transfer, "transfer")

@@ -23,6 +23,7 @@ from ambuplan import (
     solve_allocation,
     solve_transfer,
 )
+from ambuplan.core import at_minimal_penalty
 from ambuplan.engine import LinearProgram, LinearRow
 from ambuplan.transfer import TransferIndex
 
@@ -130,3 +131,34 @@ def test_transfer_matches_highs_on_twelve_slots():
     assert ref.status == 0
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == round(ref.fun)
+
+
+def test_triangle_covers_branch_and_agree_with_highs():
+    # four disjoint triangles: station 3m+v covers zones 3m+v and
+    # 3m+(v+1)%3, and station 12 covers nothing but holds for free, so it can
+    # soak up fleet; the relaxation covers each triangle with half vehicles,
+    # and only branching finds the two whole ones each triangle needs
+    coverage = np.zeros((13, 12), dtype=int)
+    hold = np.zeros((13, 1), dtype=int)
+    for m in range(4):
+        for v in range(3):
+            coverage[3 * m + v, [3 * m + v, 3 * m + (v + 1) % 3]] = 1
+            hold[3 * m + v] = 5 + (m + v) % 4
+    inst = at_minimal_penalty(Instance(
+        num_stations=13, num_zones=12, num_slots=1, fleet_size=8,
+        coverage=coverage, capacity=np.full((13, 1), 2), hold_cost=hold,
+        dispatch_cost=np.zeros((13, 1), dtype=int), demand=np.ones((12, 1), dtype=int),
+        big_m=1))
+    ref = highs(build_allocation_program(inst)[0])
+    outcome = solve_allocation(inst)
+    assert ref.status == 0
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.objective == round(ref.fun) == 307
+    assert outcome.nodes > 1
+    # stopped early, the search still brackets the optimum
+    root = solve_allocation(inst, node_limit=1)
+    assert root.status is SolveStatus.NODE_LIMIT and root.plan is None
+    assert root.best_bound <= 307
+    early = solve_allocation(inst, node_limit=5)
+    assert early.status is SolveStatus.NODE_LIMIT and early.plan is not None
+    assert early.best_bound <= 307 <= early.objective

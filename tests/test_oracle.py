@@ -191,13 +191,6 @@ class TestSolverAgreementSpotCheck:
             assert mine.objective == ref.objective, f"seed {seed}"
 
 
-# strict, so a fix shows up as an XPASS that fails until the mark goes
-ITEM_5 = pytest.mark.xfail(strict=True, reason=(
-    "known defect, ROADMAP item 5: the simplex's tolerances grow with the"
-    " fleet bound and the priced big_m: at a 10**15 fleet the transfer optimum"
-    " is wrong, and at 10**12 the allocation plan is rejected"))
-
-
 class TestPenaltyIndependence:
     """Every valid big_m gives the exhaustive search's answer.
 
@@ -222,12 +215,14 @@ class TestPenaltyIndependence:
 
     @pytest.mark.parametrize("solve, search, fleet", [
         pytest.param(solve_transfer, brute_force_transfer, 10**12, id="transfer"),
-        pytest.param(solve_transfer, brute_force_transfer, 10**15, id="transfer-1e15",
-                     marks=ITEM_5),
-        pytest.param(solve_allocation, brute_force_allocation, 10**12, id="allocation",
-                     marks=ITEM_5),
+        pytest.param(solve_transfer, brute_force_transfer, 10**15, id="transfer-1e15"),
+        pytest.param(solve_allocation, brute_force_allocation, 10**12, id="allocation"),
+        pytest.param(solve_allocation, brute_force_allocation, 10**15,
+                     id="allocation-1e15"),
     ])
     def test_matches_brute_force_at_a_huge_fleet(self, solve, search, fleet):
+        # the solves run at the fleet the stations can hold, so neither the
+        # fleet bound nor the priced big_m grows with a fleet beyond it
         base = generate(tiny_params(1), 1)
         inst = at_minimal_penalty(dataclasses.replace(base, fleet_size=fleet))
         mine, ref = solve(inst), search(inst)
