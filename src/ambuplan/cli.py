@@ -215,6 +215,10 @@ def plan_to_mapping(model: int, outcome) -> dict:
 def plan_from_mapping(data) -> tuple[int, str, AllocationPlan | TransferPlan | None]:
     if not isinstance(data, dict):
         raise InputError("plan file must hold a JSON object")
+    unknown = set(data) - {"schema_version", "model", "status", "objective",
+                           "best_bound", "nodes", "iterations", "plan"}
+    if unknown:
+        raise InputError(f"unknown plan file keys: {sorted(unknown)}")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise InputError("plan file has a missing or unsupported schema_version")
     model = data.get("model")
@@ -223,7 +227,12 @@ def plan_from_mapping(data) -> tuple[int, str, AllocationPlan | TransferPlan | N
     body = data.get("plan")
     if body is None:
         return model, data.get("status", "unknown"), None
+    if not isinstance(body, dict):
+        raise InputError("plan file's plan must be a JSON object or null")
     kind, decided, derived = _PLAN_KEYS[model]
+    unknown = set(body) - set(decided + derived)
+    if unknown:
+        raise InputError(f"unknown plan keys: {sorted(unknown)}")
     try:
         plan = kind(*(body[k] for k in decided))
         for k in derived:

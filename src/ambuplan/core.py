@@ -135,7 +135,8 @@ class AllocationPlan(_Record):
     ``alloc[j][t]`` vehicles are placed at station j for slot t and
     ``dispatch`` of them answer calls. ``shortage[t]`` counts calls in slot
     t that no dispatch answered. The plan holds these decisions only; the
-    idle remainder, ``inventory``, follows from them.
+    idle remainder, ``inventory``, follows from them (counted exactly,
+    ValueError past int64).
     """
 
     alloc: np.ndarray      # [j][t]
@@ -145,7 +146,8 @@ class AllocationPlan(_Record):
     @property
     def inventory(self) -> np.ndarray:
         """[j][t] idle vehicles so far, ``cumsum(alloc - dispatch)``; read-only."""
-        return _read_only(np.cumsum(self.alloc - self.dispatch, axis=1))
+        idle = self.alloc.astype(object) - self.dispatch.astype(object)
+        return _frozen_int_array(np.cumsum(idle, axis=1), "inventory")
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +158,8 @@ class TransferPlan(_Record):
     dispatches from j answer zone i in slot t (vehicles return within the
     slot). ``shortage[i][t]`` counts unanswered calls per zone. The plan
     holds these decisions only; the rebalancing moves at the start of each
-    slot, ``transfer_in`` and ``transfer_out``, follow from the stock.
+    slot, ``transfer_in`` and ``transfer_out``, follow from the stock
+    (counted exactly, ValueError past int64).
     """
 
     stock: np.ndarray         # [j][t]
@@ -165,17 +168,18 @@ class TransferPlan(_Record):
 
     def _stock_change(self) -> np.ndarray:
         # zero in the first slot: the fleet is placed there, not moved
-        return np.diff(self.stock, axis=1, prepend=self.stock[:, :1])
+        stock = self.stock.astype(object)
+        return np.diff(stock, axis=1, prepend=stock[:, :1])
 
     @property
     def transfer_in(self) -> np.ndarray:
         """[j][t] arrivals before slot t, ``max(0, Δstock)``; read-only."""
-        return _read_only(np.maximum(self._stock_change(), 0))
+        return _frozen_int_array(np.maximum(self._stock_change(), 0), "transfer_in")
 
     @property
     def transfer_out(self) -> np.ndarray:
         """[j][t] departures before slot t, ``max(0, -Δstock)``; read-only."""
-        return _read_only(np.maximum(-self._stock_change(), 0))
+        return _frozen_int_array(np.maximum(-self._stock_change(), 0), "transfer_out")
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,9 @@ class LinearProgram:
     """min objective @ x  subject to  A x (sense) rhs, lower <= x <= upper.
 
     ``A`` is sparse, num_rows x num_vars. Row k reads ``<=`` when
-    ``sense[k]`` is +1, ``>=`` when it is -1 and ``=`` when it is 0. Bounds
-    may be +-inf. ``integrality[k]`` marks x_k as integer for ``solve_milp``.
+    ``sense[k]`` is +1, ``>=`` when it is -1 and ``=`` when it is 0. Lower
+    bounds are finite, upper bounds finite or +inf. ``integrality[k]`` marks
+    x_k as integer for ``solve_milp``.
     """
 
     num_vars: int
@@ -99,16 +100,16 @@ class LinearProgram:
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} must have shape {shape},"
                                  f" got {getattr(self, name).shape}")
-        for name, values in (("objective", self.objective), ("A", self.A.data),
-                             ("rhs", self.rhs)):
+        for name, values in (("objective", self.objective), ("lower", self.lower),
+                             ("A", self.A.data), ("rhs", self.rhs)):
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} entries must be finite")
         if not ((self.sense == 1) | (self.sense == 0) | (self.sense == -1)).all():
             raise ValueError("sense entries must be -1, 0 or 1")
-        if (self.lower > self.upper).any():
-            bad = int(np.argmax(self.lower > self.upper))
+        if not (self.lower <= self.upper).all():  # NaN upper bounds fail too
+            bad = int(np.argmin(self.lower <= self.upper))
             raise ValueError(f"variable {bad}: lower bound {self.lower[bad]}"
-                             f" exceeds upper bound {self.upper[bad]}")
+                             f" is not at most upper bound {self.upper[bad]}")
 
     @classmethod
     def from_rows(cls, num_vars: int, objective, lower, upper, integrality,

@@ -22,10 +22,11 @@ count m:
   with one short dot product.
 - The ratio test looks only at rows with |w| > pivot tol, each against the
   bound that the sign of sigma * w selects.
-- A maintained direction per column (-1 movable at lower, +1 movable at
-  upper, 0 basic, fixed or FREE) turns pricing into one product dirn * d,
-  plus |d| on the (normally empty) set of nonbasic FREE columns; both are
-  rebuilt after the crash and the phase-2 pin, and each pivot updates only
+- A maintained direction per column, dirn (-1 movable at lower, +1
+  movable at upper, 0 basic or fixed), turns pricing into one product
+  dirn * d. Together with the basis it is the only record of a column's
+  place: every lower bound is finite, so a nonbasic column sits on lo or up.
+  It is set by the crash and the phase-2 pin, and each pivot updates only
   the entering and leaving entries.
 
 REFACTOR_EVERY = 32 was chosen on preset 5 (seed 42). Going from 64 to 32
@@ -60,8 +61,6 @@ FEAS_TOL = 1e-9      # row/bound tolerance, scaled by 1 + |reference value|
 PIVOT_TOL = 1e-7     # smallest acceptable pivot magnitude
 INTEGRALITY_TOL = 1e-6
 REFACTOR_EVERY = 32  # eta-file length before folding into a fresh LU
-
-BASIC, AT_LOWER, AT_UPPER, FREE = 0, 1, 2, 3
 
 
 @dataclass
@@ -122,13 +121,12 @@ class _Solver:
         if hi_struct is not None:
             self.up[:std.n_struct] = hi_struct
         self.x = np.zeros(self.N)
-        self.status = np.full(self.N, AT_LOWER, dtype=np.int8)
         self.basis = np.zeros(m, dtype=np.int64)
         self.A = self.AT = None  # [A | diag(g)] and its transpose, from crash_basis
         self.lu = None
         # one (r, w[r], idx, w[idx]) per pivot, idx the other nonzeros of w
         self.etas: list[tuple[int, float, np.ndarray, np.ndarray]] = []
-        self.dirn = self.free = None  # from price_directions
+        self.dirn = None  # from crash_basis, then kept by _apply
         self.updates_since_refactor = 0
         self.iterations = 0
         self.bland_threshold = 5 * (std.n_struct + m)
@@ -181,20 +179,14 @@ class _Solver:
         row, |a| >= pivot_tol, when moving that column to x + resid / a keeps
         it within this solve's bounds; the lowest such column wins (Bixby,
         ORSA J. Computing 4(3), 1992). Only the remaining rows start on an
-        artificial.
+        artificial. Every other column starts at its (finite) lower bound.
 
         Also builds the solve's matrix [A | diag(g)], where g[k] is the sign
         of row k's residual at the crash point.
         """
         std = self.std
         n_real, m = self.n_real, self.m
-        lo_f = np.isfinite(self.lo[:n_real])
-        up_f = np.isfinite(self.up[:n_real])
-        self.status[:n_real] = np.where(lo_f, AT_LOWER, np.where(up_f, AT_UPPER, FREE))
-        self.x[:n_real] = np.where(lo_f, self.lo[:n_real],
-                                   np.where(up_f, self.up[:n_real], 0.0))
-        self.status[n_real:] = AT_LOWER
-        self.x[n_real:] = 0.0
+        self.x[:] = self.lo
 
         resid = std.b - std.A @ self.x[:n_real]
         # a row's slack carries it when that leaves the slack nonnegative
@@ -223,14 +215,14 @@ class _Solver:
         use_art[rows] = False
 
         self.basis[:] = basis
-        self.status[basis] = BASIC
         self.x[basis] = value
         self.up[art_col[use_art]] = np.inf
+        self.dirn = np.where(self.lo < self.up, -1.0, 0.0)
+        self.dirn[basis] = 0.0
 
         g = np.where(resid >= 0, 1.0, -1.0)
         self.A = _with_unit_columns(std.A, np.arange(m), g)
         self.AT = self.A.T
-        self.price_directions()
 
     # ----- pricing and pivoting --------------------------------------------
 
@@ -242,25 +234,10 @@ class _Solver:
             c[:self.n_real] = self.std.cost_real
         return c
 
-    def price_directions(self) -> None:
-        """Rebuild dirn and free from status and bounds.
-
-        dirn[j] is -1 for a movable column at its lower bound, +1 for one at
-        its upper bound and 0 for basic, fixed or FREE columns, so dirn[j] *
-        d[j] is the objective's gain per unit step of column j into its
-        range; _apply keeps both up to date pivot by pivot.
-        """
-        st, movable = self.status, self.lo < self.up
-        self.dirn = np.where(movable & (st == AT_LOWER), -1.0,
-                             np.where(movable & (st == AT_UPPER), 1.0, 0.0))
-        self.free = np.flatnonzero(st == FREE)
-
     def choose_entering(self, d: np.ndarray, dtol: float, bland: bool) -> int:
         if not self.N:
             return -1  # an empty program
         viol = self.dirn * d
-        if self.free.size:
-            viol[self.free] = np.abs(d[self.free])
         q = int(np.argmax(viol > dtol if bland else viol))
         return q if viol[q] > dtol else -1
 
@@ -289,11 +266,7 @@ class _Solver:
                 z = float(c @ self.x)
                 continue
 
-            if self.status[q] == AT_LOWER or (self.status[q] == FREE and d[q] < 0):
-                sigma = 1.0
-            else:
-                sigma = -1.0
-
+            sigma = -float(self.dirn[q])  # into the column's range
             w = self.ftran(self.column(q))
             step, r = self._ratio(q, sigma, w, bland)
             if step is None:
@@ -348,7 +321,7 @@ class _Solver:
                     k = int(cand[np.argmax(np.abs(sw[cand]))])
                 r, step_basic = int(rows[k]), float(steps[k])
 
-        step_self = self.up[q] - self.lo[q]  # inf for FREE or one-sided
+        step_self = self.up[q] - self.lo[q]  # inf without an upper bound
         if step_self <= step_basic:
             if not np.isfinite(step_self):
                 return (None, -1)
@@ -364,36 +337,19 @@ class _Solver:
             self.x[self.basis[nz]] -= step * sigma * w[nz]
         if r < 0:
             # bound flip: q crosses its full range, basis unchanged
-            if sigma > 0:
-                self.x[q] = self.up[q]
-                self.status[q] = AT_UPPER
-                self.dirn[q] = 1.0
-            else:
-                self.x[q] = self.lo[q]
-                self.status[q] = AT_LOWER
-                self.dirn[q] = -1.0
+            self.x[q] = self.up[q] if sigma > 0 else self.lo[q]
+            self.dirn[q] = sigma
             self.updates_since_refactor += 1
             return
         enter_val = self.x[q] + sigma * step
         leave = int(self.basis[r])
-        if sigma * w[r] > 0:
-            self.x[leave] = self.lo[leave]
-            self.status[leave] = AT_LOWER
-            self.dirn[leave] = -1.0
-        else:
-            self.x[leave] = self.up[leave]
-            self.status[leave] = AT_UPPER
-            self.dirn[leave] = 1.0
+        # the leaving column stops on the bound it moved towards
+        self.dirn[leave] = -1.0 if sigma * w[r] > 0 else 1.0
+        self.x[leave] = self.lo[leave] if sigma * w[r] > 0 else self.up[leave]
         if leave >= self.n_real:
             # an artificial that left the basis never returns
-            self.up[leave] = 0.0
-            self.x[leave] = 0.0
-            self.status[leave] = AT_LOWER
-            self.dirn[leave] = 0.0
-        if self.status[q] == FREE:
-            self.free = self.free[self.free != q]
+            self.up[leave] = self.x[leave] = self.dirn[leave] = 0.0
         self.basis[r] = q
-        self.status[q] = BASIC
         self.dirn[q] = 0.0
         self.x[q] = enter_val
         idx = nz[nz != r]
@@ -417,7 +373,7 @@ class _Solver:
                 return LpSolution(LpStatus.INFEASIBLE, None, None, self.iterations)
         # pin every artificial for phase 2
         self.up[self.n_real:] = 0.0
-        self.price_directions()
+        self.dirn[self.n_real:] = 0.0
 
         outcome = self.run_phase(2)
         if outcome == "unbounded":
@@ -435,8 +391,8 @@ class _Solver:
             row_tol = FEAS_TOL * (1.0 + np.abs(self.std.b))
             rows_ok = bool(np.all(np.abs(resid) <= row_tol * 100))
             lo, up = self.lo[:self.n_real], self.up[:self.n_real]
-            lo_ok = bool(np.all(x_real >= lo - 1e-7 * (1.0 + np.abs(np.where(np.isfinite(lo), lo, 0.0)))))
-            up_ok = bool(np.all(x_real <= up + 1e-7 * (1.0 + np.abs(np.where(np.isfinite(up), up, 0.0)))))
+            lo_ok = bool(np.all(x_real >= lo - 1e-7 * (1.0 + np.abs(lo))))
+            up_ok = bool(np.all(x_real <= up + 1e-7 * (1.0 + np.abs(up))))
             if rows_ok and lo_ok and up_ok:
                 return
             self.refactor()

@@ -417,6 +417,17 @@ class TestReport:
                           "--plan", bad]) == 2
             assert error.format(key) in capsys.readouterr().err
 
+    def test_unknown_plan_keys_exit_2(self, tiny1_path, tmp_path, capsys):
+        plan_path = self.solve_to_file(tiny1_path, tmp_path, 2)
+        for where, key in (("plan", "rumor"), (None, "gossip")):
+            data = json.loads(open(plan_path).read())
+            (data if where is None else data[where])[key] = [1]
+            bad = write_json(tmp_path, f"unknown_{key}.json", data)
+            capsys.readouterr()
+            assert entry(["report", "--instance", tiny1_path,
+                          "--plan", bad]) == 2
+            assert key in capsys.readouterr().err
+
     def test_plan_without_payload_exits_2(self, tiny1_path, tmp_path, capsys):
         payload = dict(TINY1_FILE, coverage=[[1, 0], [1, 0]])
         uncov = write_json(tmp_path, "uncov.json", payload)

@@ -281,3 +281,13 @@ class TestPlanTypes:
         assert p.transfer_out.tolist() == [[0, 0, 2], [0, 1, 0]]
         assert not p.transfer_in.flags.writeable
         assert not p.transfer_out.flags.writeable
+
+    def test_derived_arrays_are_exact_or_raise(self):
+        # int64 arithmetic would wrap: 2**62 + 2**62 to -2**63, and a rise
+        # from -2**62 to 2**62 to no move at all
+        with pytest.raises(ValueError, match="inventory"):
+            plan1([[2**62, 2**62]], [[0, 0]], [0, 0]).inventory
+        p = plan2([[-2**62, 2**62]], np.zeros((1, 1, 2), dtype=int), [[0, 0]])
+        with pytest.raises(ValueError, match="transfer_in"):
+            p.transfer_in
+        assert p.transfer_out.tolist() == [[0, 0]]
