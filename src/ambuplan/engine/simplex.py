@@ -1,4 +1,4 @@
-"""Bounded-variable primal simplex over a sparse revised formulation.
+"""Bounded-variable primal and dual simplex over a sparse revised formulation.
 
 The program's constraint matrix is converted once into equality standard
 form (slack columns for inequalities). Each solve works on one matrix
@@ -9,9 +9,22 @@ product-form eta file that is folded back into a fresh factorization every
 REFACTOR_EVERY pivots. The crash basis gives each row to its slack when the
 slack can carry it, else to a structural column singleton that can absorb
 the row's residual within its bounds, and only otherwise to the row's
-artificial. Phase 1 minimizes the total artificial value and runs only when
-that total starts above zero; phase 2 continues on the true costs from the
-feasible basis phase 1 leaves behind.
+artificial.
+
+When the artificials carry a positive total at the crash, one of two phases
+makes the basis feasible:
+
+- The dual simplex, when the crash basis is dual feasible: one btran of the
+  basic costs prices every nonbasic column out (dirn * d <= the pricing
+  tolerance). It hands each inequality row on an artificial back to its
+  slack, pins the artificials on [0, 0] and pivots out the basic column with
+  the largest bound violation. Every program with nonnegative costs and no
+  structural column in the crash basis qualifies; so do every allocation
+  slot program and each of its branch-and-bound children.
+- Otherwise primal phase 1, which minimizes the total artificial value.
+
+Phase 2 then runs the primal simplex on the true costs; after the dual phase
+it starts from an optimal basis and certifies it on a fresh factorization.
 
 Per-pivot work follows the nonzeros of the pivot column w = B^-1 a_q (a
 median 7% of the rows on the preset-5 transfer program) rather than the row
@@ -29,17 +42,19 @@ count m:
   It is set by the crash and the phase-2 pin, and each pivot updates only
   the entering and leaving entries.
 
-REFACTOR_EVERY = 32 was chosen on preset 5 (seed 42). Going from 64 to 32
-doubles the refactorizations (transfer 68 -> 133, allocation 140 -> 227)
-but cuts the time of the ftran and btran eta loops by about 40%, a net gain
-that is largest on the allocation slot programs. The conservative retry
-refactorizes every 16 pivots.
+REFACTOR_EVERY = 32 was chosen on preset 5 (seed 42), before the dual phase
+existed. Going from 64 to 32 doubles the refactorizations (transfer 68 ->
+133, allocation 140 -> 227) but cuts the time of the ftran and btran eta
+loops by about 40%, a net gain that was largest on the allocation slot
+programs. The conservative retry refactorizes every 16 pivots.
 
 Anti-cycling: Dantzig pricing by default, switching to Bland's rule whenever
-the objective has not improved for 5 * (num_vars + num_rows) iterations.
-Pivots smaller than PIVOT_TOL are never accepted; if no acceptable pivot
-exists after a fresh refactorization the solver raises
-NumericalBreakdownError rather than guessing.
+the objective has not improved for 5 * (num_vars + num_rows) iterations. The
+dual phase counts stalls of its own objective the same way and then takes
+the lowest basic column among the violated rows and the lowest-index column
+among the tied ratios. Pivots smaller than PIVOT_TOL are never accepted;
+if no acceptable pivot exists after a fresh refactorization the solver
+raises NumericalBreakdownError rather than guessing.
 """
 
 from __future__ import annotations
@@ -122,6 +137,8 @@ class _Solver:
             self.up[:std.n_struct] = hi_struct
         self.x = np.zeros(self.N)
         self.basis = np.zeros(m, dtype=np.int64)
+        # the column of each row's slack, where the row has one
+        self.slack_col = std.n_struct - 1 + np.cumsum(std.slack_sign != 0)
         self.A = self.AT = None  # [A | diag(g)] and its transpose, from crash_basis
         self.lu = None
         # one (r, w[r], idx, w[idx]) per pivot, idx the other nonzeros of w
@@ -192,9 +209,8 @@ class _Solver:
         # a row's slack carries it when that leaves the slack nonnegative
         sigma = std.slack_sign
         use_slack = (sigma != 0) & (sigma * resid >= -1e-12)
-        slack_col = std.n_struct - 1 + np.cumsum(sigma != 0)
         art_col = n_real + np.arange(m)
-        basis = np.where(use_slack, slack_col, art_col)
+        basis = np.where(use_slack, self.slack_col, art_col)
         value = np.where(use_slack, np.maximum(sigma * resid, 0.0), np.abs(resid))
 
         # structural column singletons, in column order
@@ -234,6 +250,9 @@ class _Solver:
             c[:self.n_real] = self.std.cost_real
         return c
 
+    def reduced_costs(self, c: np.ndarray) -> np.ndarray:
+        return c - self.AT @ self.btran(c[self.basis])
+
     def choose_entering(self, d: np.ndarray, dtol: float, bland: bool) -> int:
         if not self.N:
             return -1  # an empty program
@@ -244,7 +263,7 @@ class _Solver:
     def run_phase(self, phase: int) -> str:
         """Returns 'optimal' or 'unbounded' (phase 2 only)."""
         c = self.phase_cost(phase)
-        dtol = 1e-7 + 1e-11 * float(np.abs(c).max(initial=0.0))
+        dtol = _dual_tol(c)
         z = float(c @ self.x)
         since_improve = 0
 
@@ -254,8 +273,7 @@ class _Solver:
                     f"iteration cap {self.max_iterations} exceeded in phase {phase}")
             # pricing against a clean factorization is trusted as-is
             fresh = not self.etas and self.updates_since_refactor == 0
-            y = self.btran(c[self.basis])
-            d = c - self.AT @ y
+            d = self.reduced_costs(c)
             bland = since_improve > self.bland_threshold
             q = self.choose_entering(d, dtol, bland)
             if q < 0:
@@ -287,11 +305,119 @@ class _Solver:
             else:
                 since_improve += 1
             z = z_new
-            self._apply(q, sigma, w, step, r)
+            self._apply(q, sigma, w, step, r, r >= 0 and sigma * w[r] < 0)
             if (len(self.etas) >= self.refactor_every
                     or self.updates_since_refactor >= 4 * self.refactor_every):
                 self.refactor()
                 z = float(c @ self.x)
+
+    def run_dual(self) -> bool:
+        """Dual simplex on the true costs from a dual feasible crash basis.
+
+        It first hands every inequality row that the crash put on an
+        artificial back to its slack, whatever value that leaves the slack:
+        both are unit columns of cost zero in the same row, so the basis
+        prices out as before, and a row that ends up slack costs no pivot.
+        The artificials are pinned on [0, 0] and never enter. Each pivot
+        takes the basic column with the largest bound violation out onto the
+        bound it violates, and brings in the column that keeps every reduced
+        cost on its side. Returns True once the basis is primal feasible on a
+        fresh factorization, False when a violated row has no eligible
+        entering column there (a dual ray: the program is infeasible).
+        """
+        rows = np.flatnonzero((self.basis >= self.n_real) & (self.std.slack_sign != 0))
+        self.x[self.basis[rows]] = 0.0
+        self.basis[rows] = self.slack_col[rows]
+        self.dirn[self.basis[rows]] = 0.0
+        self.refactor()
+
+        c = self.phase_cost(2)
+        d = None  # reduced costs, updated per pivot and recomputed on refactor
+        since_improve = 0
+
+        while True:
+            if self.iterations >= self.max_iterations:
+                raise NumericalBreakdownError(
+                    f"iteration cap {self.max_iterations} exceeded in the dual phase")
+            fresh = not self.etas and self.updates_since_refactor == 0
+            if d is None:
+                d = self.reduced_costs(c)
+                z = float(c @ self.x)
+            xB = self.x[self.basis]
+            below = self.lo[self.basis] - xB
+            viol = np.maximum(below, xB - self.up[self.basis])
+            rows = np.flatnonzero(viol > FEAS_TOL * (1.0 + np.abs(xB)))
+            if not rows.size:
+                if fresh:
+                    return True
+                # re-certify feasibility against a clean factorization
+                self.refactor()
+                d = None
+                continue
+            bland = since_improve > self.bland_threshold
+            if bland:
+                r = int(rows[np.argmin(self.basis[rows])])
+            else:
+                r = int(rows[np.argmax(viol[rows])])
+            s = 1.0 if below[r] > 0 else -1.0  # +1 below lower, -1 above upper
+
+            # pivot row alpha = rho^T A with rho = B^-T e_r
+            e_r = np.zeros(self.m)
+            e_r[r] = 1.0
+            alpha = self.AT @ self.btran(e_r)
+            q = self._dual_ratio(d, alpha, s, bland)
+            w = None if q < 0 else self.ftran(self.column(q))
+            if q < 0 or not (w[r] * alpha[q] > 0 and abs(w[r]) > self.pivot_tol):
+                # no entering column, or a pivot column that disagrees with
+                # the pivot row: trust neither before a refactorization
+                if not fresh:
+                    self.refactor()
+                    d = None
+                    continue
+                if q < 0:
+                    return False
+                raise NumericalBreakdownError(
+                    "dual pivot row and column disagree on a fresh factorization")
+
+            sigma = -float(self.dirn[q])
+            leave = int(self.basis[r])
+            bound = self.lo[leave] if s > 0 else self.up[leave]
+            step = max((self.x[leave] - bound) / (sigma * w[r]), 0.0)
+            self.iterations += 1
+            dz = step * sigma * d[q]  # >= 0: the dual objective never falls
+            if dz > 1e-9 * (1.0 + abs(z)):
+                since_improve = 0
+            else:
+                since_improve += 1
+            z += dz
+            d -= (d[q] / alpha[q]) * alpha
+            d[q] = 0.0
+            self._apply(q, sigma, w, step, r, s < 0)
+            if (len(self.etas) >= self.refactor_every
+                    or self.updates_since_refactor >= 4 * self.refactor_every):
+                self.refactor()
+                d = None
+
+    def _dual_ratio(self, d: np.ndarray, alpha: np.ndarray, s: float,
+                    bland: bool) -> int:
+        """Entering column of a dual pivot on a row whose basic column
+        violates its lower (s = +1) or upper (s = -1) bound, or -1.
+
+        Eligible are the movable nonbasic columns whose move pushes the
+        leaving column towards that bound, dirn * s * alpha > pivot tol. The
+        smallest |d_j| / |alpha_j| wins; among (near-)ties the largest
+        |alpha_j|, under Bland's rule the lowest index.
+        """
+        da = s * self.dirn * alpha
+        cols = np.flatnonzero(da > self.pivot_tol)
+        if not cols.size:
+            return -1
+        ratios = np.maximum(-self.dirn[cols] * d[cols], 0.0) / da[cols]
+        t = float(ratios.min())
+        tied = cols[ratios <= t + 1e-9 * (1.0 + t)]
+        if bland:
+            return int(tied[0])
+        return int(tied[np.argmax(np.abs(alpha[tied]))])
 
     def _ratio(self, q: int, sigma: float, w: np.ndarray,
                bland: bool) -> tuple[float | None, int]:
@@ -331,7 +457,9 @@ class _Solver:
         return (step_basic, r)
 
     def _apply(self, q: int, sigma: float, w: np.ndarray,
-               step: float, r: int) -> None:
+               step: float, r: int, upper: bool) -> None:
+        """Move q by step in direction sigma; with r >= 0 the column in basis
+        position r leaves onto its upper bound when ``upper``, else its lower."""
         nz = np.flatnonzero(w)
         if step != 0.0:
             self.x[self.basis[nz]] -= step * sigma * w[nz]
@@ -343,9 +471,8 @@ class _Solver:
             return
         enter_val = self.x[q] + sigma * step
         leave = int(self.basis[r])
-        # the leaving column stops on the bound it moved towards
-        self.dirn[leave] = -1.0 if sigma * w[r] > 0 else 1.0
-        self.x[leave] = self.lo[leave] if sigma * w[r] > 0 else self.up[leave]
+        self.dirn[leave] = 1.0 if upper else -1.0
+        self.x[leave] = self.up[leave] if upper else self.lo[leave]
         if leave >= self.n_real:
             # an artificial that left the basis never returns
             self.up[leave] = self.x[leave] = self.dirn[leave] = 0.0
@@ -366,15 +493,24 @@ class _Solver:
 
         art_total = float(np.abs(self.x[self.n_real:]).sum())
         p1_tol = FEAS_TOL * (1.0 + float(np.abs(self.std.b).sum()))
+        dual = False
         if art_total > p1_tol:
+            # a crash basis that prices out on the true costs goes to the
+            # dual simplex; any other one runs phase 1
+            c = self.phase_cost(2)
+            dual = bool(np.all(self.dirn * self.reduced_costs(c) <= _dual_tol(c)))
+        if art_total > p1_tol and not dual:
             self.run_phase(1)
             art_total = float(np.abs(self.x[self.n_real:]).sum())
             if art_total > p1_tol:
                 return LpSolution(LpStatus.INFEASIBLE, None, None, self.iterations)
-        # pin every artificial for phase 2
+        # pin every artificial for the dual phase and phase 2
         self.up[self.n_real:] = 0.0
         self.dirn[self.n_real:] = 0.0
+        if dual and not self.run_dual():
+            return LpSolution(LpStatus.INFEASIBLE, None, None, self.iterations)
 
+        # after the dual phase, phase 2 certifies optimality
         outcome = self.run_phase(2)
         if outcome == "unbounded":
             return LpSolution(LpStatus.UNBOUNDED, None, None, self.iterations)
@@ -400,6 +536,11 @@ class _Solver:
             "optimal basis failed residual verification after refactorization")
 
 
+def _dual_tol(c: np.ndarray) -> float:
+    """Reduced-cost tolerance for the cost vector c."""
+    return 1e-7 + 1e-11 * float(np.abs(c).max(initial=0.0))
+
+
 def core_solve(std: StandardForm,
                lo_struct: np.ndarray | None = None,
                hi_struct: np.ndarray | None = None) -> LpSolution:
@@ -418,7 +559,9 @@ def core_solve(std: StandardForm,
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Two-phase bounded-variable primal simplex on the continuous relaxation.
+    """Bounded-variable simplex on the continuous relaxation: the dual
+    simplex when the crash basis is dual feasible and carries artificials,
+    primal phase 1 when it carries artificials otherwise, then primal phase 2.
 
     Statuses: OPTIMAL with a primal-feasible x (rows within FEAS_TOL scaled by
     1 + |rhs|), INFEASIBLE, or UNBOUNDED. Integrality flags are ignored here.

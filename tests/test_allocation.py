@@ -298,3 +298,14 @@ class TestSolve:
         assert a.plan == b.plan
         assert (a.objective, a.nodes, a.iterations) == \
             (b.objective, b.nodes, b.iterations)
+
+    def test_headline_instance_pins_the_dual_simplex(self):
+        # the 24-slot, 20-station, 60-zone day of the paper's benchmark; every
+        # slot starts on the dual simplex, so a solve that falls back to
+        # primal phase 1 (5,880 pivots) fails here
+        outcome = solve_allocation(generate(preset(5), 42))
+        assert outcome.status is SolveStatus.OPTIMAL
+        assert outcome.objective == 150_626_543
+        assert outcome.nodes == 24
+        assert outcome.iterations == 984
+        assert outcome.iterations < 1_500

@@ -198,14 +198,20 @@ class TestCrash:
 
     @staticmethod
     def phases_run(monkeypatch):
+        """The phases solves run from now on: 1, 2 or "dual"."""
         phases = []
-        run_phase = simplex._Solver.run_phase
+        run_phase, run_dual = simplex._Solver.run_phase, simplex._Solver.run_dual
 
         def recorded(solver, phase):
             phases.append(phase)
             return run_phase(solver, phase)
 
+        def recorded_dual(solver):
+            phases.append("dual")
+            return run_dual(solver)
+
         monkeypatch.setattr(simplex._Solver, "run_phase", recorded)
+        monkeypatch.setattr(simplex._Solver, "run_dual", recorded_dual)
         return phases
 
     def test_singleton_within_bounds_takes_its_row(self, monkeypatch):
@@ -246,10 +252,28 @@ class TestCrash:
         assert self.crashed(lp, hi_struct=hi).basis[0] == std.n_real
         phases = self.phases_run(monkeypatch)
         res = simplex.core_solve(std, None, hi)
-        assert phases == [1, 2]
+        # nonnegative costs price out at the crash, so the dual replaces phase 1
+        assert phases == ["dual", 2]
         assert res.status is LpStatus.OPTIMAL
         assert res.objective == pytest.approx(5.0, abs=1e-9)
         assert np.allclose(res.x[:2], [1.0, 2.0], atol=1e-9)
+
+    def test_negative_cost_keeps_primal_phase_1(self, monkeypatch):
+        # x1 at its lower bound prices in at cost -2, so the crash basis is
+        # not dual feasible and the artificial goes through phase 1
+        lp = lp_of(2, [1, -2], [0, 0], [10, 10], [
+            LinearRow(((0, 1.0), (1, 1.0)), "=", 3.0),
+            LinearRow(((1, 1.0),), "<=", 5.0),
+        ])
+        std = simplex.build_standard_form(lp)
+        hi = np.array([1.0, 10.0])
+        assert self.crashed(lp, hi_struct=hi).basis[0] == std.n_real
+        phases = self.phases_run(monkeypatch)
+        res = simplex.core_solve(std, None, hi)
+        assert phases == [1, 2]
+        assert res.status is LpStatus.OPTIMAL
+        assert res.objective == pytest.approx(-6.0, abs=1e-9)
+        assert np.allclose(res.x[:2], [0.0, 3.0], atol=1e-9)
 
     def test_transfer_demand_rows_start_on_shortage(self):
         inst = generate(preset(1), 0)
@@ -373,6 +397,106 @@ class TestAgainstIndependentSolver:
                 assert first.iterations == second.iterations
 
 
+def random_dual_program(rng):
+    """A program whose crash basis prices out but carries an artificial.
+
+    Costs are nonnegative and every column has at least two nonzeros, so no
+    column singleton joins the crash basis and every reduced cost starts at
+    its cost. Row 0 lies above its left-hand side at the lower bounds, so
+    it starts on an artificial.
+    """
+    n = int(rng.integers(1, 9))
+    m = int(rng.integers(2, 9))
+    c = rng.integers(0, 6, size=n).astype(float)
+    lo = rng.integers(0, 3, size=n).astype(float)
+    hi = lo + rng.integers(0, 8, size=n).astype(float)
+    hi[rng.random(n) < 0.3] = inf
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    A[rng.random((m, n)) >= 0.6] = 0.0
+    for j in range(n):
+        while np.count_nonzero(A[:, j]) < 2:
+            A[int(rng.integers(0, m)), j] = float(rng.choice([-2, -1, 1, 2, 3]))
+    rel = rng.choice([">=", "="], size=m)
+    # rows hold at a point within the bounds, unless a shift breaks one
+    point = np.minimum(lo + rng.integers(0, 4, size=n), hi)
+    rhs = A @ point - np.where(rel == ">=", rng.integers(0, 3, size=m), 0)
+    shifted = rng.random(m) < 0.2
+    rhs[shifted] += rng.integers(-5, 6, size=shifted.sum())
+    if rhs[0] <= A[0] @ lo:
+        rhs[0] = A[0] @ lo + float(rng.integers(1, 6))
+    rows = [LinearRow(tuple((j, A[i, j]) for j in range(n) if A[i, j]), rel[i], rhs[i])
+            for i in range(m)]
+    ge, eq = rel == ">=", rel == "="
+    ref = linprog(c, A_ub=-A[ge] if ge.any() else None, b_ub=-rhs[ge] if ge.any() else None,
+                  A_eq=A[eq] if eq.any() else None, b_eq=rhs[eq] if eq.any() else None,
+                  bounds=list(zip(lo, hi)), method="highs")
+    return lp_of(n, c, lo, hi, rows), ref
+
+
+class TestDualAgainstIndependentSolver:
+    """Programs that take the dual phase agree with scipy's HiGHS."""
+
+    @staticmethod
+    def solve_recorded(lp, monkeypatch):
+        """solve_lp(lp), asserting that it ran the dual phase."""
+        runs = []
+        run_dual = simplex._Solver.run_dual
+
+        def recorded(solver):
+            runs.append(solver)
+            return run_dual(solver)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex._Solver, "run_dual", recorded)
+            sol = solve_lp(lp)
+        assert len(runs) == 1
+        return sol
+
+    def test_random_dual_programs_match_linprog(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        statuses = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0}
+        for trial in range(150):
+            lp, ref = random_dual_program(rng)
+            sol = self.solve_recorded(lp, monkeypatch)
+            label = f"trial {trial}"
+            assert ref.status in (0, 2), label
+            if ref.status == 0:
+                assert sol.status is LpStatus.OPTIMAL, label
+                assert sol.objective == pytest.approx(
+                    ref.fun, abs=1e-6 * (1 + abs(ref.fun))), label
+                assert residuals_ok(lp, sol.x), label
+            else:
+                assert sol.status is LpStatus.INFEASIBLE, label
+            statuses[sol.status] += 1
+        assert min(statuses.values()) >= 20, statuses
+
+    def test_blands_rule_from_the_first_stall_gives_the_same_answers(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        programs = [random_dual_program(rng)[0] for _ in range(40)]
+        default = [self.solve_recorded(lp, monkeypatch) for lp in programs]
+        init = simplex._Solver.__init__
+        ratio = simplex._Solver._dual_ratio
+        bland_pivots = []
+
+        def eager_bland(solver, *args, **kwargs):
+            init(solver, *args, **kwargs)
+            solver.bland_threshold = 0
+
+        def counted(solver, d, alpha, s, bland):
+            bland_pivots.append(bland)
+            return ratio(solver, d, alpha, s, bland)
+
+        monkeypatch.setattr(simplex._Solver, "__init__", eager_bland)
+        monkeypatch.setattr(simplex._Solver, "_dual_ratio", counted)
+        for trial, (lp, first) in enumerate(zip(programs, default)):
+            sol = self.solve_recorded(lp, monkeypatch)
+            assert sol.status is first.status, trial
+            if sol.status is LpStatus.OPTIMAL:
+                assert sol.objective == pytest.approx(
+                    first.objective, abs=1e-9 * (1 + abs(first.objective))), trial
+        assert any(bland_pivots)
+
+
 class TestConservativeRetry:
     """core_solve reruns a broken-down solve once under conservative settings."""
 
@@ -443,6 +567,33 @@ def dense_ratio(s, q, sigma, w, bland):
     return (None, -1) if not np.isfinite(step_basic) else (step_basic, r)
 
 
+def assert_direction_matches_bounds(solver):
+    """Every nonbasic column sits exactly on a bound, and dirn says which."""
+    x, lo, up = solver.x, solver.lo, solver.up
+    nonbasic = np.ones(solver.N, dtype=bool)
+    nonbasic[solver.basis] = False
+    assert np.all(~nonbasic | (x == lo) | (x == up))
+    movable = nonbasic & (lo < up)
+    dirn = np.where(movable & (x == lo), -1.0,
+                    np.where(movable & (x == up), 1.0, 0.0))
+    np.testing.assert_array_equal(solver.dirn, dirn)
+
+
+def assert_eta_solves_match(solver, fresh, q, rng):
+    """ftran of q and three random columns, and btran of both phases' basic
+    costs, agree with a fresh factorization of the current basis."""
+    for j in (q, *rng.integers(0, solver.N, size=3)):
+        col = solver.column(int(j))
+        want = fresh.solve(col)
+        err = np.abs(solver.ftran(col) - want).max()
+        assert err <= 1e-9 * max(1.0, np.abs(want).max()), (q, j)
+    for phase in (1, 2):
+        cB = solver.phase_cost(phase)[solver.basis]
+        want = fresh.solve(cB, trans="T")
+        err = np.abs(solver.btran(cB) - want).max()
+        assert err <= 1e-9 * max(1.0, np.abs(want).max()), (q, phase)
+
+
 class TestKernel:
     """Pivot-by-pivot invariants of the sparse eta file, the ratio test over
     the pivot column's nonzeros and the maintained pricing direction."""
@@ -461,9 +612,9 @@ class TestKernel:
         """Solve lp, calling check(solver, q, r, leaving) after every pivot."""
         apply = simplex._Solver._apply
 
-        def watched(solver, q, sigma, w, step, r):
+        def watched(solver, q, sigma, w, step, r, upper):
             leaving = int(solver.basis[r]) if r >= 0 else -1
-            apply(solver, q, sigma, w, step, r)
+            apply(solver, q, sigma, w, step, r, upper)
             check(solver, q, r, leaving)
 
         monkeypatch.setattr(simplex._Solver, "_apply", watched)
@@ -475,18 +626,7 @@ class TestKernel:
         pivots = []
 
         def check(solver, q, r, leaving):
-            fresh = splu(solver.A[:, solver.basis])
-            others = rng.integers(0, solver.N, size=3)
-            for j in (q, *others):
-                col = solver.column(int(j))
-                want = fresh.solve(col)
-                err = np.abs(solver.ftran(col) - want).max()
-                assert err <= 1e-9 * max(1.0, np.abs(want).max()), (q, j)
-            for phase in (1, 2):
-                cB = solver.phase_cost(phase)[solver.basis]
-                want = fresh.solve(cB, trans="T")
-                err = np.abs(solver.btran(cB) - want).max()
-                assert err <= 1e-9 * max(1.0, np.abs(want).max()), (q, phase)
+            assert_eta_solves_match(solver, splu(solver.A[:, solver.basis]), q, rng)
             pivots.append(len(solver.etas))
 
         for lp in self.kernel_programs()[:2]:
@@ -522,17 +662,7 @@ class TestKernel:
 
     def test_maintained_direction_matches_status(self, monkeypatch):
         seen = {"flip": 0, "artificial": 0, "phase": 0}
-
-        def assert_current(solver):
-            x, lo, up = solver.x, solver.lo, solver.up
-            nonbasic = np.ones(solver.N, dtype=bool)
-            nonbasic[solver.basis] = False
-            # a nonbasic column sits exactly on one of its bounds
-            assert np.all(~nonbasic | (x == lo) | (x == up))
-            movable = nonbasic & (lo < up)
-            dirn = np.where(movable & (x == lo), -1.0,
-                            np.where(movable & (x == up), 1.0, 0.0))
-            np.testing.assert_array_equal(solver.dirn, dirn)
+        assert_current = assert_direction_matches_bounds
 
         def check(solver, q, r, leaving):
             assert_current(solver)
@@ -551,3 +681,43 @@ class TestKernel:
         for lp in self.kernel_programs():
             self.solve_watched(lp, monkeypatch, check)
         assert min(seen.values()) > 0, seen
+
+    def test_dual_pivots_keep_the_invariants(self, monkeypatch):
+        # every dual pivot goes through _apply, so the watcher sees it
+        rng = np.random.default_rng(7)
+        run_dual = simplex._Solver.run_dual
+        in_dual = []
+        seen = {"pivots": 0, "artificial": 0, "etas": 0, "solves": 0}
+
+        def watched_dual(solver):
+            in_dual.append(True)
+            try:
+                return run_dual(solver)
+            finally:
+                in_dual.pop()
+                seen["solves"] += 1
+
+        def check(solver, q, r, leaving):
+            if not in_dual:
+                return
+            assert_direction_matches_bounds(solver)
+            fresh = splu(solver.A[:, solver.basis])
+            c = solver.phase_cost(2)
+            d = c - solver.AT @ fresh.solve(c[solver.basis], trans="T")
+            # dual feasibility holds after every pivot
+            assert np.all(solver.dirn * d <= simplex._dual_tol(c)), q
+            assert_eta_solves_match(solver, fresh, q, rng)
+            seen["pivots"] += 1
+            seen["artificial"] += leaving >= solver.n_real
+            seen["etas"] = max(seen["etas"], len(solver.etas))
+
+        monkeypatch.setattr(simplex._Solver, "run_dual", watched_dual)
+        tiny = self.kernel_programs()[1]
+        day, _ = build_allocation_program(generate(preset(1), 0))
+        for lp in (tiny, day):
+            before = seen["solves"]
+            self.solve_watched(lp, monkeypatch, check)
+            assert seen["solves"] == before + 1  # the program took the dual
+        # the checks ran on long eta files, and artificials were driven out
+        assert seen["etas"] == simplex.REFACTOR_EVERY, seen
+        assert seen["pivots"] > 50 and seen["artificial"] > 0, seen
