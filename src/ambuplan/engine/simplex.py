@@ -14,12 +14,15 @@ artificial.
 When the artificials carry a positive total at the crash, one of two phases
 makes the basis feasible:
 
-- The dual simplex, when the crash basis is dual feasible: one btran of the
-  basic costs prices every nonbasic column out (dirn * d <= the pricing
-  tolerance). It hands each inequality row on an artificial back to its
-  slack, pins the artificials on [0, 0] and pivots out the basic column with
-  the largest bound violation. Every program with nonnegative costs and no
-  structural column in the crash basis qualifies; so do every allocation
+- The dual simplex, when the crash basis is dual feasible: its prices
+  c_B / diag(B), without a factorization since the crash basis is diagonal,
+  price every nonbasic column out (dirn * d <= the pricing tolerance). It
+  hands each inequality row on an artificial back to its slack, pins the
+  artificials on [0, 0], factors that start once and pivots out the basic
+  column with the largest bound violation. Its ratio test takes the long
+  step: the columns whose breakpoints it passes flip to their other bound
+  instead of each costing a pivot. Every program with nonnegative costs and
+  no structural column in the crash basis qualifies; so do every allocation
   slot program and each of its branch-and-bound children.
 - Otherwise primal phase 1, which minimizes the total artificial value.
 
@@ -40,7 +43,8 @@ count m:
   dirn * d. Together with the basis it is the only record of a column's
   place: every lower bound is finite, so a nonbasic column sits on lo or up.
   It is set by the crash and the phase-2 pin, and each pivot updates only
-  the entering and leaving entries.
+  the entering and leaving entries and those of the columns a dual pivot
+  flips.
 
 REFACTOR_EVERY = 32 was chosen on preset 5 (seed 42), before the dual phase
 existed. Going from 64 to 32 doubles the refactorizations (transfer 68 ->
@@ -52,9 +56,9 @@ Anti-cycling: Dantzig pricing by default, switching to Bland's rule whenever
 the objective has not improved for 5 * (num_vars + num_rows) iterations. The
 dual phase counts stalls of its own objective the same way and then takes
 the lowest basic column among the violated rows and the lowest-index column
-among the tied ratios. Pivots smaller than PIVOT_TOL are never accepted;
-if no acceptable pivot exists after a fresh refactorization the solver
-raises NumericalBreakdownError rather than guessing.
+among the tied ratios, flipping none. Pivots smaller than PIVOT_TOL are
+never accepted; if no acceptable pivot exists after a fresh refactorization
+the solver raises NumericalBreakdownError rather than guessing.
 """
 
 from __future__ import annotations
@@ -187,7 +191,7 @@ class _Solver:
 
     # ----- initialization --------------------------------------------------
 
-    def crash_basis(self) -> None:
+    def crash_basis(self) -> np.ndarray:
         """Crash basis: slacks carry their rows when feasible, then column
         singletons, then artificials.
 
@@ -199,7 +203,8 @@ class _Solver:
         artificial. Every other column starts at its (finite) lower bound.
 
         Also builds the solve's matrix [A | diag(g)], where g[k] is the sign
-        of row k's residual at the crash point.
+        of row k's residual at the crash point. The crash basis matrix is
+        diagonal; returns its diagonal.
         """
         std = self.std
         n_real, m = self.n_real, self.m
@@ -239,6 +244,10 @@ class _Solver:
         g = np.where(resid >= 0, 1.0, -1.0)
         self.A = _with_unit_columns(std.A, np.arange(m), g)
         self.AT = self.A.T
+        # each row's basic column has its only nonzero in that row
+        diag = np.where(use_slack, sigma, g)
+        diag[rows] = a[ok][first]
+        return diag
 
     # ----- pricing and pivoting --------------------------------------------
 
@@ -318,12 +327,17 @@ class _Solver:
         artificial back to its slack, whatever value that leaves the slack:
         both are unit columns of cost zero in the same row, so the basis
         prices out as before, and a row that ends up slack costs no pivot.
-        The artificials are pinned on [0, 0] and never enter. Each pivot
-        takes the basic column with the largest bound violation out onto the
-        bound it violates, and brings in the column that keeps every reduced
-        cost on its side. Returns True once the basis is primal feasible on a
-        fresh factorization, False when a violated row has no eligible
-        entering column there (a dual ray: the program is infeasible).
+        The artificials are pinned on [0, 0] and never enter, and this start
+        is the solve's first factorization. Each pivot takes the basic
+        column with the largest bound violation out onto the bound it
+        violates, and brings in the column that keeps every reduced cost on
+        its side. The columns whose breakpoints the ratio test passed first
+        flip to their other bound (see _dual_ratio); one ftran of their
+        summed moves updates the basic values, and the leaving column's step
+        starts from its value after the flips. A flip is no iteration.
+        Returns True once the basis is primal feasible on a fresh
+        factorization, False when a violated row has no eligible entering
+        column there (a dual ray: the program is infeasible).
         """
         rows = np.flatnonzero((self.basis >= self.n_real) & (self.std.slack_sign != 0))
         self.x[self.basis[rows]] = 0.0
@@ -365,7 +379,7 @@ class _Solver:
             e_r = np.zeros(self.m)
             e_r[r] = 1.0
             alpha = self.AT @ self.btran(e_r)
-            q = self._dual_ratio(d, alpha, s, bland)
+            q, flips = self._dual_ratio(d, alpha, s, bland, float(viol[r]))
             w = None if q < 0 else self.ftran(self.column(q))
             if q < 0 or not (w[r] * alpha[q] > 0 and abs(w[r]) > self.pivot_tol):
                 # no entering column, or a pivot column that disagrees with
@@ -379,12 +393,21 @@ class _Solver:
                 raise NumericalBreakdownError(
                     "dual pivot row and column disagree on a fresh factorization")
 
+            dz = 0.0
+            if flips.size:
+                # each passed breakpoint crosses its whole range; one ftran
+                # of the sum of their columns moves the basic values
+                delta = -self.dirn[flips] * (self.up[flips] - self.lo[flips])
+                dz = float(d[flips] @ delta)
+                self.x[self.basis] -= self.ftran(self.A[:, flips] @ delta)
+                self.x[flips] = np.where(delta > 0, self.up[flips], self.lo[flips])
+                self.dirn[flips] = -self.dirn[flips]
             sigma = -float(self.dirn[q])
             leave = int(self.basis[r])
             bound = self.lo[leave] if s > 0 else self.up[leave]
             step = max((self.x[leave] - bound) / (sigma * w[r]), 0.0)
             self.iterations += 1
-            dz = step * sigma * d[q]  # >= 0: the dual objective never falls
+            dz += step * sigma * d[q]  # >= 0: the dual objective never falls
             if dz > 1e-9 * (1.0 + abs(z)):
                 since_improve = 0
             else:
@@ -399,25 +422,51 @@ class _Solver:
                 d = None
 
     def _dual_ratio(self, d: np.ndarray, alpha: np.ndarray, s: float,
-                    bland: bool) -> int:
+                    bland: bool, slope: float) -> tuple[int, np.ndarray]:
         """Entering column of a dual pivot on a row whose basic column
-        violates its lower (s = +1) or upper (s = -1) bound, or -1.
+        violates its lower (s = +1) or upper (s = -1) bound by ``slope``, and
+        the columns that flip to their other bound: (q, flips), q = -1 when
+        no column is eligible.
 
         Eligible are the movable nonbasic columns whose move pushes the
-        leaving column towards that bound, dirn * s * alpha > pivot tol. The
-        smallest |d_j| / |alpha_j| wins; among (near-)ties the largest
-        |alpha_j|, under Bland's rule the lowest index.
+        leaving column towards that bound, dirn * s * alpha > pivot tol.
+        Their breakpoints are the ratios |d_j| / |alpha_j|. The smallest
+        wins; among (near-)ties the largest |alpha_j|, under Bland's rule the
+        lowest index, and then nothing flips.
+
+        Otherwise the test takes the long step (bound flipping; Koberstein,
+        PhD thesis, Paderborn 2005, section 3.3): passing breakpoint j flips
+        column j to its other bound, which lowers the slope by
+        |alpha_j| * (up_j - lo_j). The first column whose range would turn
+        the slope non-positive, or that has no upper bound, enters (the last
+        one when none does), and every column passed before it flips. Among
+        near-tied ratios at the entering one the largest |alpha_j| enters.
+        The columns are sorted only when the
+        smallest ratio's column leaves the slope positive, so a pivot
+        without flips pays for no sort.
         """
-        da = s * self.dirn * alpha
+        da = s * self.dirn * alpha  # |alpha| on eligible columns
         cols = np.flatnonzero(da > self.pivot_tol)
         if not cols.size:
-            return -1
-        ratios = np.maximum(-self.dirn[cols] * d[cols], 0.0) / da[cols]
+            return -1, cols
+        da = da[cols]
+        ratios = np.maximum(-self.dirn[cols] * d[cols], 0.0) / da
         t = float(ratios.min())
-        tied = cols[ratios <= t + 1e-9 * (1.0 + t)]
+        tied = np.flatnonzero(ratios <= t + 1e-9 * (1.0 + t))
         if bland:
-            return int(tied[0])
-        return int(tied[np.argmax(np.abs(alpha[tied]))])
+            return int(cols[tied[0]]), cols[:0]
+        k = int(tied[np.argmax(da[tied])])
+        q = int(cols[k])
+        if not da[k] * (self.up[q] - self.lo[q]) < slope:
+            return q, cols[:0]
+        drop = da * (self.up[cols] - self.lo[cols])
+        # breakpoints by ratio, the larger |alpha| first among equal ones
+        order = np.lexsort((-da, ratios))
+        i = min(int(np.searchsorted(np.cumsum(drop[order]), slope)), order.size - 1)
+        rest = order[i:]
+        t = float(ratios[rest[0]])
+        tied = rest[ratios[rest] <= t + 1e-9 * (1.0 + t)]
+        return int(cols[tied[np.argmax(da[tied])]]), cols[order[:i]]
 
     def _ratio(self, q: int, sigma: float, w: np.ndarray,
                bland: bool) -> tuple[float | None, int]:
@@ -488,17 +537,20 @@ class _Solver:
     def solve(self) -> LpSolution:
         if np.any(self.lo > self.up):
             return LpSolution(LpStatus.INFEASIBLE, None, None)
-        self.crash_basis()
-        self.refactor()
+        diag = self.crash_basis()
 
         art_total = float(np.abs(self.x[self.n_real:]).sum())
         p1_tol = FEAS_TOL * (1.0 + float(np.abs(self.std.b).sum()))
         dual = False
         if art_total > p1_tol:
             # a crash basis that prices out on the true costs goes to the
-            # dual simplex; any other one runs phase 1
+            # dual simplex; any other one runs phase 1. The basis is
+            # diagonal, so its prices need no factorization.
             c = self.phase_cost(2)
-            dual = bool(np.all(self.dirn * self.reduced_costs(c) <= _dual_tol(c)))
+            d = c - self.AT @ (c[self.basis] / diag)
+            dual = bool(np.all(self.dirn * d <= _dual_tol(c)))
+        if not dual:
+            self.refactor()  # the dual phase factors its own start
         if art_total > p1_tol and not dual:
             self.run_phase(1)
             art_total = float(np.abs(self.x[self.n_real:]).sum())

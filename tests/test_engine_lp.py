@@ -455,6 +455,16 @@ class TestDualAgainstIndependentSolver:
     def test_random_dual_programs_match_linprog(self, monkeypatch):
         rng = np.random.default_rng(2024)
         statuses = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0}
+        ratio = simplex._Solver._dual_ratio
+        flipped = set()  # the trials whose ratio tests flipped a column
+
+        def counted(solver, *args):
+            q, flips = ratio(solver, *args)
+            if flips.size:
+                flipped.add(trial)
+            return q, flips
+
+        monkeypatch.setattr(simplex._Solver, "_dual_ratio", counted)
         for trial in range(150):
             lp, ref = random_dual_program(rng)
             sol = self.solve_recorded(lp, monkeypatch)
@@ -469,6 +479,8 @@ class TestDualAgainstIndependentSolver:
                 assert sol.status is LpStatus.INFEASIBLE, label
             statuses[sol.status] += 1
         assert min(statuses.values()) >= 20, statuses
+        # the finite upper bounds make the long step pass breakpoints
+        assert len(flipped) >= 20, len(flipped)
 
     def test_blands_rule_from_the_first_stall_gives_the_same_answers(self, monkeypatch):
         rng = np.random.default_rng(2024)
@@ -477,14 +489,18 @@ class TestDualAgainstIndependentSolver:
         init = simplex._Solver.__init__
         ratio = simplex._Solver._dual_ratio
         bland_pivots = []
+        bland_flips = 0
 
         def eager_bland(solver, *args, **kwargs):
             init(solver, *args, **kwargs)
             solver.bland_threshold = 0
 
-        def counted(solver, d, alpha, s, bland):
+        def counted(solver, d, alpha, s, bland, slope):
+            nonlocal bland_flips
+            q, flips = ratio(solver, d, alpha, s, bland, slope)
             bland_pivots.append(bland)
-            return ratio(solver, d, alpha, s, bland)
+            bland_flips += bland * flips.size
+            return q, flips
 
         monkeypatch.setattr(simplex._Solver, "__init__", eager_bland)
         monkeypatch.setattr(simplex._Solver, "_dual_ratio", counted)
@@ -495,6 +511,8 @@ class TestDualAgainstIndependentSolver:
                 assert sol.objective == pytest.approx(
                     first.objective, abs=1e-9 * (1 + abs(first.objective))), trial
         assert any(bland_pivots)
+        # Bland's rule keeps the plain ratio test: no pivot under it flips
+        assert bland_flips == 0
 
 
 class TestConservativeRetry:
@@ -685,9 +703,12 @@ class TestKernel:
     def test_dual_pivots_keep_the_invariants(self, monkeypatch):
         # every dual pivot goes through _apply, so the watcher sees it
         rng = np.random.default_rng(7)
-        run_dual = simplex._Solver.run_dual
+        run_dual, ratio = simplex._Solver.run_dual, simplex._Solver._dual_ratio
         in_dual = []
-        seen = {"pivots": 0, "artificial": 0, "etas": 0, "solves": 0}
+        # the columns the last ratio test flips, and their directions before
+        flipping = [np.zeros(0, dtype=np.int64), np.zeros(0)]
+        seen = {"pivots": 0, "artificial": 0, "etas": 0, "solves": 0,
+                "flip pivots": 0, "flips": 0}
 
         def watched_dual(solver):
             in_dual.append(True)
@@ -697,27 +718,68 @@ class TestKernel:
                 in_dual.pop()
                 seen["solves"] += 1
 
+        def watched_ratio(solver, *args):
+            q, flips = ratio(solver, *args)
+            flipping[:] = [flips, solver.dirn[flips].copy()]
+            return q, flips
+
         def check(solver, q, r, leaving):
             if not in_dual:
                 return
             assert_direction_matches_bounds(solver)
+            # every flipped column sits on its other bound, dirn negated
+            flips, before = flipping
+            other = np.where(before < 0, solver.up[flips], solver.lo[flips])
+            np.testing.assert_array_equal(solver.x[flips], other)
+            np.testing.assert_array_equal(solver.dirn[flips], -before)
             fresh = splu(solver.A[:, solver.basis])
             c = solver.phase_cost(2)
             d = c - solver.AT @ fresh.solve(c[solver.basis], trans="T")
             # dual feasibility holds after every pivot
             assert np.all(solver.dirn * d <= simplex._dual_tol(c)), q
+            # the basic values solve B x_B = b - N x_N
+            xn = solver.x.copy()
+            xn[solver.basis] = 0.0
+            want = fresh.solve(solver.std.b - solver.A @ xn)
+            err = np.abs(solver.x[solver.basis] - want).max()
+            assert err <= 1e-9 * max(1.0, np.abs(want).max()), q
             assert_eta_solves_match(solver, fresh, q, rng)
             seen["pivots"] += 1
             seen["artificial"] += leaving >= solver.n_real
             seen["etas"] = max(seen["etas"], len(solver.etas))
+            seen["flip pivots"] += flips.size > 0
+            seen["flips"] += flips.size
 
         monkeypatch.setattr(simplex._Solver, "run_dual", watched_dual)
+        monkeypatch.setattr(simplex._Solver, "_dual_ratio", watched_ratio)
         tiny = self.kernel_programs()[1]
         day, _ = build_allocation_program(generate(preset(1), 0))
         for lp in (tiny, day):
             before = seen["solves"]
             self.solve_watched(lp, monkeypatch, check)
             assert seen["solves"] == before + 1  # the program took the dual
-        # the checks ran on long eta files, and artificials were driven out
+        # the checks ran on long eta files, artificials were driven out and
+        # the long step flipped columns
         assert seen["etas"] == simplex.REFACTOR_EVERY, seen
         assert seen["pivots"] > 50 and seen["artificial"] > 0, seen
+        assert seen["flip pivots"] > 0 and seen["flips"] > seen["flip pivots"], seen
+
+    def test_dual_start_factors_once(self, monkeypatch):
+        # the crash basis is diagonal, so the dual-feasibility check prices
+        # it without a factorization; run_dual factors its slack start
+        factored, before_pivot = [], []
+        lu = simplex.splu
+
+        def counted(*args, **kwargs):
+            factored.append(True)
+            return lu(*args, **kwargs)
+
+        def check(solver, q, r, leaving):
+            if not before_pivot:
+                before_pivot.append(len(factored))
+
+        phases = TestCrash.phases_run(monkeypatch)
+        monkeypatch.setattr(simplex, "splu", counted)
+        self.solve_watched(self.kernel_programs()[1], monkeypatch, check)
+        assert phases == ["dual", 2]
+        assert before_pivot == [1]
