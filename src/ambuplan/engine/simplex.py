@@ -441,9 +441,8 @@ class _Solver:
         the slope non-positive, or that has no upper bound, enters (the last
         one when none does), and every column passed before it flips. Among
         near-tied ratios at the entering one the largest |alpha_j| enters.
-        The columns are sorted only when the
-        smallest ratio's column leaves the slope positive, so a pivot
-        without flips pays for no sort.
+        The columns are sorted only when the smallest ratio's column leaves
+        the slope positive, so a pivot without flips pays for no sort.
         """
         da = s * self.dirn * alpha  # |alpha| on eligible columns
         cols = np.flatnonzero(da > self.pivot_tol)
