@@ -11,23 +11,22 @@ slack can carry it, else to a structural column singleton that can absorb
 the row's residual within its bounds, and only otherwise to the row's
 artificial.
 
-When the artificials carry a positive total at the crash, one of two phases
-makes the basis feasible:
+When the artificials carry a positive total at the crash, the dual simplex
+makes the basis feasible. Its start must price out (dirn * d <= the pricing
+tolerance for every nonbasic column). The crash basis is diagonal, so its
+prices c_B / diag(B) need no factorization, and each column that prices in
+gets the cost c_j - d_j, which zeroes its reduced cost (cost modification;
+Koberstein, PhD thesis, Paderborn 2005, ch. 4). Every allocation slot
+program and each of its branch-and-bound children has no such column. The
+dual hands each inequality row on an artificial back to its slack, factors
+that start once and pivots out the basic column with the largest bound
+violation. Its ratio test takes the long step: the columns whose
+breakpoints it passes flip to their other bound instead of each costing a
+pivot. A dual ray proves the program infeasible whatever the costs.
 
-- The dual simplex, when the crash basis is dual feasible: its prices
-  c_B / diag(B), without a factorization since the crash basis is diagonal,
-  price every nonbasic column out (dirn * d <= the pricing tolerance). It
-  hands each inequality row on an artificial back to its slack, pins the
-  artificials on [0, 0], factors that start once and pivots out the basic
-  column with the largest bound violation. Its ratio test takes the long
-  step: the columns whose breakpoints it passes flip to their other bound
-  instead of each costing a pivot. Every program with nonnegative costs and
-  no structural column in the crash basis qualifies; so do every allocation
-  slot program and each of its branch-and-bound children.
-- Otherwise primal phase 1, which minimizes the total artificial value.
-
-Phase 2 then runs the primal simplex on the true costs; after the dual phase
-it starts from an optimal basis and certifies it on a fresh factorization.
+Phase 2 then runs the primal simplex on the true costs from the feasible
+basis. It restores the costs the dual shifted, finds an unbounded ray if
+there is one, and certifies the optimum on a fresh factorization.
 
 Per-pivot work follows the nonzeros of the pivot column w = B^-1 a_q (a
 median 7% of the rows on the preset-5 transfer program) rather than the row
@@ -42,9 +41,8 @@ count m:
   movable at upper, 0 basic or fixed), turns pricing into one product
   dirn * d. Together with the basis it is the only record of a column's
   place: every lower bound is finite, so a nonbasic column sits on lo or up.
-  It is set by the crash and the phase-2 pin, and each pivot updates only
-  the entering and leaving entries and those of the columns a dual pivot
-  flips.
+  It is set by the crash, and each pivot updates only the entering and
+  leaving entries and those of the columns a dual pivot flips.
 
 REFACTOR_EVERY = 32 was chosen on preset 5 (seed 42), before the dual phase
 existed. Going from 64 to 32 doubles the refactorizations (transfer 68 ->
@@ -133,6 +131,8 @@ class _Solver:
         self.m = m
         self.n_real = n_real
         self.N = n_real + m
+        # artificials sit on [0, 0] and cost nothing
+        self.c = np.concatenate([std.cost_real, np.zeros(m)])
         self.lo = np.concatenate([std.lower_real, np.zeros(m)])
         self.up = np.concatenate([std.upper_real, np.zeros(m)])
         if lo_struct is not None:
@@ -232,12 +232,9 @@ class _Solver:
         rows, first = np.unique(rows[ok], return_index=True)
         basis[rows] = cols[ok][first]
         value[rows] = x_new[ok][first]
-        use_art = ~use_slack
-        use_art[rows] = False
 
         self.basis[:] = basis
         self.x[basis] = value
-        self.up[art_col[use_art]] = np.inf
         self.dirn = np.where(self.lo < self.up, -1.0, 0.0)
         self.dirn[basis] = 0.0
 
@@ -251,14 +248,6 @@ class _Solver:
 
     # ----- pricing and pivoting --------------------------------------------
 
-    def phase_cost(self, phase: int) -> np.ndarray:
-        c = np.zeros(self.N)
-        if phase == 1:
-            c[self.n_real:] = 1.0
-        else:
-            c[:self.n_real] = self.std.cost_real
-        return c
-
     def reduced_costs(self, c: np.ndarray) -> np.ndarray:
         return c - self.AT @ self.btran(c[self.basis])
 
@@ -269,9 +258,10 @@ class _Solver:
         q = int(np.argmax(viol > dtol if bland else viol))
         return q if viol[q] > dtol else -1
 
-    def run_phase(self, phase: int) -> str:
-        """Returns 'optimal' or 'unbounded' (phase 2 only)."""
-        c = self.phase_cost(phase)
+    def run_phase(self) -> str:
+        """Primal simplex on the true costs from a feasible basis; returns
+        'optimal' or 'unbounded'."""
+        c = self.c
         dtol = _dual_tol(c)
         z = float(c @ self.x)
         since_improve = 0
@@ -279,7 +269,7 @@ class _Solver:
         while True:
             if self.iterations >= self.max_iterations:
                 raise NumericalBreakdownError(
-                    f"iteration cap {self.max_iterations} exceeded in phase {phase}")
+                    f"iteration cap {self.max_iterations} exceeded in phase 2")
             # pricing against a clean factorization is trusted as-is
             fresh = not self.etas and self.updates_since_refactor == 0
             d = self.reduced_costs(c)
@@ -302,9 +292,6 @@ class _Solver:
                     self.refactor()
                     z = float(c @ self.x)
                     continue
-                if phase == 1:
-                    raise NumericalBreakdownError(
-                        "phase 1 claims an unbounded improving ray")
                 return "unbounded"
 
             self.iterations += 1
@@ -320,15 +307,16 @@ class _Solver:
                 self.refactor()
                 z = float(c @ self.x)
 
-    def run_dual(self) -> bool:
-        """Dual simplex on the true costs from a dual feasible crash basis.
+    def run_dual(self, c: np.ndarray) -> bool:
+        """Dual simplex on the costs c, from a crash basis that prices out on
+        them.
 
         It first hands every inequality row that the crash put on an
         artificial back to its slack, whatever value that leaves the slack:
         both are unit columns of cost zero in the same row, so the basis
         prices out as before, and a row that ends up slack costs no pivot.
-        The artificials are pinned on [0, 0] and never enter, and this start
-        is the solve's first factorization. Each pivot takes the basic
+        The artificials sit on [0, 0] and never enter, and this start is the
+        solve's first factorization. Each pivot takes the basic
         column with the largest bound violation out onto the bound it
         violates, and brings in the column that keeps every reduced cost on
         its side. The columns whose breakpoints the ratio test passed first
@@ -337,7 +325,7 @@ class _Solver:
         starts from its value after the flips. A flip is no iteration.
         Returns True once the basis is primal feasible on a fresh
         factorization, False when a violated row has no eligible entering
-        column there (a dual ray: the program is infeasible).
+        column there (a dual ray: the program is infeasible, whatever c).
         """
         rows = np.flatnonzero((self.basis >= self.n_real) & (self.std.slack_sign != 0))
         self.x[self.basis[rows]] = 0.0
@@ -345,7 +333,6 @@ class _Solver:
         self.dirn[self.basis[rows]] = 0.0
         self.refactor()
 
-        c = self.phase_cost(2)
         d = None  # reduced costs, updated per pivot and recomputed on refactor
         since_improve = 0
 
@@ -523,7 +510,7 @@ class _Solver:
         self.x[leave] = self.up[leave] if upper else self.lo[leave]
         if leave >= self.n_real:
             # an artificial that left the basis never returns
-            self.up[leave] = self.x[leave] = self.dirn[leave] = 0.0
+            self.dirn[leave] = 0.0
         self.basis[r] = q
         self.dirn[q] = 0.0
         self.x[q] = enter_val
@@ -539,30 +526,19 @@ class _Solver:
         diag = self.crash_basis()
 
         art_total = float(np.abs(self.x[self.n_real:]).sum())
-        p1_tol = FEAS_TOL * (1.0 + float(np.abs(self.std.b).sum()))
-        dual = False
-        if art_total > p1_tol:
-            # a crash basis that prices out on the true costs goes to the
-            # dual simplex; any other one runs phase 1. The basis is
-            # diagonal, so its prices need no factorization.
-            c = self.phase_cost(2)
+        if art_total > FEAS_TOL * (1.0 + float(np.abs(self.std.b).sum())):
+            # the dual needs a start that prices out: shift each cost that
+            # prices in by its reduced cost. The crash basis is diagonal,
+            # so its prices need no factorization.
+            c = self.c
             d = c - self.AT @ (c[self.basis] / diag)
-            dual = bool(np.all(self.dirn * d <= _dual_tol(c)))
-        if not dual:
-            self.refactor()  # the dual phase factors its own start
-        if art_total > p1_tol and not dual:
-            self.run_phase(1)
-            art_total = float(np.abs(self.x[self.n_real:]).sum())
-            if art_total > p1_tol:
+            if not self.run_dual(np.where(self.dirn * d > _dual_tol(c), c - d, c)):
                 return LpSolution(LpStatus.INFEASIBLE, None, None, self.iterations)
-        # pin every artificial for the dual phase and phase 2
-        self.up[self.n_real:] = 0.0
-        self.dirn[self.n_real:] = 0.0
-        if dual and not self.run_dual():
-            return LpSolution(LpStatus.INFEASIBLE, None, None, self.iterations)
+        else:
+            self.refactor()  # a feasible crash goes straight to phase 2
 
-        # after the dual phase, phase 2 certifies optimality
-        outcome = self.run_phase(2)
+        # phase 2 restores any shifted costs and certifies optimality
+        outcome = self.run_phase()
         if outcome == "unbounded":
             return LpSolution(LpStatus.UNBOUNDED, None, None, self.iterations)
         self._verify()
@@ -611,8 +587,8 @@ def core_solve(std: StandardForm,
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Bounded-variable simplex on the continuous relaxation: the dual
-    simplex when the crash basis is dual feasible and carries artificials,
-    primal phase 1 when it carries artificials otherwise, then primal phase 2.
+    simplex (on shifted costs where the crash basis does not price out) when
+    the crash basis carries artificials, then primal phase 2.
 
     Statuses: OPTIMAL with a primal-feasible x (rows within FEAS_TOL scaled by
     1 + |rhs|), INFEASIBLE, or UNBOUNDED. Integrality flags are ignored here.

@@ -89,3 +89,31 @@ def unmet_rows():
         return out
 
     return unmet
+
+
+@pytest.fixture
+def dual_runs(monkeypatch):
+    """One (columns whose cost the dual phase shifted, whether it reached a
+    feasible basis) per call of the simplex's ``run_dual`` in the test.
+
+    Each call must start from a basis that prices out on the costs it is
+    given, checked against a fresh factorization.
+    """
+    from scipy.sparse.linalg import splu
+
+    from ambuplan.engine import simplex
+
+    runs = []
+    run_dual = simplex._Solver.run_dual
+
+    def recorded(solver, c):
+        y = splu(solver.A[:, solver.basis]).solve(c[solver.basis], trans="T")
+        d = c - solver.AT @ y
+        assert np.all(solver.dirn * d <= simplex._dual_tol(solver.c))
+        shifted = np.flatnonzero(c != solver.c)
+        feasible = run_dual(solver, c)
+        runs.append((shifted, feasible))
+        return feasible
+
+    monkeypatch.setattr(simplex._Solver, "run_dual", recorded)
+    return runs

@@ -301,10 +301,10 @@ class TestSolve:
 
     def test_headline_instance_pins_the_dual_simplex(self):
         # the 24-slot, 20-station, 60-zone day of the paper's benchmark; every
-        # slot starts on the dual simplex, so a solve that falls back to
-        # primal phase 1 (5,880 pivots) fails here, and so does a dual ratio
-        # test that stops at the first breakpoint instead of flipping the
-        # columns it passes (984)
+        # slot starts on the dual simplex, so a solve that reaches a
+        # feasible basis with the primal simplex (5,880 pivots) fails here,
+        # and so does a dual ratio test that stops at the first breakpoint
+        # instead of flipping the columns it passes (984)
         outcome = solve_allocation(generate(preset(5), 42))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == 150_626_543

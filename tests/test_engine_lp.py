@@ -198,17 +198,17 @@ class TestCrash:
 
     @staticmethod
     def phases_run(monkeypatch):
-        """The phases solves run from now on: 1, 2 or "dual"."""
+        """The phases solves run from now on: "dual" or 2."""
         phases = []
         run_phase, run_dual = simplex._Solver.run_phase, simplex._Solver.run_dual
 
-        def recorded(solver, phase):
-            phases.append(phase)
-            return run_phase(solver, phase)
+        def recorded(solver):
+            phases.append(2)
+            return run_phase(solver)
 
-        def recorded_dual(solver):
+        def recorded_dual(solver, c):
             phases.append("dual")
-            return run_dual(solver)
+            return run_dual(solver, c)
 
         monkeypatch.setattr(simplex._Solver, "run_phase", recorded)
         monkeypatch.setattr(simplex._Solver, "run_dual", recorded_dual)
@@ -252,15 +252,16 @@ class TestCrash:
         assert self.crashed(lp, hi_struct=hi).basis[0] == std.n_real
         phases = self.phases_run(monkeypatch)
         res = simplex.core_solve(std, None, hi)
-        # nonnegative costs price out at the crash, so the dual replaces phase 1
+        # nonnegative costs price out at the crash, so the dual needs no shift
         assert phases == ["dual", 2]
         assert res.status is LpStatus.OPTIMAL
         assert res.objective == pytest.approx(5.0, abs=1e-9)
         assert np.allclose(res.x[:2], [1.0, 2.0], atol=1e-9)
 
-    def test_negative_cost_keeps_primal_phase_1(self, monkeypatch):
+    def test_negative_cost_shifts_into_the_dual(self, monkeypatch, dual_runs):
         # x1 at its lower bound prices in at cost -2, so the crash basis is
-        # not dual feasible and the artificial goes through phase 1
+        # not dual feasible: the dual runs with x1's cost shifted until it
+        # prices out, and phase 2 restores the true cost
         lp = lp_of(2, [1, -2], [0, 0], [10, 10], [
             LinearRow(((0, 1.0), (1, 1.0)), "=", 3.0),
             LinearRow(((1, 1.0),), "<=", 5.0),
@@ -270,10 +271,40 @@ class TestCrash:
         assert self.crashed(lp, hi_struct=hi).basis[0] == std.n_real
         phases = self.phases_run(monkeypatch)
         res = simplex.core_solve(std, None, hi)
-        assert phases == [1, 2]
+        assert phases == ["dual", 2]
+        assert [shifted.tolist() for shifted, _ in dual_runs] == [[1]]
         assert res.status is LpStatus.OPTIMAL
         assert res.objective == pytest.approx(-6.0, abs=1e-9)
         assert np.allclose(res.x[:2], [0.0, 3.0], atol=1e-9)
+
+    def test_shifted_dual_proves_infeasibility_by_a_dual_ray(self, monkeypatch, dual_runs):
+        # x1 prices in at cost -1; x0 <= 2 and x1 <= 1 cannot make 5
+        lp = lp_of(2, [1, -1], [0, 0], [2, 1], [
+            LinearRow(((0, 1.0), (1, 1.0)), "=", 5.0),
+            LinearRow(((1, 1.0),), "<=", 1.0),
+        ])
+        phases = self.phases_run(monkeypatch)
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.INFEASIBLE
+        assert phases == ["dual"]
+        assert [(shifted.tolist(), feasible) for shifted, feasible in dual_runs] \
+            == [([1], False)]
+        assert sol.iterations == 1
+
+    def test_shifted_dual_leaves_the_unbounded_ray_to_phase_2(self, monkeypatch, dual_runs):
+        # x2 prices in at cost -1 and nothing bounds it: the shifted dual
+        # makes the basis feasible and phase 2 finds the ray
+        lp = lp_of(3, [0, 0, -1], [0, 0, 0], [1, inf, inf], [
+            LinearRow(((0, 1.0), (1, 1.0)), "=", 3.0),
+            LinearRow(((1, 1.0), (2, -1.0)), "<=", 4.0),
+        ])
+        phases = self.phases_run(monkeypatch)
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.UNBOUNDED
+        assert phases == ["dual", 2]
+        assert [(shifted.tolist(), feasible) for shifted, feasible in dual_runs] \
+            == [([2], True)]
+        assert sol.iterations == 1
 
     def test_transfer_demand_rows_start_on_shortage(self):
         inst = generate(preset(1), 0)
@@ -363,7 +394,7 @@ def random_program(rng):
 
 
 class TestAgainstIndependentSolver:
-    def test_random_programs_match_linprog(self):
+    def test_random_programs_match_linprog(self, dual_runs):
         rng = np.random.default_rng(12345)
         compared = 0
         for trial in range(150):
@@ -383,8 +414,11 @@ class TestAgainstIndependentSolver:
                 compared += 1
                 assert sol.status is LpStatus.UNBOUNDED, label
         assert compared >= 100  # the families above must dominate the draw
+        # crash bases that do not price out reach feasibility on shifted costs
+        shifted = sum(cols.size > 0 for cols, _ in dual_runs)
+        assert shifted >= 100, shifted
 
-    def test_repeat_solves_are_bit_identical(self):
+    def test_repeat_solves_are_bit_identical(self, dual_runs):
         rng = np.random.default_rng(777)
         for _ in range(20):
             lp, _ = random_program(rng)
@@ -395,6 +429,8 @@ class TestAgainstIndependentSolver:
                 assert first.x.tobytes() == second.x.tobytes()
                 assert first.objective == second.objective
                 assert first.iterations == second.iterations
+        shifted = sum(cols.size > 0 for cols, _ in dual_runs)
+        assert shifted >= 20, shifted
 
 
 def random_dual_program(rng):
@@ -442,9 +478,9 @@ class TestDualAgainstIndependentSolver:
         runs = []
         run_dual = simplex._Solver.run_dual
 
-        def recorded(solver):
+        def recorded(solver, c):
             runs.append(solver)
-            return run_dual(solver)
+            return run_dual(solver, c)
 
         with monkeypatch.context() as patch:
             patch.setattr(simplex._Solver, "run_dual", recorded)
@@ -598,18 +634,19 @@ def assert_direction_matches_bounds(solver):
 
 
 def assert_eta_solves_match(solver, fresh, q, rng):
-    """ftran of q and three random columns, and btran of both phases' basic
-    costs, agree with a fresh factorization of the current basis."""
+    """ftran of q and three random columns, and btran of the basic entries
+    of the true costs and of a random vector, agree with a fresh
+    factorization of the current basis."""
     for j in (q, *rng.integers(0, solver.N, size=3)):
         col = solver.column(int(j))
         want = fresh.solve(col)
         err = np.abs(solver.ftran(col) - want).max()
         assert err <= 1e-9 * max(1.0, np.abs(want).max()), (q, j)
-    for phase in (1, 2):
-        cB = solver.phase_cost(phase)[solver.basis]
+    for k, c in enumerate((solver.c, rng.standard_normal(solver.N))):
+        cB = c[solver.basis]
         want = fresh.solve(cB, trans="T")
         err = np.abs(solver.btran(cB) - want).max()
-        assert err <= 1e-9 * max(1.0, np.abs(want).max()), (q, phase)
+        assert err <= 1e-9 * max(1.0, np.abs(want).max()), (q, k)
 
 
 class TestKernel:
@@ -679,7 +716,7 @@ class TestKernel:
                     assert got == dense_ratio(s, q, sigma, w, bland), (trial, sigma, bland)
 
     def test_maintained_direction_matches_status(self, monkeypatch):
-        seen = {"flip": 0, "artificial": 0, "phase": 0}
+        seen = {"flip": 0, "artificial": 0, "dual": 0, "phase": 0}
         assert_current = assert_direction_matches_bounds
 
         def check(solver, q, r, leaving):
@@ -687,14 +724,21 @@ class TestKernel:
             seen["flip"] += r < 0
             seen["artificial"] += leaving >= solver.n_real
 
-        run_phase = simplex._Solver.run_phase
+        run_phase, run_dual = simplex._Solver.run_phase, simplex._Solver.run_dual
 
-        def phase_start(solver, phase):
-            # after the crash (phase 1) or the pin of the artificials (phase 2)
+        def dual_start(solver, c):
+            # after the crash
+            assert_current(solver)
+            seen["dual"] += 1
+            return run_dual(solver, c)
+
+        def phase_start(solver):
+            # after the crash or the dual phase
             assert_current(solver)
             seen["phase"] += 1
-            return run_phase(solver, phase)
+            return run_phase(solver)
 
+        monkeypatch.setattr(simplex._Solver, "run_dual", dual_start)
         monkeypatch.setattr(simplex._Solver, "run_phase", phase_start)
         for lp in self.kernel_programs():
             self.solve_watched(lp, monkeypatch, check)
@@ -704,16 +748,16 @@ class TestKernel:
         # every dual pivot goes through _apply, so the watcher sees it
         rng = np.random.default_rng(7)
         run_dual, ratio = simplex._Solver.run_dual, simplex._Solver._dual_ratio
-        in_dual = []
+        in_dual = []  # the costs of the dual phase running now
         # the columns the last ratio test flips, and their directions before
         flipping = [np.zeros(0, dtype=np.int64), np.zeros(0)]
         seen = {"pivots": 0, "artificial": 0, "etas": 0, "solves": 0,
                 "flip pivots": 0, "flips": 0}
 
-        def watched_dual(solver):
-            in_dual.append(True)
+        def watched_dual(solver, c):
+            in_dual.append(c)
             try:
-                return run_dual(solver)
+                return run_dual(solver, c)
             finally:
                 in_dual.pop()
                 seen["solves"] += 1
@@ -733,7 +777,7 @@ class TestKernel:
             np.testing.assert_array_equal(solver.x[flips], other)
             np.testing.assert_array_equal(solver.dirn[flips], -before)
             fresh = splu(solver.A[:, solver.basis])
-            c = solver.phase_cost(2)
+            c = in_dual[-1]
             d = c - solver.AT @ fresh.solve(c[solver.basis], trans="T")
             # dual feasibility holds after every pivot
             assert np.all(solver.dirn * d <= simplex._dual_tol(c)), q

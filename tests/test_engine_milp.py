@@ -121,7 +121,7 @@ class TestDirected:
 
 
 class TestAgainstBruteForce:
-    def test_random_all_integer_programs(self):
+    def test_random_all_integer_programs(self, dual_runs):
         rng = np.random.default_rng(777)
         infeasible_seen = 0
         for trial in range(150):
@@ -151,6 +151,9 @@ class TestAgainstBruteForce:
                 got = np.rint(sol.x).astype(int)
                 assert np.all(np.abs(sol.x - got) < 1e-6), label
         assert infeasible_seen >= 10  # the draw must exercise both branches
+        # nodes whose crash basis does not price out take the dual on shifted costs
+        shifted = sum(cols.size > 0 for cols, _ in dual_runs)
+        assert shifted >= 55, shifted
 
 
 class TestDeterminism:
