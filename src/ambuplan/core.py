@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from itertools import accumulate
+from operator import mul
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -349,6 +349,15 @@ def require_plan_shape(inst: Instance, plan: AllocationPlan | TransferPlan) -> N
             raise ValueError(f"{name} has shape {got}, expected {shape}")
 
 
+def _exact_ints(arrays: tuple[np.ndarray, ...], terms: int) -> tuple[np.ndarray, ...]:
+    """``arrays`` as int64 when a sum of ``terms`` products of two of their
+    entries cannot leave int64, else as arrays of Python ints."""
+    top = max((max(int(a.max()), -int(a.min())) for a in arrays if a.size), default=0)
+    if top * top * terms < 2**63:
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
+
+
 def evaluate_allocation(inst: Instance, plan: AllocationPlan) -> tuple[int, list[Violation]]:
     """Exact objective and invariant check for an AllocationPlan.
 
@@ -359,73 +368,65 @@ def evaluate_allocation(inst: Instance, plan: AllocationPlan) -> tuple[int, list
     J, I, T = inst.num_stations, inst.num_zones, inst.num_slots
     require_plan_shape(inst, plan)
 
-    a = inst.coverage.tolist()
-    n = inst.capacity.tolist()
-    c = inst.hold_cost.tolist()
-    cd = inst.dispatch_cost.tolist()
-    d = inst.demand.tolist()
-    x = plan.alloc.tolist()
-    s = plan.dispatch.tolist()
-    # the plan's inventory, in exact integers
-    inv = [list(accumulate(u - v for u, v in zip(xj, sj))) for xj, sj in zip(x, s)]
-    short = plan.shortage.tolist()
-    M = inst.big_m
+    objective = (sum(map(mul, inst.hold_cost.ravel().tolist(), plan.alloc.ravel().tolist()))
+                 + sum(map(mul, inst.dispatch_cost.ravel().tolist(),
+                           plan.dispatch.ravel().tolist()))
+                 + inst.big_m * sum(plan.shortage.tolist()))
 
-    objective = 0
-    for j in range(J):
-        for t in range(T):
-            objective += c[j][t] * x[j][t] + cd[j][t] * s[j][t]
-    objective += M * sum(short)
+    # every sum below has at most I + J + 2T + 1 terms
+    a, n, d, x, s, short = _exact_ints(
+        (inst.coverage, inst.capacity, inst.demand, plan.alloc, plan.dispatch,
+         plan.shortage), I + J + 2 * T + 1)
+    # the plan's inventory
+    inv = np.cumsum(x - s, axis=1)
 
     out: list[Violation] = []
 
     for name, mat in (("alloc", x), ("dispatch", s), ("inventory", inv)):
-        for j in range(J):
-            for t in range(T):
-                if mat[j][t] < 0:
-                    out.append(Violation("negative_value", (j, t), mat[j][t], 0,
-                                         f"{name}[{j}][{t}] = {mat[j][t]} < 0"))
-    for t in range(T):
-        if short[t] < 0:
-            out.append(Violation("negative_value", (t,), short[t], 0,
-                                 f"shortage[{t}] = {short[t]} < 0"))
+        for j, t in np.argwhere(mat < 0).tolist():
+            v = int(mat[j, t])
+            out.append(Violation("negative_value", (j, t), v, 0,
+                                 f"{name}[{j}][{t}] = {v} < 0"))
+    for t in np.flatnonzero(short < 0).tolist():
+        v = int(short[t])
+        out.append(Violation("negative_value", (t,), v, 0, f"shortage[{t}] = {v} < 0"))
 
-    for j in range(J):
-        for t in range(T):
-            if x[j][t] > n[j][t]:
-                out.append(Violation("alloc_exceeds_capacity", (j, t), x[j][t], n[j][t],
-                                     f"alloc[{j}][{t}] = {x[j][t]} > capacity {n[j][t]}"))
-            if s[j][t] > x[j][t]:
-                out.append(Violation("dispatch_exceeds_alloc", (j, t), s[j][t], x[j][t],
-                                     f"dispatch[{j}][{t}] = {s[j][t]} > alloc {x[j][t]}"))
+    for j, t in np.argwhere((x > n) | (s > x)).tolist():
+        xv, nv, sv = int(x[j, t]), int(n[j, t]), int(s[j, t])
+        if xv > nv:
+            out.append(Violation("alloc_exceeds_capacity", (j, t), xv, nv,
+                                 f"alloc[{j}][{t}] = {xv} > capacity {nv}"))
+        if sv > xv:
+            out.append(Violation("dispatch_exceeds_alloc", (j, t), sv, xv,
+                                 f"dispatch[{j}][{t}] = {sv} > alloc {xv}"))
 
-    for t in range(T):
-        total = sum(x[j][t] for j in range(J))
-        if total > inst.fleet_size:
-            out.append(Violation("fleet_exceeded", (t,), total, inst.fleet_size,
-                                 f"slot {t} allocates {total} > fleet {inst.fleet_size}"))
+    total = x.sum(axis=0)
+    for t in np.flatnonzero(total > inst.fleet_size).tolist():
+        v = int(total[t])
+        out.append(Violation("fleet_exceeded", (t,), v, inst.fleet_size,
+                             f"slot {t} allocates {v} > fleet {inst.fleet_size}"))
 
-    for i in range(I):
-        for t in range(T):
-            got = sum(a[j][i] * x[j][t] for j in range(J))
-            if got < d[i][t]:
-                out.append(Violation(
-                    "alloc_cover_short", (i, t), got, d[i][t],
-                    f"zone {i} slot {t}: covering alloc {got} < demand {d[i][t]}"))
-            served = sum(a[j][i] * s[j][t] for j in range(J)) + short[t]
-            if served < d[i][t]:
-                out.append(Violation(
-                    "dispatch_cover_short", (i, t), served, d[i][t],
-                    f"zone {i} slot {t}: covering dispatch + shortage {served}"
-                    f" < demand {d[i][t]}"))
-
-    for t in range(T):
-        lhs = sum(s[j][t] for j in range(J)) + short[t]
-        rhs = sum(d[i][t] for i in range(I))
-        if lhs != rhs:
+    got = a.T @ x
+    served = a.T @ s + short
+    for i, t in np.argwhere((got < d) | (served < d)).tolist():
+        gv, sv, dv = int(got[i, t]), int(served[i, t]), int(d[i, t])
+        if gv < dv:
             out.append(Violation(
-                "dispatch_total_mismatch", (t,), lhs, rhs,
-                f"slot {t}: dispatches + shortage = {lhs}, total demand = {rhs}"))
+                "alloc_cover_short", (i, t), gv, dv,
+                f"zone {i} slot {t}: covering alloc {gv} < demand {dv}"))
+        if sv < dv:
+            out.append(Violation(
+                "dispatch_cover_short", (i, t), sv, dv,
+                f"zone {i} slot {t}: covering dispatch + shortage {sv}"
+                f" < demand {dv}"))
+
+    lhs = s.sum(axis=0) + short
+    rhs = d.sum(axis=0)
+    for t in np.flatnonzero(lhs != rhs).tolist():
+        lv, rv = int(lhs[t]), int(rhs[t])
+        out.append(Violation(
+            "dispatch_total_mismatch", (t,), lv, rv,
+            f"slot {t}: dispatches + shortage = {lv}, total demand = {rv}"))
 
     return objective, out
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 
 import numpy as np
 
@@ -92,11 +93,11 @@ class _Search:
 
     def incumbent_objective(self, x: np.ndarray) -> float | int:
         if self.int_obj:
-            c = self.lp.objective
-            total = 0
-            for j in np.flatnonzero(c):
-                total += int(round(float(c[j]))) * int(round(float(x[j])))
-            return total
+            # exact in Python integers; rint rounds half to even, as round does
+            nz = np.flatnonzero(self.lp.objective)
+            c = np.rint(self.lp.objective[nz]).tolist()
+            v = np.rint(x[nz]).tolist()
+            return sum(map(operator.mul, map(int, c), map(int, v)))
         return float(self.lp.objective @ x)
 
     # ----- node processing ----------------------------------------------------

@@ -29,8 +29,8 @@ basis. It restores the costs the dual shifted, finds an unbounded ray if
 there is one, and certifies the optimum on a fresh factorization.
 
 Per-pivot work follows the nonzeros of the pivot column w = B^-1 a_q (a
-median 7% of the rows on the preset-5 transfer program) rather than the row
-count m:
+median 7% of the rows on the preset-5 transfer program) and of the pivot
+row rather than the row count m or the column count:
 
 - Each eta holds (r, w[r], idx, w[idx]) with idx the nonzeros of w other
   than the pivot row r, so ftran subtracts over idx and btran updates u[r]
@@ -43,12 +43,27 @@ count m:
   place: every lower bound is finite, so a nonbasic column sits on lo or up.
   It is set by the crash, and each pivot updates only the entering and
   leaving entries and those of the columns a dual pivot flips.
+- Phase 2 computes the reduced costs d = c - A^T B^-T c_B in full only
+  after a factorization. A pivot on row r updates them from the pivot row,
+  d -= (d_q / w_r) * alpha_r, with alpha_r = rho^T A and rho = B^-T e_r
+  (alpha_rq = w_r). rho is hyper-sparse, a median 8 nonzeros in 2,404 rows
+  on the preset-5 transfer program, so the product reads only the rows of
+  A at rho's nonzeros, from a row-major copy that the StandardForm keeps
+  (Hall & McKinnon, "Hyper-sparsity in the revised simplex method", Comp.
+  Optim. Appl. 32, 2005). A bound flip changes neither the basis nor d and
+  costs no btran. The dual forms its pivot row as a dense A^T rho, since
+  its ratio test reads every column of it.
 
 REFACTOR_EVERY = 32 was chosen on preset 5 (seed 42), before the dual phase
 existed. Going from 64 to 32 doubles the refactorizations (transfer 68 ->
 133, allocation 140 -> 227) but cuts the time of the ftran and btran eta
 loops by about 40%, a net gain that was largest on the allocation slot
-programs. The conservative retry refactorizes every 16 pivots.
+programs. The conservative retry refactorizes every 16 pivots. SuperLU
+orders each basis by COLAMD and builds no relaxed supernodes (relax=1,
+panel_size=1). On 20 of the preset-5 transfer bases that cut the mean
+factorization from 993 to 660 us and the ftran/btran solves from 103/70 to
+72/57 us, for 1% more fill; the allocation slot bases (about 10 us per
+solve) did not change.
 
 Anti-cycling: Dantzig pricing by default, switching to Bland's rule whenever
 the objective has not improved for 5 * (num_vars + num_rows) iterations. The
@@ -62,6 +77,7 @@ the solver raises NumericalBreakdownError rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -93,6 +109,12 @@ class StandardForm:
     cost_real: np.ndarray
     lower_real: np.ndarray
     upper_real: np.ndarray
+
+    @cached_property
+    def rows(self) -> sparse.csr_array:
+        """A in row-major form, built on first use and shared by every solve
+        over this form (phase 2 gathers its pivot rows from it)."""
+        return self.A.tocsr()
 
 
 def _with_unit_columns(A: sparse.csc_array, rows: np.ndarray,
@@ -148,6 +170,9 @@ class _Solver:
         # one (r, w[r], idx, w[idx]) per pivot, idx the other nonzeros of w
         self.etas: list[tuple[int, float, np.ndarray, np.ndarray]] = []
         self.dirn = None  # from crash_basis, then kept by _apply
+        # reduced costs on the costs the running phase prices: computed after
+        # each factorization, then updated per pivot; refactor drops them
+        self.d = None
         self.updates_since_refactor = 0
         self.iterations = 0
         self.bland_threshold = 5 * (std.n_struct + m)
@@ -163,12 +188,15 @@ class _Solver:
 
     def refactor(self) -> None:
         try:
-            self.lu = splu(self.A[:, self.basis], permc_spec="COLAMD")
+            # no relaxed supernodes: see the module docstring
+            self.lu = splu(self.A[:, self.basis], permc_spec="COLAMD",
+                           relax=1, panel_size=1)
         except RuntimeError as exc:
             raise NumericalBreakdownError(
                 f"basis factorization failed: {exc}") from exc
         self.etas = []
         self.updates_since_refactor = 0
+        self.d = None
         # recompute basic values from scratch to shed accumulated drift
         xn = self.x.copy()
         xn[self.basis] = 0.0
@@ -251,6 +279,25 @@ class _Solver:
     def reduced_costs(self, c: np.ndarray) -> np.ndarray:
         return c - self.AT @ self.btran(c[self.basis])
 
+    def pivot_row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row r of B^-1 A over the structural and slack columns.
+
+        Returns (cols, vals), whose sums per column are alpha_r = rho^T A
+        with rho = B^-T e_r; a column may repeat. Only the CSR rows of A at
+        the nonzeros of rho are read.
+        """
+        e_r = np.zeros(self.m)
+        e_r[r] = 1.0
+        rho = self.btran(e_r)
+        nz = np.flatnonzero(rho)
+        R = self.std.rows
+        starts = R.indptr[nz]
+        lens = R.indptr[nz + 1] - starts
+        # positions of those rows' entries, one run per row
+        pos = np.repeat(starts - np.cumsum(lens) + lens, lens)
+        pos += np.arange(pos.size)
+        return R.indices[pos], R.data[pos] * np.repeat(rho[nz], lens)
+
     def choose_entering(self, d: np.ndarray, dtol: float, bland: bool) -> int:
         if not self.N:
             return -1  # an empty program
@@ -260,10 +307,17 @@ class _Solver:
 
     def run_phase(self) -> str:
         """Primal simplex on the true costs from a feasible basis; returns
-        'optimal' or 'unbounded'."""
+        'optimal' or 'unbounded'.
+
+        The reduced costs d are computed in full after each factorization.
+        A pivot on row r updates them from the pivot row alpha_r (see
+        pivot_row) as d -= (d_q / alpha_rq) * alpha_r, with alpha_rq = w_r,
+        on the columns that row touches; a bound flip leaves them as they
+        are. Artificials are never priced and get no update.
+        """
         c = self.c
         dtol = _dual_tol(c)
-        z = float(c @ self.x)
+        self.d = None  # a dual phase priced other costs
         since_improve = 0
 
         while True:
@@ -272,7 +326,10 @@ class _Solver:
                     f"iteration cap {self.max_iterations} exceeded in phase 2")
             # pricing against a clean factorization is trusted as-is
             fresh = not self.etas and self.updates_since_refactor == 0
-            d = self.reduced_costs(c)
+            if self.d is None:
+                self.d = self.reduced_costs(c)
+                z = float(c @ self.x)
+            d = self.d
             bland = since_improve > self.bland_threshold
             q = self.choose_entering(d, dtol, bland)
             if q < 0:
@@ -280,7 +337,6 @@ class _Solver:
                     return "optimal"
                 # re-certify optimality against a clean factorization
                 self.refactor()
-                z = float(c @ self.x)
                 continue
 
             sigma = -float(self.dirn[q])  # into the column's range
@@ -290,7 +346,6 @@ class _Solver:
                 # no finite blocking step and no own bound to flip to
                 if not fresh:
                     self.refactor()
-                    z = float(c @ self.x)
                     continue
                 return "unbounded"
 
@@ -301,11 +356,14 @@ class _Solver:
             else:
                 since_improve += 1
             z = z_new
+            if r >= 0:
+                cols, vals = self.pivot_row(r)
+                np.subtract.at(d, cols, (d[q] / w[r]) * vals)
+                d[q] = 0.0
             self._apply(q, sigma, w, step, r, r >= 0 and sigma * w[r] < 0)
             if (len(self.etas) >= self.refactor_every
                     or self.updates_since_refactor >= 4 * self.refactor_every):
                 self.refactor()
-                z = float(c @ self.x)
 
     def run_dual(self, c: np.ndarray) -> bool:
         """Dual simplex on the costs c, from a crash basis that prices out on
@@ -333,7 +391,6 @@ class _Solver:
         self.dirn[self.basis[rows]] = 0.0
         self.refactor()
 
-        d = None  # reduced costs, updated per pivot and recomputed on refactor
         since_improve = 0
 
         while True:
@@ -341,9 +398,10 @@ class _Solver:
                 raise NumericalBreakdownError(
                     f"iteration cap {self.max_iterations} exceeded in the dual phase")
             fresh = not self.etas and self.updates_since_refactor == 0
-            if d is None:
-                d = self.reduced_costs(c)
+            if self.d is None:
+                self.d = self.reduced_costs(c)
                 z = float(c @ self.x)
+            d = self.d
             xB = self.x[self.basis]
             below = self.lo[self.basis] - xB
             viol = np.maximum(below, xB - self.up[self.basis])
@@ -353,7 +411,6 @@ class _Solver:
                     return True
                 # re-certify feasibility against a clean factorization
                 self.refactor()
-                d = None
                 continue
             bland = since_improve > self.bland_threshold
             if bland:
@@ -373,7 +430,6 @@ class _Solver:
                 # the pivot row: trust neither before a refactorization
                 if not fresh:
                     self.refactor()
-                    d = None
                     continue
                 if q < 0:
                     return False
@@ -406,7 +462,6 @@ class _Solver:
             if (len(self.etas) >= self.refactor_every
                     or self.updates_since_refactor >= 4 * self.refactor_every):
                 self.refactor()
-                d = None
 
     def _dual_ratio(self, d: np.ndarray, alpha: np.ndarray, s: float,
                     bland: bool, slope: float) -> tuple[int, np.ndarray]:

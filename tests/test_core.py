@@ -111,6 +111,66 @@ class TestInstance:
 # allocation evaluator
 # ---------------------------------------------------------------------------
 
+def reference_evaluate_allocation(inst, plan):
+    """evaluate_allocation as one Python-int loop per invariant."""
+    from ambuplan.core import Violation
+
+    J, I, T = inst.num_stations, inst.num_zones, inst.num_slots
+    a, n = inst.coverage.tolist(), inst.capacity.tolist()
+    c, cd, d = inst.hold_cost.tolist(), inst.dispatch_cost.tolist(), inst.demand.tolist()
+    x, s, short = plan.alloc.tolist(), plan.dispatch.tolist(), plan.shortage.tolist()
+    inv = [[sum(xj[:t + 1]) - sum(sj[:t + 1]) for t in range(T)] for xj, sj in zip(x, s)]
+    objective = inst.big_m * sum(short)
+    for j in range(J):
+        for t in range(T):
+            objective += c[j][t] * x[j][t] + cd[j][t] * s[j][t]
+    out = []
+    for name, mat in (("alloc", x), ("dispatch", s), ("inventory", inv)):
+        for j in range(J):
+            for t in range(T):
+                if mat[j][t] < 0:
+                    out.append(Violation("negative_value", (j, t), mat[j][t], 0,
+                                         f"{name}[{j}][{t}] = {mat[j][t]} < 0"))
+    for t in range(T):
+        if short[t] < 0:
+            out.append(Violation("negative_value", (t,), short[t], 0,
+                                 f"shortage[{t}] = {short[t]} < 0"))
+    for j in range(J):
+        for t in range(T):
+            if x[j][t] > n[j][t]:
+                out.append(Violation("alloc_exceeds_capacity", (j, t), x[j][t], n[j][t],
+                                     f"alloc[{j}][{t}] = {x[j][t]} > capacity {n[j][t]}"))
+            if s[j][t] > x[j][t]:
+                out.append(Violation("dispatch_exceeds_alloc", (j, t), s[j][t], x[j][t],
+                                     f"dispatch[{j}][{t}] = {s[j][t]} > alloc {x[j][t]}"))
+    for t in range(T):
+        total = sum(x[j][t] for j in range(J))
+        if total > inst.fleet_size:
+            out.append(Violation("fleet_exceeded", (t,), total, inst.fleet_size,
+                                 f"slot {t} allocates {total} > fleet {inst.fleet_size}"))
+    for i in range(I):
+        for t in range(T):
+            got = sum(a[j][i] * x[j][t] for j in range(J))
+            if got < d[i][t]:
+                out.append(Violation(
+                    "alloc_cover_short", (i, t), got, d[i][t],
+                    f"zone {i} slot {t}: covering alloc {got} < demand {d[i][t]}"))
+            served = sum(a[j][i] * s[j][t] for j in range(J)) + short[t]
+            if served < d[i][t]:
+                out.append(Violation(
+                    "dispatch_cover_short", (i, t), served, d[i][t],
+                    f"zone {i} slot {t}: covering dispatch + shortage {served}"
+                    f" < demand {d[i][t]}"))
+    for t in range(T):
+        lhs = sum(s[j][t] for j in range(J)) + short[t]
+        rhs = sum(d[i][t] for i in range(I))
+        if lhs != rhs:
+            out.append(Violation(
+                "dispatch_total_mismatch", (t,), lhs, rhs,
+                f"slot {t}: dispatches + shortage = {lhs}, total demand = {rhs}"))
+    return objective, out
+
+
 class TestEvaluateAllocation:
     def test_hand_checked_optimum(self, tiny1):
         plan = plan1([[1], [1]], [[1], [1]], [0])
@@ -172,6 +232,37 @@ class TestEvaluateAllocation:
         plan = plan1([[1, 1], [1, 1]], [[1, 1], [1, 1]], [0, 0])
         with pytest.raises(ValueError):
             evaluate_allocation(tiny1, plan)
+
+    @pytest.mark.parametrize("scale", [1, 2**61], ids=["int64", "past_int64"])
+    def test_matches_a_reference_loop_on_random_plans(self, scale):
+        # scale 2**61 pushes the sums past int64, so they are counted in
+        # Python ints
+        rng = np.random.default_rng(20)
+        kinds = set()
+        for trial in range(150):
+            J, I, T = (int(v) for v in rng.integers(1, 5, size=3))
+            inst = Instance(
+                num_stations=J, num_zones=I, num_slots=T,
+                fleet_size=int(rng.integers(0, 8)) * scale,
+                coverage=rng.integers(0, 2, size=(J, I)),
+                capacity=rng.integers(0, 4, size=(J, T)) * scale,
+                hold_cost=rng.integers(0, 9, size=(J, T)),
+                dispatch_cost=rng.integers(0, 9, size=(J, T)),
+                demand=rng.integers(0, 3, size=(I, T)) * scale,
+                big_m=int(rng.integers(1, 10**18)))
+            plan = plan1(rng.integers(-1, 4, size=(J, T)) * scale,
+                         rng.integers(-1, 4, size=(J, T)) * scale,
+                         rng.integers(-1, 3, size=T) * scale)
+            want = reference_evaluate_allocation(inst, plan)
+            got = evaluate_allocation(inst, plan)
+            assert got == want, trial
+            assert type(got[0]) is int
+            assert all(type(v) is int for w in got[1] for v in (w.lhs, w.rhs))
+            kinds.update(w.kind for w in got[1])
+        assert kinds == {"negative_value", "alloc_exceeds_capacity",
+                         "dispatch_exceeds_alloc", "fleet_exceeded",
+                         "alloc_cover_short", "dispatch_cover_short",
+                         "dispatch_total_mismatch"}
 
 
 # ---------------------------------------------------------------------------

@@ -808,6 +808,58 @@ class TestKernel:
         assert seen["pivots"] > 50 and seen["artificial"] > 0, seen
         assert seen["flip pivots"] > 0 and seen["flips"] > seen["flip pivots"], seen
 
+    def test_phase_2_keeps_the_reduced_costs(self, monkeypatch):
+        # after every phase-2 pivot the maintained reduced costs match a
+        # fresh pricing on every movable nonbasic column. A basis change
+        # costs one btran (the pivot row) and a bound flip none, apart from
+        # the btran of c_B that prices each fresh factorization
+        run_phase = simplex._Solver.run_phase
+        btran, reduced_costs = simplex._Solver.btran, simplex._Solver.reduced_costs
+        in_phase = []
+        calls = {"btran": 0, "priced": 0}
+        seen = {"pivots": 0, "flips": 0, "etas": 0}
+
+        def watched_phase(solver):
+            in_phase.append(True)
+            try:
+                return run_phase(solver)
+            finally:
+                in_phase.pop()
+
+        def counted_btran(solver, c):
+            calls["btran"] += 1
+            return btran(solver, c)
+
+        def counted_pricing(solver, c):
+            calls["priced"] += 1
+            return reduced_costs(solver, c)
+
+        def check(solver, q, r, leaving):
+            pivot_rows = calls["btran"] - calls["priced"]
+            calls.update(btran=0, priced=0)
+            if not in_phase:
+                return
+            assert pivot_rows == (r >= 0), (q, r, pivot_rows)
+            fresh = splu(solver.A[:, solver.basis])
+            c = solver.c
+            d = c - solver.AT @ fresh.solve(c[solver.basis], trans="T")
+            movable = solver.dirn != 0
+            err = np.abs(solver.d[movable] - d[movable]).max()
+            assert err <= 1e-9 * max(1.0, np.abs(d[movable]).max()), q
+            seen["pivots"] += 1
+            seen["flips"] += r < 0
+            seen["etas"] = max(seen["etas"], len(solver.etas))
+
+        monkeypatch.setattr(simplex._Solver, "run_phase", watched_phase)
+        monkeypatch.setattr(simplex._Solver, "btran", counted_btran)
+        monkeypatch.setattr(simplex._Solver, "reduced_costs", counted_pricing)
+        transfer, _, flips = self.kernel_programs()
+        for lp in (transfer, flips):
+            self.solve_watched(lp, monkeypatch, check)
+        # the checks ran on long eta files, and bound flips were among them
+        assert seen["etas"] == simplex.REFACTOR_EVERY, seen
+        assert seen["pivots"] > 100 and seen["flips"] >= 2, seen
+
     def test_dual_start_factors_once(self, monkeypatch):
         # the crash basis is diagonal, so the dual-feasibility check prices
         # it without a factorization; run_dual factors its slack start

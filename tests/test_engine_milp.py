@@ -120,6 +120,43 @@ class TestDirected:
         assert sol.objective == pytest.approx(-1.5, abs=1e-9)
 
 
+class TestIncumbentObjective:
+    @staticmethod
+    def scalar_loop(c, x):
+        """The incumbent's cost as one Python-int product per nonzero cost."""
+        total = 0
+        for j in np.flatnonzero(c):
+            total += int(round(float(c[j]))) * int(round(float(x[j])))
+        return total
+
+    def test_matches_the_scalar_loop_at_costs_near_2_pow_62(self):
+        from ambuplan.engine import branch_bound
+        from ambuplan.engine.simplex import build_standard_form
+
+        rng = np.random.default_rng(62)
+        n = 300
+        # integral floats near 2**62 (spacing 1024), either sign, some zero
+        cost = (2.0**62 - 1024.0 * rng.integers(0, 2**20, size=n)) * rng.choice([-1, 1], size=n)
+        cost[rng.random(n) < 0.2] = 0.0
+        lp = LinearProgram.from_rows(n, cost, [-50] * n, [50] * n, [1] * n)
+        search = branch_bound._Search(lp, build_standard_form(lp),
+                                      np.arange(n), None)
+        assert search.int_obj
+        for trial in range(20):
+            x = rng.integers(-50, 51, size=n).astype(float)
+            # exact halves round to even; the rest sit off the integers
+            kind = rng.random(n)
+            x[kind < 0.2] += 0.5
+            near = (kind >= 0.2) & (kind < 0.4)
+            x[near] += rng.uniform(-1e-7, 1e-7, size=int(near.sum()))
+            got = search.incumbent_objective(x)
+            assert type(got) is int
+            assert got == self.scalar_loop(cost, x), trial
+            # far beyond int64 and float64's exact integers
+            assert abs(got) > 2**63
+        assert search.incumbent_objective(np.zeros(n)) == 0
+
+
 class TestAgainstBruteForce:
     def test_random_all_integer_programs(self, dual_runs):
         rng = np.random.default_rng(777)

@@ -300,3 +300,15 @@ class TestSolve:
             outcome = solve_transfer(inst)
             assert outcome.status is SolveStatus.OPTIMAL
             assert outcome.nodes <= 1, f"seed {seed}"
+
+    def test_headline_instance_pins_the_primal_simplex(self):
+        # the 24-slot, 20-station, 60-zone day of the paper's benchmark; the
+        # crash basis is feasible, so phase 2 does every pivot, pricing from
+        # reduced costs that each pivot updates along its pivot row. A change
+        # that moves the entering choices (4,201 pivots with transfer-out
+        # columns) fails here
+        outcome = solve_transfer(generate(preset(5), 42))
+        assert outcome.status is SolveStatus.OPTIMAL
+        assert outcome.objective == 170_053_492
+        assert outcome.nodes == 1
+        assert outcome.iterations == 3_776
