@@ -435,93 +435,72 @@ def evaluate_transfer(inst: Instance, plan: TransferPlan) -> tuple[int, list[Vio
     """Exact objective and invariant check for a TransferPlan.
 
     Objective: hold costs on stock, dispatch costs on serves, transfer_cost
-    per incoming move (``transfer_in``), big_m per unit shortage.
+    per incoming move (``transfer_in``), big_m per unit shortage. Raises
+    ValueError on dimension mismatch; every other defect is reported as a
+    Violation.
     """
-    J, I, T = inst.num_stations, inst.num_zones, inst.num_slots
     require_plan_shape(inst, plan)
 
-    a = inst.coverage.tolist()
-    n = inst.capacity.tolist()
-    c = inst.hold_cost.tolist()
-    cd = inst.dispatch_cost.tolist()
-    d = inst.demand.tolist()
-    S = plan.stock.tolist()
-    y = plan.serve.tolist()
-    short = plan.shortage.tolist()
-    M = inst.big_m
-    tau = inst.transfer_cost
-    # the plan's moves in exact integers: arrivals and departures per slot
-    change = [[0] * J] + [[row[t] - row[t - 1] for row in S] for t in range(1, T)]
-    arrived = [sum(max(v, 0) for v in col) for col in change]
-    departed = [sum(max(-v, 0) for v in col) for col in change]
+    # every sum below has at most 2J + I + 1 terms
+    S, y, short = _exact_ints((plan.stock, plan.serve, plan.shortage),
+                              2 * inst.num_stations + inst.num_zones + 1)
+    # the plan's moves: arrivals and departures per slot after the first
+    change = np.diff(S, axis=1)
+    arrived = np.maximum(change, 0).sum(axis=0)
+    departed = np.maximum(-change, 0).sum(axis=0)
+    sent = y.sum(axis=1)  # [j][t]
 
-    objective = tau * sum(arrived)
-    for j in range(J):
-        for t in range(T):
-            objective += c[j][t] * S[j][t]
-            for i in range(I):
-                objective += cd[j][t] * y[j][i][t]
-    for i in range(I):
-        for t in range(T):
-            objective += M * short[i][t]
+    objective = (inst.transfer_cost * sum(arrived.tolist())
+                 + sum(map(mul, inst.hold_cost.ravel().tolist(), S.ravel().tolist()))
+                 + sum(map(mul, inst.dispatch_cost.ravel().tolist(), sent.ravel().tolist()))
+                 + inst.big_m * sum(short.ravel().tolist()))
 
     out: list[Violation] = []
 
-    for j in range(J):
-        for t in range(T):
-            if S[j][t] < 0:
-                out.append(Violation("negative_value", (j, t), S[j][t], 0,
-                                     f"stock[{j}][{t}] = {S[j][t]} < 0"))
-    for j in range(J):
-        for i in range(I):
-            for t in range(T):
-                if y[j][i][t] < 0:
-                    out.append(Violation(
-                        "negative_value", (j, i, t), y[j][i][t], 0,
-                        f"serve[{j}][{i}][{t}] = {y[j][i][t]} < 0"))
-                if y[j][i][t] > 0 and a[j][i] == 0:
-                    out.append(Violation(
-                        "serve_uncovered", (j, i, t), y[j][i][t], 0,
-                        f"serve[{j}][{i}][{t}] = {y[j][i][t]} but station {j}"
-                        f" does not cover zone {i}"))
-    for i in range(I):
-        for t in range(T):
-            if short[i][t] < 0:
-                out.append(Violation("negative_value", (i, t), short[i][t], 0,
-                                     f"shortage[{i}][{t}] = {short[i][t]} < 0"))
+    for j, t in np.argwhere(S < 0).tolist():
+        v = int(S[j, t])
+        out.append(Violation("negative_value", (j, t), v, 0, f"stock[{j}][{t}] = {v} < 0"))
+    uncovered = inst.coverage[:, :, None] == 0
+    for j, i, t in np.argwhere((y < 0) | ((y > 0) & uncovered)).tolist():
+        v = int(y[j, i, t])
+        if v < 0:
+            out.append(Violation("negative_value", (j, i, t), v, 0,
+                                 f"serve[{j}][{i}][{t}] = {v} < 0"))
+        else:
+            out.append(Violation("serve_uncovered", (j, i, t), v, 0,
+                                 f"serve[{j}][{i}][{t}] = {v} but station {j}"
+                                 f" does not cover zone {i}"))
+    for i, t in np.argwhere(short < 0).tolist():
+        v = int(short[i, t])
+        out.append(Violation("negative_value", (i, t), v, 0, f"shortage[{i}][{t}] = {v} < 0"))
 
-    first = sum(S[j][0] for j in range(J))
+    first = int(S[:, 0].sum())
     if first > inst.fleet_size:
         out.append(Violation("fleet_exceeded", (0,), first, inst.fleet_size,
                              f"slot 0 stocks {first} > fleet {inst.fleet_size}"))
 
     # vehicles only move between stations: the total stock never changes
-    for t in range(1, T):
-        if arrived[t] != departed[t]:
-            out.append(Violation(
-                "transfer_conservation", (t,), arrived[t], departed[t],
-                f"slot {t}: {arrived[t]} vehicles arrive but {departed[t]} depart"))
+    for k in np.flatnonzero(arrived != departed).tolist():
+        av, dv = int(arrived[k]), int(departed[k])
+        out.append(Violation("transfer_conservation", (k + 1,), av, dv,
+                             f"slot {k + 1}: {av} vehicles arrive but {dv} depart"))
 
-    for j in range(J):
-        for t in range(T):
-            if S[j][t] > n[j][t]:
-                out.append(Violation(
-                    "stock_exceeds_capacity", (j, t), S[j][t], n[j][t],
-                    f"stock[{j}][{t}] = {S[j][t]} > capacity {n[j][t]}"))
-            sent = sum(y[j][i][t] for i in range(I))
-            if sent > S[j][t]:
-                out.append(Violation(
-                    "dispatch_exceeds_stock", (j, t), sent, S[j][t],
-                    f"station {j} slot {t} dispatches {sent} > stock {S[j][t]}"))
+    n = inst.capacity
+    for j, t in np.argwhere((S > n) | (sent > S)).tolist():
+        sv, nv, dv = int(S[j, t]), int(n[j, t]), int(sent[j, t])
+        if sv > nv:
+            out.append(Violation("stock_exceeds_capacity", (j, t), sv, nv,
+                                 f"stock[{j}][{t}] = {sv} > capacity {nv}"))
+        if dv > sv:
+            out.append(Violation("dispatch_exceeds_stock", (j, t), dv, sv,
+                                 f"station {j} slot {t} dispatches {dv} > stock {sv}"))
 
-    for i in range(I):
-        for t in range(T):
-            got = sum(y[j][i][t] for j in range(J)) + short[i][t]
-            if got != d[i][t]:
-                out.append(Violation(
-                    "demand_mismatch", (i, t), got, d[i][t],
-                    f"zone {i} slot {t}: serves + shortage = {got},"
-                    f" demand = {d[i][t]}"))
+    got = y.sum(axis=0) + short
+    for i, t in np.argwhere(got != inst.demand).tolist():
+        gv, dv = int(got[i, t]), int(inst.demand[i, t])
+        out.append(Violation("demand_mismatch", (i, t), gv, dv,
+                             f"zone {i} slot {t}: serves + shortage = {gv},"
+                             f" demand = {dv}"))
 
     return objective, out
 

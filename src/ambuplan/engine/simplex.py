@@ -1,32 +1,35 @@
 """Bounded-variable primal and dual simplex over a sparse revised formulation.
 
 The program's constraint matrix is converted once into equality standard
-form (slack columns for inequalities). Each solve works on one matrix
-[A | diag(g)]: the artificial column of row k is the unit column scaled by
-the sign g[k] of that row's residual at the crash basis. The basis inverse
-is represented by a sparse LU factorization (scipy ``splu``) plus a
-product-form eta file that is folded back into a fresh factorization every
-REFACTOR_EVERY pivots. The crash basis gives each row to its slack when the
-slack can carry it, else to a structural column singleton that can absorb
-the row's residual within its bounds, and only otherwise to the row's
-artificial.
+form: a slack column per inequality row, then an artificial unit column per
+row, fixed on [0, 0] at zero cost. Every solve and every branch-and-bound
+node works on that one matrix. The basis inverse is represented by a sparse
+LU factorization (scipy ``splu``) plus a product-form eta file that is
+folded back into a fresh factorization every REFACTOR_EVERY pivots. The
+crash basis gives every inequality row to its slack, whatever value that
+leaves the slack, and each equality row to a structural column singleton
+that can absorb the row's residual within its bounds, else to the row's
+artificial at the signed residual.
 
-When the artificials carry a positive total at the crash, the dual simplex
-makes the basis feasible. Its start must price out (dirn * d <= the pricing
-tolerance for every nonbasic column). The crash basis is diagonal, so its
-prices c_B / diag(B) need no factorization, and each column that prices in
-gets the cost c_j - d_j, which zeroes its reduced cost (cost modification;
-Koberstein, PhD thesis, Paderborn 2005, ch. 4). Every allocation slot
-program and each of its branch-and-bound children has no such column. The
-dual hands each inequality row on an artificial back to its slack, factors
-that start once and pivots out the basic column with the largest bound
-violation. Its ratio test takes the long step: the columns whose
-breakpoints it passes flip to their other bound instead of each costing a
-pivot. A dual ray proves the program infeasible whatever the costs.
+Every solve then runs the dual simplex from the crash basis. Its start must
+price out (dirn * d <= the pricing tolerance for every nonbasic column). The
+crash basis is diagonal, so its prices c_B / diag(B) need no factorization,
+and each column that prices in gets the cost c_j - d_j, which zeroes its
+reduced cost (cost modification; Koberstein, PhD thesis, Paderborn 2005,
+ch. 4). Every allocation slot program and each of its branch-and-bound
+children has no such column. The dual factors its start once, and the
+start is feasible when no basic column violates its bounds by more than
+FEAS_TOL scaled by 1 + its value; a feasible start costs no pivot. Otherwise
+the dual pivots out the basic column with the largest bound violation. Its
+ratio test takes the long step: the columns whose breakpoints it passes flip
+to their other bound instead of each costing a pivot. A dual ray proves the
+program infeasible whatever the costs.
 
 Phase 2 then runs the primal simplex on the true costs from the feasible
 basis. It restores the costs the dual shifted, finds an unbounded ray if
-there is one, and certifies the optimum on a fresh factorization.
+there is one, and certifies the optimum on a fresh factorization. The
+optimum must then pass a residual check and a bound check on every column,
+the artificials included.
 
 Per-pivot work follows the nonzeros of the pivot column w = B^-1 a_q (a
 median 7% of the rows on the preset-5 transfer program) and of the pivot
@@ -98,17 +101,22 @@ REFACTOR_EVERY = 32  # eta-file length before folding into a fresh LU
 
 @dataclass
 class StandardForm:
-    """Equality form min c x, A x = b, lo <= x <= up shared across solves."""
+    """Equality form min c x, A x = b, lo <= x <= up shared across solves.
+
+    The columns are the structural ones, then one slack per inequality row,
+    then one artificial +e_k per row k, fixed on [0, 0] at zero cost.
+    """
 
     m: int
     n_struct: int
-    n_real: int            # structural + slack columns
-    A: sparse.csc_array    # m x n_real
+    n_real: int            # structural + slack columns; the artificials follow
+    A: sparse.csc_array    # m x (n_real + m)
     slack_sign: np.ndarray  # per row: +1 for <=, -1 for >=, 0 without slack
+    slack_col: np.ndarray  # per row: the column of its slack, where it has one
     b: np.ndarray
-    cost_real: np.ndarray
-    lower_real: np.ndarray
-    upper_real: np.ndarray
+    cost: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
     @cached_property
     def rows(self) -> sparse.csr_array:
@@ -117,27 +125,25 @@ class StandardForm:
         return self.A.tocsr()
 
 
-def _with_unit_columns(A: sparse.csc_array, rows: np.ndarray,
-                       signs: np.ndarray) -> sparse.csc_array:
-    """A with one column appended per entry of ``rows``: signs[k] at rows[k]."""
-    ends = A.indptr[-1] + np.arange(1, rows.size + 1, dtype=A.indptr.dtype)
-    return sparse.csc_array(
-        (np.concatenate([A.data, signs]),
-         np.concatenate([A.indices, rows.astype(A.indices.dtype)]),
-         np.concatenate([A.indptr, ends])),
-        shape=(A.shape[0], A.shape[1] + rows.size))
-
-
 def build_standard_form(lp: LinearProgram) -> StandardForm:
-    """Append one slack column per inequality row; equalities get none."""
+    """Append one slack column per inequality row (equalities get none), then
+    one artificial column per row."""
+    m, n, A = lp.num_rows, lp.num_vars, lp.A
     slack_rows = np.flatnonzero(lp.sense)
     s = slack_rows.size
-    return StandardForm(m=lp.num_rows, n_struct=lp.num_vars, n_real=lp.num_vars + s,
-                        A=_with_unit_columns(lp.A, slack_rows, lp.sense[slack_rows]),
-                        slack_sign=lp.sense.copy(), b=lp.rhs.copy(),
-                        cost_real=np.concatenate([lp.objective, np.zeros(s)]),
-                        lower_real=np.concatenate([lp.lower, np.zeros(s)]),
-                        upper_real=np.concatenate([lp.upper, np.full(s, np.inf)]))
+    # a unit column per slack, signed by its row's sense, then +e_k per row
+    rows = np.concatenate([slack_rows, np.arange(m)]).astype(A.indices.dtype)
+    ends = A.indptr[-1] + np.arange(1, s + m + 1, dtype=A.indptr.dtype)
+    std_A = sparse.csc_array((np.concatenate([A.data, lp.sense[slack_rows], np.ones(m)]),
+                              np.concatenate([A.indices, rows]),
+                              np.concatenate([A.indptr, ends])), shape=(m, n + s + m))
+    return StandardForm(m=m, n_struct=n, n_real=n + s, A=std_A,
+                        slack_sign=lp.sense.copy(),
+                        slack_col=n - 1 + np.cumsum(lp.sense != 0),
+                        b=lp.rhs.copy(),
+                        cost=np.concatenate([lp.objective, np.zeros(s + m)]),
+                        lower=np.concatenate([lp.lower, np.zeros(s + m)]),
+                        upper=np.concatenate([lp.upper, np.full(s, np.inf), np.zeros(m)]))
 
 
 class _Solver:
@@ -153,19 +159,13 @@ class _Solver:
         self.m = m
         self.n_real = n_real
         self.N = n_real + m
-        # artificials sit on [0, 0] and cost nothing
-        self.c = np.concatenate([std.cost_real, np.zeros(m)])
-        self.lo = np.concatenate([std.lower_real, np.zeros(m)])
-        self.up = np.concatenate([std.upper_real, np.zeros(m)])
-        if lo_struct is not None:
-            self.lo[:std.n_struct] = lo_struct
-        if hi_struct is not None:
-            self.up[:std.n_struct] = hi_struct
+        self.A, self.AT = std.A, std.A.T
+        self.c = std.cost
+        rest = slice(std.n_struct, None)
+        self.lo = std.lower if lo_struct is None else np.concatenate([lo_struct, std.lower[rest]])
+        self.up = std.upper if hi_struct is None else np.concatenate([hi_struct, std.upper[rest]])
         self.x = np.zeros(self.N)
         self.basis = np.zeros(m, dtype=np.int64)
-        # the column of each row's slack, where the row has one
-        self.slack_col = std.n_struct - 1 + np.cumsum(std.slack_sign != 0)
-        self.A = self.AT = None  # [A | diag(g)] and its transpose, from crash_basis
         self.lu = None
         # one (r, w[r], idx, w[idx]) per pivot, idx the other nonzeros of w
         self.etas: list[tuple[int, float, np.ndarray, np.ndarray]] = []
@@ -220,39 +220,34 @@ class _Solver:
     # ----- initialization --------------------------------------------------
 
     def crash_basis(self) -> np.ndarray:
-        """Crash basis: slacks carry their rows when feasible, then column
-        singletons, then artificials.
+        """Crash basis: every inequality row on its slack; each equality row
+        on a fitting column singleton, else on its artificial.
 
-        A row the slack cannot carry (or without a slack) whose residual is
-        nonzero goes to a structural column with its only nonzero in that
-        row, |a| >= pivot_tol, when moving that column to x + resid / a keeps
-        it within this solve's bounds; the lowest such column wins (Bixby,
-        ORSA J. Computing 4(3), 1992). Only the remaining rows start on an
-        artificial. Every other column starts at its (finite) lower bound.
-
-        Also builds the solve's matrix [A | diag(g)], where g[k] is the sign
-        of row k's residual at the crash point. The crash basis matrix is
-        diagonal; returns its diagonal.
+        A slack takes its row whatever value that leaves it; the dual phase
+        repairs a negative one. An equality row whose residual is nonzero
+        goes to a structural column with its only nonzero in that row,
+        |a| >= pivot_tol, when moving that column to x + resid / a keeps it
+        within this solve's bounds; the lowest such column wins (Bixby, ORSA
+        J. Computing 4(3), 1992). The other equality rows start on their
+        artificials at the signed residual. Every other column starts at its
+        (finite) lower bound. The crash basis matrix is diagonal; returns its
+        diagonal.
         """
         std = self.std
-        n_real, m = self.n_real, self.m
         self.x[:] = self.lo
-
-        resid = std.b - std.A @ self.x[:n_real]
-        # a row's slack carries it when that leaves the slack nonnegative
+        resid = std.b - std.A @ self.x  # the artificials sit on 0
         sigma = std.slack_sign
-        use_slack = (sigma != 0) & (sigma * resid >= -1e-12)
-        art_col = n_real + np.arange(m)
-        basis = np.where(use_slack, self.slack_col, art_col)
-        value = np.where(use_slack, np.maximum(sigma * resid, 0.0), np.abs(resid))
+        slack = sigma != 0
+        basis = np.where(slack, std.slack_col, self.n_real + np.arange(self.m))
+        value = np.where(slack, sigma * resid, resid)
+        diag = np.where(slack, sigma, 1.0)
 
         # structural column singletons, in column order
         indptr = std.A.indptr
         cols = np.flatnonzero(np.diff(indptr[:std.n_struct + 1]) == 1)
         rows = std.A.indices[indptr[cols]]
         a = std.A.data[indptr[cols]]
-        need = ~use_slack & (resid != 0)
-        ok = need[rows] & (np.abs(a) >= self.pivot_tol)
+        ok = ~slack[rows] & (resid[rows] != 0) & (np.abs(a) >= self.pivot_tol)
         cols, rows, a = cols[ok], rows[ok], a[ok]
         x_new = self.x[cols] + resid[rows] / a
         ok = (x_new >= self.lo[cols]) & (x_new <= self.up[cols])
@@ -260,18 +255,12 @@ class _Solver:
         rows, first = np.unique(rows[ok], return_index=True)
         basis[rows] = cols[ok][first]
         value[rows] = x_new[ok][first]
+        diag[rows] = a[ok][first]
 
         self.basis[:] = basis
         self.x[basis] = value
         self.dirn = np.where(self.lo < self.up, -1.0, 0.0)
         self.dirn[basis] = 0.0
-
-        g = np.where(resid >= 0, 1.0, -1.0)
-        self.A = _with_unit_columns(std.A, np.arange(m), g)
-        self.AT = self.A.T
-        # each row's basic column has its only nonzero in that row
-        diag = np.where(use_slack, sigma, g)
-        diag[rows] = a[ok][first]
         return diag
 
     # ----- pricing and pivoting --------------------------------------------
@@ -280,7 +269,7 @@ class _Solver:
         return c - self.AT @ self.btran(c[self.basis])
 
     def pivot_row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row r of B^-1 A over the structural and slack columns.
+        """Row r of B^-1 A.
 
         Returns (cols, vals), whose sums per column are alpha_r = rho^T A
         with rho = B^-T e_r; a column may repeat. Only the CSR rows of A at
@@ -313,7 +302,7 @@ class _Solver:
         A pivot on row r updates them from the pivot row alpha_r (see
         pivot_row) as d -= (d_q / alpha_rq) * alpha_r, with alpha_rq = w_r,
         on the columns that row touches; a bound flip leaves them as they
-        are. Artificials are never priced and get no update.
+        are. The artificials, fixed on [0, 0], are never priced.
         """
         c = self.c
         dtol = _dual_tol(c)
@@ -369,28 +358,21 @@ class _Solver:
         """Dual simplex on the costs c, from a crash basis that prices out on
         them.
 
-        It first hands every inequality row that the crash put on an
-        artificial back to its slack, whatever value that leaves the slack:
-        both are unit columns of cost zero in the same row, so the basis
-        prices out as before, and a row that ends up slack costs no pivot.
-        The artificials sit on [0, 0] and never enter, and this start is the
-        solve's first factorization. Each pivot takes the basic
-        column with the largest bound violation out onto the bound it
+        Its start is the solve's first factorization. Each pivot takes the
+        basic column with the largest bound violation out onto the bound it
         violates, and brings in the column that keeps every reduced cost on
-        its side. The columns whose breakpoints the ratio test passed first
-        flip to their other bound (see _dual_ratio); one ftran of their
-        summed moves updates the basic values, and the leaving column's step
-        starts from its value after the flips. A flip is no iteration.
-        Returns True once the basis is primal feasible on a fresh
-        factorization, False when a violated row has no eligible entering
-        column there (a dual ray: the program is infeasible, whatever c).
+        its side; the artificials sit on [0, 0] and never enter. The columns
+        whose breakpoints the ratio test passed first flip to their other
+        bound (see _dual_ratio); one ftran of their summed moves updates the
+        basic values, and the leaving column's step starts from its value
+        after the flips. A flip is no iteration. The basic values are checked
+        before the reduced costs are priced, so a feasible start costs no
+        btran and no pivot. Returns True once the basis is primal feasible
+        on a fresh factorization, False when a violated row has no eligible
+        entering column there (a dual ray: the program is infeasible,
+        whatever c).
         """
-        rows = np.flatnonzero((self.basis >= self.n_real) & (self.std.slack_sign != 0))
-        self.x[self.basis[rows]] = 0.0
-        self.basis[rows] = self.slack_col[rows]
-        self.dirn[self.basis[rows]] = 0.0
         self.refactor()
-
         since_improve = 0
 
         while True:
@@ -398,10 +380,6 @@ class _Solver:
                 raise NumericalBreakdownError(
                     f"iteration cap {self.max_iterations} exceeded in the dual phase")
             fresh = not self.etas and self.updates_since_refactor == 0
-            if self.d is None:
-                self.d = self.reduced_costs(c)
-                z = float(c @ self.x)
-            d = self.d
             xB = self.x[self.basis]
             below = self.lo[self.basis] - xB
             viol = np.maximum(below, xB - self.up[self.basis])
@@ -412,6 +390,10 @@ class _Solver:
                 # re-certify feasibility against a clean factorization
                 self.refactor()
                 continue
+            if self.d is None:
+                self.d = self.reduced_costs(c)
+                z = float(c @ self.x)
+            d = self.d
             bland = since_improve > self.bland_threshold
             if bland:
                 r = int(rows[np.argmin(self.basis[rows])])
@@ -576,21 +558,18 @@ class _Solver:
     # ----- driver -----------------------------------------------------------
 
     def solve(self) -> LpSolution:
+        """Crash, then the dual on costs shifted until the crash basis prices
+        out, then phase 2 on the true costs and the final check."""
         if np.any(self.lo > self.up):
             return LpSolution(LpStatus.INFEASIBLE, None, None)
         diag = self.crash_basis()
-
-        art_total = float(np.abs(self.x[self.n_real:]).sum())
-        if art_total > FEAS_TOL * (1.0 + float(np.abs(self.std.b).sum())):
-            # the dual needs a start that prices out: shift each cost that
-            # prices in by its reduced cost. The crash basis is diagonal,
-            # so its prices need no factorization.
-            c = self.c
-            d = c - self.AT @ (c[self.basis] / diag)
-            if not self.run_dual(np.where(self.dirn * d > _dual_tol(c), c - d, c)):
-                return LpSolution(LpStatus.INFEASIBLE, None, None, self.iterations)
-        else:
-            self.refactor()  # a feasible crash goes straight to phase 2
+        # the dual needs a start that prices out: shift each cost that prices
+        # in by its reduced cost. The crash basis is diagonal, so its prices
+        # need no factorization.
+        c = self.c
+        d = c - self.AT @ (c[self.basis] / diag)
+        if not self.run_dual(np.where(self.dirn * d > _dual_tol(c), c - d, c)):
+            return LpSolution(LpStatus.INFEASIBLE, None, None, self.iterations)
 
         # phase 2 restores any shifted costs and certifies optimality
         outcome = self.run_phase()
@@ -598,19 +577,19 @@ class _Solver:
             return LpSolution(LpStatus.UNBOUNDED, None, None, self.iterations)
         self._verify()
         x_real = self.x[:self.n_real].copy()
-        obj = float(self.std.cost_real @ x_real)
+        obj = float(self.c[:self.n_real] @ x_real)
         return LpSolution(LpStatus.OPTIMAL, x_real, obj, self.iterations)
 
     def _verify(self) -> None:
         """Exact-form residual and bound check; breakdown when irreparable."""
+        lo, up = self.lo, self.up
         for attempt in range(3):
             resid = self.A @ self.x - self.std.b
-            x_real = self.x[:self.n_real]
             row_tol = FEAS_TOL * (1.0 + np.abs(self.std.b))
             rows_ok = bool(np.all(np.abs(resid) <= row_tol * 100))
-            lo, up = self.lo[:self.n_real], self.up[:self.n_real]
-            lo_ok = bool(np.all(x_real >= lo - 1e-7 * (1.0 + np.abs(lo))))
-            up_ok = bool(np.all(x_real <= up + 1e-7 * (1.0 + np.abs(up))))
+            # the artificials too: one off [0, 0] hides a violated row
+            lo_ok = bool(np.all(self.x >= lo - 1e-7 * (1.0 + np.abs(lo))))
+            up_ok = bool(np.all(self.x <= up + 1e-7 * (1.0 + np.abs(up))))
             if rows_ok and lo_ok and up_ok:
                 return
             self.refactor()
@@ -628,7 +607,8 @@ def core_solve(std: StandardForm,
                hi_struct: np.ndarray | None = None) -> LpSolution:
     """Solve the continuous program over std with optional bound overrides.
 
-    The solution's x spans all standard-form columns, structural then slack.
+    The solution's x spans the structural columns, then the slack columns;
+    the artificials, zero at an optimum, are left out.
 
     A numerical failure triggers one full retry under conservative settings
     (tighter pivot threshold, more frequent refactorization) before the
@@ -642,8 +622,8 @@ def core_solve(std: StandardForm,
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Bounded-variable simplex on the continuous relaxation: the dual
-    simplex (on shifted costs where the crash basis does not price out) when
-    the crash basis carries artificials, then primal phase 2.
+    simplex from the crash basis (on shifted costs where that basis does not
+    price out), then primal phase 2.
 
     Statuses: OPTIMAL with a primal-feasible x (rows within FEAS_TOL scaled by
     1 + |rhs|), INFEASIBLE, or UNBOUNDED. Integrality flags are ignored here.

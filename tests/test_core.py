@@ -269,6 +269,80 @@ class TestEvaluateAllocation:
 # transfer evaluator
 # ---------------------------------------------------------------------------
 
+def reference_evaluate_transfer(inst, plan):
+    """evaluate_transfer as one Python-int loop per invariant."""
+    from ambuplan.core import Violation
+
+    J, I, T = inst.num_stations, inst.num_zones, inst.num_slots
+    a, n = inst.coverage.tolist(), inst.capacity.tolist()
+    c, cd, d = inst.hold_cost.tolist(), inst.dispatch_cost.tolist(), inst.demand.tolist()
+    S, y, short = plan.stock.tolist(), plan.serve.tolist(), plan.shortage.tolist()
+    change = [[0] * J] + [[row[t] - row[t - 1] for row in S] for t in range(1, T)]
+    arrived = [sum(max(v, 0) for v in col) for col in change]
+    departed = [sum(max(-v, 0) for v in col) for col in change]
+    objective = inst.transfer_cost * sum(arrived)
+    for j in range(J):
+        for t in range(T):
+            objective += c[j][t] * S[j][t]
+            for i in range(I):
+                objective += cd[j][t] * y[j][i][t]
+    for i in range(I):
+        for t in range(T):
+            objective += inst.big_m * short[i][t]
+    out = []
+    for j in range(J):
+        for t in range(T):
+            if S[j][t] < 0:
+                out.append(Violation("negative_value", (j, t), S[j][t], 0,
+                                     f"stock[{j}][{t}] = {S[j][t]} < 0"))
+    for j in range(J):
+        for i in range(I):
+            for t in range(T):
+                if y[j][i][t] < 0:
+                    out.append(Violation(
+                        "negative_value", (j, i, t), y[j][i][t], 0,
+                        f"serve[{j}][{i}][{t}] = {y[j][i][t]} < 0"))
+                if y[j][i][t] > 0 and a[j][i] == 0:
+                    out.append(Violation(
+                        "serve_uncovered", (j, i, t), y[j][i][t], 0,
+                        f"serve[{j}][{i}][{t}] = {y[j][i][t]} but station {j}"
+                        f" does not cover zone {i}"))
+    for i in range(I):
+        for t in range(T):
+            if short[i][t] < 0:
+                out.append(Violation("negative_value", (i, t), short[i][t], 0,
+                                     f"shortage[{i}][{t}] = {short[i][t]} < 0"))
+    first = sum(S[j][0] for j in range(J))
+    if first > inst.fleet_size:
+        out.append(Violation("fleet_exceeded", (0,), first, inst.fleet_size,
+                             f"slot 0 stocks {first} > fleet {inst.fleet_size}"))
+    for t in range(1, T):
+        if arrived[t] != departed[t]:
+            out.append(Violation(
+                "transfer_conservation", (t,), arrived[t], departed[t],
+                f"slot {t}: {arrived[t]} vehicles arrive but {departed[t]} depart"))
+    for j in range(J):
+        for t in range(T):
+            if S[j][t] > n[j][t]:
+                out.append(Violation(
+                    "stock_exceeds_capacity", (j, t), S[j][t], n[j][t],
+                    f"stock[{j}][{t}] = {S[j][t]} > capacity {n[j][t]}"))
+            sent = sum(y[j][i][t] for i in range(I))
+            if sent > S[j][t]:
+                out.append(Violation(
+                    "dispatch_exceeds_stock", (j, t), sent, S[j][t],
+                    f"station {j} slot {t} dispatches {sent} > stock {S[j][t]}"))
+    for i in range(I):
+        for t in range(T):
+            got = sum(y[j][i][t] for j in range(J)) + short[i][t]
+            if got != d[i][t]:
+                out.append(Violation(
+                    "demand_mismatch", (i, t), got, d[i][t],
+                    f"zone {i} slot {t}: serves + shortage = {got},"
+                    f" demand = {d[i][t]}"))
+    return objective, out
+
+
 class TestEvaluateTransfer:
     def test_hand_checked_optimum(self, tiny1):
         serve = np.zeros((2, 2, 1), dtype=int)
@@ -343,6 +417,36 @@ class TestEvaluateTransfer:
         kinds = {v.kind for v in violations}
         assert "stock_exceeds_capacity" in kinds  # 3 > capacity 2
         assert "fleet_exceeded" in kinds          # 4 > fleet 3
+
+    @pytest.mark.parametrize("scale", [1, 2**61], ids=["int64", "past_int64"])
+    def test_matches_a_reference_loop_on_random_plans(self, scale):
+        # scale 2**61 puts values near 2**62, so the sums are counted in
+        # Python ints
+        rng = np.random.default_rng(21)
+        kinds = set()
+        for trial in range(150):
+            J, I, T = (int(v) for v in rng.integers(1, 5, size=3))
+            inst = Instance(
+                num_stations=J, num_zones=I, num_slots=T,
+                fleet_size=int(rng.integers(0, 8)) * scale,
+                coverage=rng.integers(0, 2, size=(J, I)),
+                capacity=rng.integers(0, 4, size=(J, T)) * scale,
+                hold_cost=rng.integers(0, 9, size=(J, T)),
+                dispatch_cost=rng.integers(0, 9, size=(J, T)),
+                demand=rng.integers(0, 3, size=(I, T)) * scale,
+                big_m=int(rng.integers(1, 10**18)), transfer_cost=int(rng.integers(0, 9)))
+            plan = plan2(rng.integers(-1, 4, size=(J, T)) * scale,
+                         rng.integers(-1, 3, size=(J, I, T)) * scale,
+                         rng.integers(-1, 3, size=(I, T)) * scale)
+            want = reference_evaluate_transfer(inst, plan)
+            got = evaluate_transfer(inst, plan)
+            assert got == want, trial
+            assert type(got[0]) is int
+            assert all(type(v) is int for w in got[1] for v in (w.lhs, w.rhs))
+            kinds.update(w.kind for w in got[1])
+        assert kinds == {"negative_value", "serve_uncovered", "fleet_exceeded",
+                         "transfer_conservation", "stock_exceeds_capacity",
+                         "dispatch_exceeds_stock", "demand_mismatch"}
 
 
 class TestPlanTypes:

@@ -25,9 +25,11 @@ from ambuplan.engine import (
     LinearProgram,
     LinearRow,
     LpStatus,
+    MilpStatus,
     NumericalBreakdownError,
     simplex,
     solve_lp,
+    solve_milp,
 )
 
 inf = np.inf
@@ -225,11 +227,40 @@ class TestCrash:
         assert solver.x[0] == 4.0
         assert not solver.x[solver.n_real:].any()
         phases = self.phases_run(monkeypatch)
+        run_dual, dual_pivots = simplex._Solver.run_dual, []
+
+        def counted(solver, c):
+            feasible = run_dual(solver, c)
+            dual_pivots.append(solver.iterations)
+            return feasible
+
+        monkeypatch.setattr(simplex._Solver, "run_dual", counted)
         sol = solve_lp(lp)
-        assert phases == [2]
+        # the crash is feasible, so the dual only factors it
+        assert phases == ["dual", 2]
+        assert dual_pivots == [0]
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(5.5, abs=1e-9)
         assert np.allclose(sol.x, [0.0, 2.5, 1.5, 0.0], atol=1e-9)
+
+    def test_inequality_row_starts_on_its_slack(self, monkeypatch):
+        # x0 is a singleton of the >= row and would fit at 3, but the row
+        # goes to its slack at -3, and the dual makes it feasible
+        lp = lp_of(2, [1, 2], [0, 0], [10, 10], [
+            LinearRow(((0, 1.0), (1, 1.0)), ">=", 3.0),
+            LinearRow(((1, 1.0),), "<=", 5.0),
+        ])
+        solver = self.crashed(lp)
+        slack = solver.std.slack_col[0]
+        assert solver.basis[0] == slack
+        assert solver.x[slack] == -3.0
+        assert not solver.x[solver.n_real:].any()
+        phases = self.phases_run(monkeypatch)
+        sol = solve_lp(lp)
+        assert phases == ["dual", 2]
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(3.0, abs=1e-9)
+        assert np.allclose(sol.x, [3.0, 0.0], atol=1e-9)
 
     def test_singleton_beyond_its_bound_leaves_the_artificial(self):
         # x0 alone would need 5 > 2, and x1 <= 1 caps the rest: infeasible
@@ -319,6 +350,44 @@ class TestCrash:
         zero = demand_rows[calls == 0]
         assert zero.size and np.array_equal(solver.basis[zero], solver.n_real + zero)
         assert np.array_equal(solver.x[short], calls)
+
+
+def equality_under_a_loose_row(R):
+    """min x0 + x1 with x0 + x1 = 1 and x0 + x1 <= R, both integer.
+
+    Neither column is a singleton, so the equality row starts on its
+    artificial at 1 and the loose row on its slack at R.
+    """
+    return lp_of(2, [1, 1], [0, 0], [inf, inf], [
+        LinearRow(((0, 1.0), (1, 1.0)), "=", 1.0),
+        LinearRow(((0, 1.0), (1, 1.0)), "<=", R),
+    ], integrality=[1, 1])
+
+
+class TestFeasibilityPerRow:
+    """Each row's own violation decides whether the start is feasible,
+    however large the other right-hand sides are."""
+
+    @pytest.mark.parametrize("R", [1e6, 1e10, 1e12])
+    def test_a_loose_row_does_not_hide_the_equality(self, R):
+        lp = equality_under_a_loose_row(R)
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(1.0, abs=1e-9)
+        assert residuals_ok(lp, sol.x)
+        milp = solve_milp(lp)
+        assert milp.status is MilpStatus.OPTIMAL and milp.objective == 1
+
+    def test_verify_rejects_an_artificial_off_zero(self, monkeypatch):
+        # a dual phase that stops after its factorization leaves the
+        # equality row's artificial basic at 1, and every row's residual 0
+        def stopped(solver, c):
+            solver.refactor()
+            return True
+
+        monkeypatch.setattr(simplex._Solver, "run_dual", stopped)
+        with pytest.raises(NumericalBreakdownError):
+            solve_lp(equality_under_a_loose_row(1e10))
 
 
 class TestProgramValidation:
@@ -434,12 +503,12 @@ class TestAgainstIndependentSolver:
 
 
 def random_dual_program(rng):
-    """A program whose crash basis prices out but carries an artificial.
+    """A program whose crash basis prices out but is infeasible.
 
     Costs are nonnegative and every column has at least two nonzeros, so no
     column singleton joins the crash basis and every reduced cost starts at
     its cost. Row 0 lies above its left-hand side at the lower bounds, so
-    it starts on an artificial.
+    it starts on its artificial or its slack below zero.
     """
     n = int(rng.integers(1, 9))
     m = int(rng.integers(2, 9))
@@ -862,7 +931,7 @@ class TestKernel:
 
     def test_dual_start_factors_once(self, monkeypatch):
         # the crash basis is diagonal, so the dual-feasibility check prices
-        # it without a factorization; run_dual factors its slack start
+        # it without a factorization; run_dual factors that start
         factored, before_pivot = [], []
         lu = simplex.splu
 

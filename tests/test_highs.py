@@ -10,6 +10,8 @@ its moves as columns, so its answers also check the derived moves and the
 fleet column of ``build_transfer_program``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -22,6 +24,7 @@ from ambuplan import (
     preset,
     solve_allocation,
     solve_transfer,
+    tiny_params,
 )
 from ambuplan.core import at_minimal_penalty
 from ambuplan.engine import LinearProgram, LinearRow
@@ -131,6 +134,30 @@ def test_transfer_matches_highs_on_twelve_slots():
     assert ref.status == 0
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == round(ref.fun)
+
+
+@pytest.mark.parametrize("capacity", [10**9, 10**10])
+def test_huge_capacities_match_highs(capacity):
+    # every station holds `capacity` in every slot and the fleet fills them
+    # all, at the smallest big_m validate_instance accepts: right-hand sides
+    # near 10**10 next to demands of 1 or 2, so a start's feasibility must
+    # be judged row by row
+    for seed in range(60):
+        base = generate(tiny_params(seed), seed)
+        inst = at_minimal_penalty(dataclasses.replace(
+            base, capacity=np.full_like(base.capacity, capacity),
+            fleet_size=base.num_stations * capacity))
+        for model in sorted(MODELS):
+            build, solve = MODELS[model]
+            ref = highs(build(inst))
+            outcome = solve(inst)
+            label = f"{model} seed {seed}"
+            assert ref.status in (0, 2), label
+            if ref.status == 2:  # a zone that no station covers
+                assert outcome.status is SolveStatus.INFEASIBLE, label
+            else:
+                assert outcome.status is SolveStatus.OPTIMAL, label
+                assert outcome.objective == round(ref.fun), label
 
 
 def test_triangle_covers_branch_and_agree_with_highs():
