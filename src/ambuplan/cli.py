@@ -35,6 +35,7 @@ from .core import (
     Instance,
     SolveStatus,
     TransferPlan,
+    _exact_ints,
     evaluate_allocation,
     evaluate_transfer,
     require_plan_shape,
@@ -192,8 +193,8 @@ def plan_to_mapping(model: int, outcome) -> dict:
     body = None if plan is None else {k: getattr(plan, k).tolist()
                                       for k in decided + derived}
     best_bound = outcome.best_bound
-    if best_bound is not None:
-        bb = float(best_bound)
+    if best_bound is not None and not isinstance(best_bound, int):
+        bb = float(best_bound)  # an exact int bound is written as it is
         if not np.isfinite(bb):
             best_bound = None  # a -inf bound (nothing explored) is not JSON
         elif bb.is_integer():
@@ -323,8 +324,8 @@ def cmd_solve(args) -> int:
     elapsed = time.perf_counter() - started
     if args.out:
         write_text_atomic(args.out, dump_json(plan_to_mapping(args.model, outcome)))
-    shortage = int(outcome.plan.shortage.sum()) if outcome.plan is not None \
-        else "-"
+    shortage = sum(outcome.plan.shortage.ravel().tolist()) \
+        if outcome.plan is not None else "-"
     print(f"status={outcome.status.value} objective={outcome.objective}"
           f" shortage={shortage} nodes={outcome.nodes}"
           f" iterations={outcome.iterations} time={elapsed:.3f}s")
@@ -343,15 +344,19 @@ def _served_by_zone(inst: Instance, model: int,
     model only tracks dispatches per station, so its zone figure counts
     dispatched vehicles from stations covering the zone, capped at the
     zone's demand; one dispatch may appear for several zones it covers.
+    The sums are exact: Python ints where int64 could wrap.
     """
     if model == 2:
-        return plan.serve.sum(axis=0)
-    return np.minimum(inst.coverage.T @ plan.dispatch, inst.demand)
+        serve, = _exact_ints((plan.serve,), inst.num_stations)
+        return serve.sum(axis=0)
+    a, s = _exact_ints((inst.coverage, plan.dispatch), inst.num_stations)
+    return np.minimum(a.T @ s, inst.demand)
 
 
 def _shortage_by_slot(model: int, plan) -> np.ndarray:
     if model == 2:
-        return plan.shortage.sum(axis=0)
+        short, = _exact_ints((plan.shortage,), len(plan.shortage))
+        return short.sum(axis=0)
     return plan.shortage
 
 

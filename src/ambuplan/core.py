@@ -543,7 +543,7 @@ def outcome_from_milp(
     if violations:
         raise EngineError(
             f"solver returned an invalid {model} plan: {violations[0].message}")
-    priced = obj - (inst.big_m - penalty) * int(plan.shortage.sum())
+    priced = obj - (inst.big_m - penalty) * sum(plan.shortage.ravel().tolist())
     if priced != res.objective:
         raise EngineError(
             f"objective mismatch: plan costs {priced}, solver reported {res.objective}")

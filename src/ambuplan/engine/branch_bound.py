@@ -19,6 +19,7 @@ integer columns closes at the root, whose relaxation is trivially integral.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 
@@ -32,10 +33,7 @@ from .program import (
     NumericalBreakdownError,
     UnboundedProgramError,
 )
-from .simplex import INTEGRALITY_TOL, StandardForm, build_standard_form, core_solve
-
-# a node is (bound, seq, fixes); fixes is a tuple of (var, is_upper, value)
-_Node = tuple[float, int, tuple]
+from .simplex import INTEGRALITY_TOL, build_standard_form, core_solve
 
 
 def _integral_objective(lp: LinearProgram) -> bool:
@@ -47,142 +45,13 @@ def _integral_objective(lp: LinearProgram) -> bool:
     return bool(np.all(lp.integrality[touched] != 0))
 
 
-def _materialize(lp: LinearProgram, fixes: tuple) -> tuple[np.ndarray, np.ndarray]:
-    lo = lp.lower.copy()
-    hi = lp.upper.copy()
-    for j, is_upper, v in fixes:
-        if is_upper:
-            hi[j] = v
-        else:
-            lo[j] = v
-    return lo, hi
-
-
-class _Search:
-    """Bookkeeping for one branch-and-bound run."""
-
-    def __init__(self, lp: LinearProgram, std: StandardForm,
-                 int_idx: np.ndarray, node_limit: int | None):
-        self.lp = lp
-        self.std = std
-        self.int_idx = int_idx
-        self.node_limit = node_limit
-        self.int_obj = _integral_objective(lp)
-        self.heap: list[_Node] = []
-        self.stack: list[_Node] = []
-        self.seq = 0
-        self.best_obj: float | int | None = None
-        self.best_x: np.ndarray | None = None
-        self.nodes = 0
-        self.iterations = 0
-
-    # ----- bound handling ---------------------------------------------------
-
-    def effective(self, bound: float) -> float | int:
-        if self.int_obj and math.isfinite(bound):
-            return math.ceil(bound - 1e-6)
-        return bound
-
-    def prunable(self, bound: float) -> bool:
-        if self.best_obj is None or not math.isfinite(bound):
-            return False
-        eff = self.effective(bound)
-        if self.int_obj:
-            return eff >= self.best_obj
-        return eff >= self.best_obj - 1e-9 * (1.0 + abs(self.best_obj))
-
-    def incumbent_objective(self, x: np.ndarray) -> float | int:
-        if self.int_obj:
-            # exact in Python integers; rint rounds half to even, as round does
-            nz = np.flatnonzero(self.lp.objective)
-            c = np.rint(self.lp.objective[nz]).tolist()
-            v = np.rint(x[nz]).tolist()
-            return sum(map(operator.mul, map(int, c), map(int, v)))
-        return float(self.lp.objective @ x)
-
-    # ----- node processing ----------------------------------------------------
-
-    def offer_incumbent(self, x: np.ndarray) -> None:
-        obj = self.incumbent_objective(x)
-        if self.best_obj is None or obj < self.best_obj:
-            self.best_obj = obj
-            self.best_x = x
-
-    def process(self, fixes: tuple, res) -> list[_Node]:
-        """Digest one solved relaxation; returns child nodes to enqueue."""
-        if res.status is LpStatus.INFEASIBLE:
-            return []
-        if res.status is LpStatus.UNBOUNDED:
-            if not fixes:
-                raise UnboundedProgramError(
-                    "relaxation is unbounded; no optimal integer point exists")
-            raise NumericalBreakdownError(
-                "child relaxation reported unbounded under tightened bounds")
-        obj = res.objective
-        if self.prunable(obj):
-            return []
-        x = res.x[:self.lp.num_vars].copy()
-        xi = x[self.int_idx]
-        frac = xi - np.round(xi)
-        if np.all(np.abs(frac) <= INTEGRALITY_TOL):
-            lo, hi = _materialize(self.lp, fixes)
-            x[self.int_idx] = np.round(xi)
-            np.clip(x, lo, hi, out=x)
-            self.offer_incumbent(x)
-            return []
-        j = int(self.int_idx[int(np.argmax(np.abs(frac)))])
-        v = math.floor(float(x[j]))
-        down: _Node = (obj, self.next_seq(), fixes + ((j, True, v),))
-        up: _Node = (obj, self.next_seq(), fixes + ((j, False, v + 1),))
-        return [down, up]
-
-    def next_seq(self) -> int:
-        self.seq += 1
-        return self.seq
-
-    def open_bounds(self) -> list[float]:
-        return [n[0] for n in self.heap] + [n[0] for n in self.stack]
-
-    def finish(self, hit_limit: bool) -> MilpSolution:
-        if hit_limit:
-            opens = self.open_bounds()
-            raw = min(opens) if opens else (
-                self.best_obj if self.best_obj is not None else -math.inf)
-            if self.best_obj is not None:
-                raw = min(raw, self.best_obj)
-            return MilpSolution(MilpStatus.NODE_LIMIT, self.best_x,
-                                self.best_obj, nodes=self.nodes,
-                                best_bound=self.effective(raw),
-                                iterations=self.iterations)
-        if self.best_x is None:
-            return MilpSolution(MilpStatus.INFEASIBLE, None, None,
-                                nodes=self.nodes, best_bound=None,
-                                iterations=self.iterations)
-        return MilpSolution(MilpStatus.OPTIMAL, self.best_x, self.best_obj,
-                            nodes=self.nodes, best_bound=self.best_obj,
-                            iterations=self.iterations)
-
-
-def _run_serial(search: _Search) -> MilpSolution:
-    limit = search.node_limit
-    search.stack.append((-math.inf, search.next_seq(), ()))
-    while search.stack or search.heap:
-        node = search.stack.pop() if search.stack else heapq.heappop(search.heap)
-        bound, _, fixes = node
-        if search.prunable(bound):
-            continue
-        if limit is not None and search.nodes >= limit:
-            search.stack.append(node)               # still open: its bound counts
-            return search.finish(hit_limit=True)
-        lo, hi = _materialize(search.lp, fixes)
-        res = core_solve(search.std, lo, hi)
-        search.nodes += 1
-        search.iterations += res.iterations
-        children = search.process(fixes, res)
-        if children:
-            search.stack.append(children[0])       # plunge on the floor child
-            heapq.heappush(search.heap, children[1])
-    return search.finish(hit_limit=False)
+def _exact_objective(lp: LinearProgram, x: np.ndarray) -> int:
+    """``lp.objective @ x`` in Python integers, for an integral objective."""
+    # rint rounds half to even, as round does
+    nz = np.flatnonzero(lp.objective)
+    c = np.rint(lp.objective[nz]).tolist()
+    v = np.rint(x[nz]).tolist()
+    return sum(map(operator.mul, map(int, c), map(int, v)))
 
 
 def solve_milp(lp: LinearProgram, node_limit: int | None = None) -> MilpSolution:
@@ -196,4 +65,74 @@ def solve_milp(lp: LinearProgram, node_limit: int | None = None) -> MilpSolution
     """
     int_idx = np.flatnonzero(lp.integrality)
     std = build_standard_form(lp)
-    return _run_serial(_Search(lp, std, int_idx, node_limit))
+    int_obj = _integral_objective(lp)
+    best_obj: float | int | None = None
+    best_x: np.ndarray | None = None
+    nodes = iterations = 0
+
+    def effective(bound: float) -> float | int:
+        if int_obj and math.isfinite(bound):
+            return math.ceil(bound - 1e-6)
+        return bound
+
+    def prunable(bound: float) -> bool:
+        if best_obj is None or not math.isfinite(bound):
+            return False
+        if int_obj:
+            return effective(bound) >= best_obj
+        return bound >= best_obj - 1e-9 * (1.0 + abs(best_obj))
+
+    # a node is (bound, seq, fixes), fixes a tuple of (var, is_upper, value);
+    # the floor child is solved next, its sibling waits in the heap
+    seq = itertools.count()
+    heap: list[tuple[float, int, tuple]] = []
+    plunge = (-math.inf, next(seq), ())
+    while plunge or heap:
+        bound, _, fixes = plunge or heapq.heappop(heap)
+        plunge = None
+        if prunable(bound):
+            continue
+        if node_limit is not None and nodes >= node_limit:
+            # the popped node is still open, so its bound counts
+            raw = min([n[0] for n in heap] + [bound])
+            if best_obj is not None:
+                raw = min(raw, best_obj)
+            return MilpSolution(MilpStatus.NODE_LIMIT, best_x, best_obj,
+                                nodes=nodes, best_bound=effective(raw),
+                                iterations=iterations)
+        lo = lp.lower.copy()
+        hi = lp.upper.copy()
+        for j, is_upper, v in fixes:
+            (hi if is_upper else lo)[j] = v
+        res = core_solve(std, lo, hi)
+        nodes += 1
+        iterations += res.iterations
+        if res.status is LpStatus.INFEASIBLE:
+            continue
+        if res.status is LpStatus.UNBOUNDED:
+            if not fixes:
+                raise UnboundedProgramError(
+                    "relaxation is unbounded; no optimal integer point exists")
+            raise NumericalBreakdownError(
+                "child relaxation reported unbounded under tightened bounds")
+        if prunable(res.objective):
+            continue
+        x = res.x[:lp.num_vars].copy()
+        xi = x[int_idx]
+        frac = xi - np.round(xi)
+        if np.all(np.abs(frac) <= INTEGRALITY_TOL):
+            x[int_idx] = np.round(xi)
+            np.clip(x, lo, hi, out=x)
+            val = _exact_objective(lp, x) if int_obj else float(lp.objective @ x)
+            if best_obj is None or val < best_obj:
+                best_obj, best_x = val, x
+            continue
+        j = int(int_idx[int(np.argmax(np.abs(frac)))])
+        v = math.floor(float(x[j]))
+        plunge = (res.objective, next(seq), fixes + ((j, True, v),))
+        heapq.heappush(heap, (res.objective, next(seq), fixes + ((j, False, v + 1),)))
+    if best_x is None:
+        return MilpSolution(MilpStatus.INFEASIBLE, None, None, nodes=nodes,
+                            best_bound=None, iterations=iterations)
+    return MilpSolution(MilpStatus.OPTIMAL, best_x, best_obj, nodes=nodes,
+                        best_bound=best_obj, iterations=iterations)

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from ambuplan import (
+    AllocationPlan,
     Instance,
+    SolveOutcome,
+    SolveStatus,
+    TransferPlan,
     generate,
     solve_allocation,
     solve_transfer,
@@ -115,6 +119,21 @@ class TestPlanFiles:
         assert data["objective"] == 5
         assert data["best_bound"] == 5
         assert isinstance(data["best_bound"], int)
+
+    def test_best_bound_past_float64_is_written_exactly(self, tmp_path, capsys):
+        # no fleet: the one call goes short at big_m = 2**53 + 1, which a
+        # float64 cannot hold
+        payload = dict(TINY1_FILE, stations=1, zones=1, fleet=0, coverage=[[1]],
+                       capacity=[[1]], hold_cost=[[1]], dispatch_cost=[[1]],
+                       demand=[[1]], big_m=2**53 + 1)
+        path = write_json(tmp_path, "huge_m.json", payload)
+        plan_path = str(tmp_path / "plan.json")
+        assert entry(["solve", "--instance", path, "--model", "2",
+                      "--out", plan_path]) == 0
+        data = json.loads(open(plan_path).read())
+        assert data["status"] == "optimal"
+        assert data["objective"] == data["best_bound"] == 2**53 + 1
+        capsys.readouterr()
 
 
 class TestGenerate:
@@ -233,6 +252,14 @@ class TestSolve:
         assert entry(["solve", "--instance", path, "--model", "2"]) == 0
         out = capsys.readouterr().out
         assert "status=optimal" in out and "shortage=1" in out
+
+    def test_shortage_past_int64_is_counted_exactly(self, tmp_path, capsys):
+        # no fleet: two zones of 2**62 calls each go short, 2**63 in all
+        payload = dict(TINY1_FILE, fleet=0, demand=[[2**62], [2**62]])
+        path = write_json(tmp_path, "short.json", payload)
+        assert entry(["solve", "--instance", path, "--model", "2"]) == 0
+        out = capsys.readouterr().out
+        assert f"objective={2**63 * 1000} shortage={2**63} " in out
 
     def test_infeasible_still_writes_plan_file(self, tmp_path, capsys):
         payload = dict(TINY1_FILE, coverage=[[1, 0], [1, 0]])
@@ -372,6 +399,30 @@ class TestReport:
         # station 1's dispatch covers both zones; the zone-0 figure must
         # not double-count beyond the single call
         assert capsys.readouterr().out == "slot,z1,z2,shortage\r\n1,1/1,1/1,0\r\n"
+
+    def test_sums_past_int64_are_exact(self, tmp_path, capsys):
+        # two stations covering one zone each dispatch (or serve) 2**62, and
+        # model 2 leaves two zones 2**62 short: the sums reach 2**63
+        big = 2**62
+        payload = dict(TINY1_FILE, coverage=[[1, 1], [1, 1]], demand=[[3], [1]])
+        inst_path = write_json(tmp_path, "inst.json", payload)
+        plans = {
+            1: AllocationPlan(np.array([[big], [big]]), np.array([[big], [big]]),
+                              np.array([0])),
+            2: TransferPlan(np.array([[0], [0]]), np.full((2, 2, 1), big),
+                            np.array([[big], [big]])),
+        }
+        expected = {1: "slot,z1,z2,shortage\r\n1,3/3,1/1,0\r\n",
+                    2: (f"slot,z1,z2,shortage\r\n"
+                        f"1,3/{2 * big},1/{2 * big},{2 * big}\r\n")}
+        for model, plan in plans.items():
+            outcome = SolveOutcome(SolveStatus.NODE_LIMIT, None, plan)
+            plan_path = write_json(tmp_path, f"plan{model}.json",
+                                   plan_to_mapping(model, outcome))
+            capsys.readouterr()
+            assert entry(["report", "--instance", inst_path, "--plan", plan_path,
+                          "--format", "csv"]) == 0
+            assert capsys.readouterr().out == expected[model], model
 
     def test_report_to_file(self, tiny1_path, tmp_path, capsys):
         plan_path = self.solve_to_file(tiny1_path, tmp_path, 2)

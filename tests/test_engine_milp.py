@@ -131,7 +131,6 @@ class TestIncumbentObjective:
 
     def test_matches_the_scalar_loop_at_costs_near_2_pow_62(self):
         from ambuplan.engine import branch_bound
-        from ambuplan.engine.simplex import build_standard_form
 
         rng = np.random.default_rng(62)
         n = 300
@@ -139,9 +138,7 @@ class TestIncumbentObjective:
         cost = (2.0**62 - 1024.0 * rng.integers(0, 2**20, size=n)) * rng.choice([-1, 1], size=n)
         cost[rng.random(n) < 0.2] = 0.0
         lp = LinearProgram.from_rows(n, cost, [-50] * n, [50] * n, [1] * n)
-        search = branch_bound._Search(lp, build_standard_form(lp),
-                                      np.arange(n), None)
-        assert search.int_obj
+        assert branch_bound._integral_objective(lp)
         for trial in range(20):
             x = rng.integers(-50, 51, size=n).astype(float)
             # exact halves round to even; the rest sit off the integers
@@ -149,12 +146,12 @@ class TestIncumbentObjective:
             x[kind < 0.2] += 0.5
             near = (kind >= 0.2) & (kind < 0.4)
             x[near] += rng.uniform(-1e-7, 1e-7, size=int(near.sum()))
-            got = search.incumbent_objective(x)
+            got = branch_bound._exact_objective(lp, x)
             assert type(got) is int
             assert got == self.scalar_loop(cost, x), trial
             # far beyond int64 and float64's exact integers
             assert abs(got) > 2**63
-        assert search.incumbent_objective(np.zeros(n)) == 0
+        assert branch_bound._exact_objective(lp, np.zeros(n)) == 0
 
 
 class TestAgainstBruteForce:

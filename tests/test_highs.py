@@ -181,7 +181,7 @@ def test_triangle_covers_branch_and_agree_with_highs():
     assert ref.status == 0
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == round(ref.fun) == 307
-    assert outcome.nodes > 1
+    assert outcome.nodes == 19
     # stopped early, the search still brackets the optimum
     root = solve_allocation(inst, node_limit=1)
     assert root.status is SolveStatus.NODE_LIMIT and root.plan is None
@@ -189,3 +189,17 @@ def test_triangle_covers_branch_and_agree_with_highs():
     early = solve_allocation(inst, node_limit=5)
     assert early.status is SolveStatus.NODE_LIMIT and early.plan is not None
     assert early.best_bound <= 307 <= early.objective
+    # the search order: each extra node keeps the bracket and never widens it;
+    # the bound of a stopped search counts the node it had just taken out
+    bound, incumbent = -float("inf"), float("inf")
+    for limit in range(20):
+        step = solve_allocation(inst, node_limit=limit)
+        assert step.nodes == limit
+        assert step.status is (SolveStatus.OPTIMAL if limit == 19
+                               else SolveStatus.NODE_LIMIT), limit
+        assert bound <= step.best_bound <= 307, limit
+        bound = step.best_bound
+        if step.objective is not None:
+            assert 307 <= step.objective <= incumbent, limit
+            incumbent = step.objective
+    assert bound == incumbent == 307

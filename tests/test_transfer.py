@@ -233,6 +233,15 @@ class TestSolve:
         assert outcome.objective == 2 * inst.big_m
         assert np.all(outcome.plan.stock == 0)
 
+    def test_shortage_past_int64_is_repriced_exactly(self, tiny1):
+        # the solve prices shortage below big_m; repricing the two zones'
+        # 2**62 short calls each must not wrap their int64 sum to -2**63
+        inst = dataclasses.replace(tiny1, fleet_size=0,
+                                   demand=np.full((2, 1), 2**62))
+        outcome = solve_transfer(inst)
+        assert outcome.status is SolveStatus.OPTIMAL
+        assert outcome.objective == 2**63 * inst.big_m
+
     def test_stock_is_conserved_across_quiet_slots(self):
         inst = Instance(num_stations=1, num_zones=1, num_slots=2, fleet_size=1,
                         coverage=[[1]], capacity=[[1, 1]], hold_cost=[[1, 1]],
