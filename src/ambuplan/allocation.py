@@ -97,7 +97,7 @@ def build_allocation_program(inst: Instance) -> tuple[LinearProgram, AllocationI
     sense = np.repeat([1.0, -1.0, -1.0, 0.0, 1.0], sizes)
     demand = inst.demand.ravel()
     rhs = np.concatenate([np.full(tn, float(inst.fleet_size)), demand, demand,
-                          inst.demand.sum(axis=0), np.zeros(jt.size)])
+                          inst.demand.sum(axis=0, dtype=float), np.zeros(jt.size)])
     # each slot's block: alloc, dispatch, shortage
     obj = np.column_stack([inst.hold_cost.T, inst.dispatch_cost.T,
                            np.full(tn, float(inst.big_m))]).ravel()

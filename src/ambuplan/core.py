@@ -523,16 +523,24 @@ def outcome_from_milp(
     The program priced shortage at ``penalty`` <= ``inst.big_m``, so its
     bounds stay valid. ``extract_plan(x, ix)`` reads a plan from the solver's
     columns laid out by ``ix``; ``evaluate`` is the model's exact evaluator.
-    A NODE_LIMIT incumbent is priced without judging it. An OPTIMAL plan must
-    pass every model rule and cost, at ``penalty``, exactly what the solver
-    reported, or EngineError is raised; the objective returned is the exact
-    integer cost of the plan at ``inst.big_m``.
+    A solution with a value that does not fit int64 raises EngineError
+    before any plan is read from it. A NODE_LIMIT incumbent is priced
+    without judging it. An OPTIMAL plan must pass every model rule and cost,
+    at ``penalty``, exactly what the solver reported, or EngineError is
+    raised; the objective returned is the exact integer cost of the plan at
+    ``inst.big_m``.
     """
     from .engine import EngineError, MilpStatus  # loaded by the solve already
 
     if res.status is MilpStatus.INFEASIBLE:
         return SolveOutcome(SolveStatus.INFEASIBLE, None, None,
                             nodes=res.nodes, iterations=res.iterations)
+    if res.x is not None:
+        # the plans hold int64: a value past it would wrap in the cast
+        top = float(np.abs(np.rint(res.x)).max(initial=0.0))
+        if not top < 2.0**63:
+            raise EngineError(f"solver returned a {model} plan with a value of {top:.6g},"
+                              " outside the 64-bit integer range")
     plan = extract_plan(res.x, ix) if res.x is not None else None
     if res.status is MilpStatus.NODE_LIMIT:
         obj = evaluate(inst, plan)[0] if plan is not None else None

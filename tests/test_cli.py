@@ -261,6 +261,27 @@ class TestSolve:
         out = capsys.readouterr().out
         assert f"objective={2**63 * 1000} shortage={2**63} " in out
 
+    @pytest.mark.parametrize("model", ["1", "2"])
+    def test_int64_edge_never_reports_a_wrong_status(self, model, tmp_path, capsys):
+        # a valid instance at the edge of int64: each slot's demand sums to
+        # 2**63, and the fleet bound 2**63 - 1 is 2**63 in float64. The solve
+        # succeeds or fails as a solver failure with a message, never
+        # infeasible, and without a warning on the way
+        payload = dict(TINY1_FILE, coverage=[[1, 1], [1, 1]], fleet=2**63 - 1,
+                       capacity=[[2**62], [2**62]], demand=[[2**62], [2**62]],
+                       big_m=2**66)
+        path = write_json(tmp_path, "edge.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = entry(["solve", "--instance", path, "--model", model])
+        captured = capsys.readouterr()
+        assert code in (0, 6)
+        if code == 6:
+            assert captured.err.startswith("error: solver failure: ")
+            assert "Traceback" not in captured.err
+        else:
+            assert "status=optimal" in captured.out
+
     def test_infeasible_still_writes_plan_file(self, tmp_path, capsys):
         payload = dict(TINY1_FILE, coverage=[[1, 0], [1, 0]])
         path = write_json(tmp_path, "uncov.json", payload)

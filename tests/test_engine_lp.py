@@ -190,7 +190,9 @@ class TestDirected:
 
 
 class TestCrash:
-    """The crash gives a row to a column singleton that fits its bounds."""
+    """The crash gives an equality row to a column singleton that fits its
+    bounds, and an inequality row whose slack sits at zero to a column that
+    prices in and meets no other inequality row."""
 
     @staticmethod
     def crashed(lp, lo_struct=None, hi_struct=None):
@@ -288,6 +290,67 @@ class TestCrash:
         assert res.status is LpStatus.OPTIMAL
         assert res.objective == pytest.approx(5.0, abs=1e-9)
         assert np.allclose(res.x[:2], [1.0, 2.0], atol=1e-9)
+
+    def test_zero_slack_row_takes_the_column_that_prices_in_most(self, dual_runs):
+        # a serve/stock miniature: x0, x1, x2 serve under the limit row
+        # x0 + x1 + x2 - x3 <= 0, whose slack sits at zero; the demand rows
+        # start on the shortage singletons x4 (value 1) and x5 (value 3),
+        # at price 10. x0 and x1 price in at -9, x2 at -5; x1's other row
+        # holds the larger value, so x1 takes the limit row at price -9
+        lp = lp_of(6, [1, 1, 5, 2, 10, 10], [0] * 6, [inf, inf, inf, 4, inf, inf], [
+            LinearRow(((0, 1.0), (1, 1.0), (2, 1.0), (3, -1.0)), "<=", 0.0),
+            LinearRow(((0, 1.0), (4, 1.0)), "=", 1.0),
+            LinearRow(((1, 1.0), (2, 1.0), (5, 1.0)), "=", 3.0),
+        ])
+        solver = simplex._Solver(simplex.build_standard_form(lp), None, None)
+        d = solver.crash_basis()
+        slack = solver.std.slack_col[0]
+        assert solver.basis.tolist() == [1, 4, 5]
+        assert solver.dirn[slack] == -1.0 and solver.x[slack] == 0.0
+        assert np.array_equal(solver.x[:6], [0, 0, 0, 0, 1, 3])
+        # the reduced costs are those of the prices y = B^-T c_B = (-9, 10,
+        # 10), built without a factorization
+        y = splu(solver.A[:, solver.basis]).solve(solver.c[solver.basis], trans="T")
+        assert np.allclose(y, [-9.0, 10.0, 10.0], rtol=0, atol=1e-12)
+        assert np.array_equal(d, solver.c - solver.AT @ np.array([-9.0, 10.0, 10.0]))
+        # the start prices out once x3's cost is shifted (dual_runs checks
+        # it against a fresh factorization), and the optimum serves it all
+        sol = solve_lp(lp)
+        assert [shifted.tolist() for shifted, _ in dual_runs] == [[3]]
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(12.0, abs=1e-9)
+        assert np.allclose(sol.x, [1, 3, 0, 4, 0, 0], atol=1e-9)
+
+    def test_zero_slack_row_keeps_its_slack_without_a_fitting_column(self):
+        # x0 meets two inequality rows, x1's sign would move the row away
+        # from its limit, x2 prices out, and x3 is fixed by its bounds; the
+        # demand row starts on the shortage singleton x4 at price 10
+        lp = lp_of(5, [1, 1, 20, 1, 10], [0, 0, 0, 0, 0], [inf, inf, inf, 0, inf], [
+            LinearRow(((0, 1.0), (1, -1.0), (2, 1.0), (3, 1.0)), "<=", 0.0),
+            LinearRow(((0, 1.0),), "<=", 7.0),
+            LinearRow(((0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)), "=", 2.0),
+        ])
+        std = simplex.build_standard_form(lp)
+        assert std.crash_columns[0].tolist() == [2, 3]
+        solver = simplex._Solver(std, None, None)
+        d = solver.crash_basis()
+        assert solver.basis.tolist() == [std.slack_col[0], std.slack_col[1], 4]
+        assert np.array_equal(d, solver.c - solver.AT @ np.array([0.0, 0.0, 10.0]))
+
+    def test_allocation_offers_the_crash_no_column(self):
+        # every allocation column meets several inequality rows, and none
+        # prices in at the diagonal basis; in the transfer program the serve
+        # columns are the candidates, one limit row each
+        inst = generate(preset(5), 42)
+        alloc, _ = build_allocation_program(inst)
+        std = simplex.build_standard_form(alloc)
+        d = simplex._Solver(std, None, None).crash_basis()
+        # the crash never built the structure: nothing priced in
+        assert d[:std.n_struct].min() >= 0 and "crash_columns" not in vars(std)
+        assert not std.crash_columns[0].size
+        transfer, ix = build_transfer_program(inst)
+        cols = simplex.build_standard_form(transfer).crash_columns[0]
+        assert cols.tolist() == list(range(ix.serve_pair(0, 0), ix.transfer_in(0, 1)))
 
     def test_negative_cost_shifts_into_the_dual(self, monkeypatch, dual_runs):
         # x1 at its lower bound prices in at cost -2, so the crash basis is
@@ -753,7 +816,10 @@ class TestKernel:
             assert_eta_solves_match(solver, splu(solver.A[:, solver.basis]), q, rng)
             pivots.append(len(solver.etas))
 
-        for lp in self.kernel_programs()[:2]:
+        # a preset-1 transfer program takes about 150 pivots from the
+        # triangular crash, so a second one keeps the pivots checked above 200
+        second, _ = build_transfer_program(generate(preset(1), 1))
+        for lp in self.kernel_programs()[:2] + [second]:
             self.solve_watched(lp, monkeypatch, check)
         # the check ran on long eta files, not only after refactorizations
         assert len(pivots) > 200 and max(pivots) == simplex.REFACTOR_EVERY
@@ -930,8 +996,9 @@ class TestKernel:
         assert seen["pivots"] > 100 and seen["flips"] >= 2, seen
 
     def test_dual_start_factors_once(self, monkeypatch):
-        # the crash basis is diagonal, so the dual-feasibility check prices
-        # it without a factorization; run_dual factors that start
+        # the crash returns the prices of its triangular basis, so the
+        # dual-feasibility check needs no factorization; run_dual factors
+        # that start
         factored, before_pivot = [], []
         lu = simplex.splu
 

@@ -203,3 +203,24 @@ def test_triangle_covers_branch_and_agree_with_highs():
             assert 307 <= step.objective <= incumbent, limit
             incumbent = step.objective
     assert bound == incumbent == 307
+
+
+def test_half_integral_transfer_vertex_agrees_with_highs():
+    # a valid instance, shrunk from a random draw, on which model 2's root
+    # relaxation has a vertex with columns at 0.5: its matrix is not totally
+    # unimodular. Whether the simplex lands there depends on its start, so
+    # the node count is left free; the optimum equals the LP value
+    inst = Instance(
+        num_stations=4, num_zones=9, num_slots=3, fleet_size=25,
+        coverage=np.array([[1, 1, 1, 0, 0, 0, 1, 0, 0], [1, 0, 1, 0, 1, 0, 1, 1, 1],
+                           [0, 1, 0, 1, 1, 0, 1, 1, 1], [1, 1, 1, 1, 0, 1, 1, 1, 1]]),
+        capacity=np.array([[10, 9, 9], [2, 2, 2], [6, 4, 12], [2, 2, 2]]),
+        hold_cost=np.full((4, 3), 373_331), dispatch_cost=np.full((4, 3), 8_001),
+        demand=np.array([[1, 0, 1], [1, 1, 1], [1, 0, 0], [1, 1, 0], [1, 1, 2],
+                         [2, 1, 0], [2, 0, 1], [1, 0, 1], [0, 2, 0]]),
+        big_m=28_599_901, transfer_cost=0)
+    ref = highs(explicit_transfer_program(inst))
+    outcome = solve_transfer(inst)
+    assert ref.status == 0
+    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.objective == round(ref.fun) == 11_375_952

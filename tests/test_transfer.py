@@ -313,11 +313,11 @@ class TestSolve:
     def test_headline_instance_pins_the_primal_simplex(self):
         # the 24-slot, 20-station, 60-zone day of the paper's benchmark; the
         # crash basis is feasible, so phase 2 does every pivot, pricing from
-        # reduced costs that each pivot updates along its pivot row. A change
-        # that moves the entering choices (4,201 pivots with transfer-out
-        # columns) fails here
+        # reduced costs that each pivot updates along its pivot row. The
+        # crash puts a serve column in each limit row. A change that moves
+        # the start or the entering choices fails here
         outcome = solve_transfer(generate(preset(5), 42))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == 170_053_492
         assert outcome.nodes == 1
-        assert outcome.iterations == 3_776
+        assert outcome.iterations == 2_367
