@@ -10,13 +10,16 @@ Placement must cover every zone's demand outright (a zone whose demand cannot
 be covered makes the instance infeasible), while dispatch shortfalls are
 merely priced at the ``big_m`` weight. No balance equation ties one slot to
 another, so the program separates exactly by slot, and its columns come in
-one block per slot. The plan's ``inventory``, the placed-but-idle vehicles,
+one block per slot. Every slot program has the same constraint matrix, since
+coverage is the same in every slot; only demand, costs and capacities
+differ. The plan's ``inventory``, the placed-but-idle vehicles,
 carries no cost and is not a program variable: ``dispatch <= alloc`` keeps
 it nonnegative, and the plan derives it as the running sum of
 ``alloc - dispatch``.
 ``build_allocation_program`` writes the whole day as one program, for
 inspection and independent checks; ``solve_allocation`` solves one small
-program per slot and joins their blocks.
+program per slot, each from the previous slot's optimal root basis, and
+joins their blocks.
 """
 
 from __future__ import annotations
@@ -120,9 +123,11 @@ def solve_allocation(inst: Instance, node_limit: int | None = None) -> SolveOutc
     ``solving_form(inst)``: the fleet the stations can hold and the smallest
     ``big_m`` valid for it. On OPTIMAL the returned objective is the
     exact integer cost of the plan at ``inst.big_m``, and the plan has been
-    re-checked against every model rule. Nodes and iterations are summed
-    over the slots, and ``node_limit`` is one budget that each slot draws
-    what is left of. The first infeasible slot makes the instance
+    re-checked against every model rule. Each slot's root relaxation starts
+    from the final basis of the previous slot's root, which is often
+    optimal for it already; the first slot starts from the crash. Nodes and
+    iterations are summed over the slots, and ``node_limit`` is one budget
+    that each slot draws what is left of. The first infeasible slot makes the instance
     infeasible; a slot that runs out of nodes makes the result NODE_LIMIT,
     with a plan only when every slot found one.
     """
@@ -130,6 +135,7 @@ def solve_allocation(inst: Instance, node_limit: int | None = None) -> SolveOutc
     blocks = []                         # each solved slot's columns
     status, found = MilpStatus.OPTIMAL, True
     objective = nodes = iterations = bound = 0
+    start = None                        # the previous slot's root basis
     for t in range(inst.num_slots):
         if nodes == node_limit:
             # the shared budget is spent: this slot and the rest go unexplored
@@ -141,7 +147,8 @@ def solve_allocation(inst: Instance, node_limit: int | None = None) -> SolveOutc
                        dispatch_cost=priced.dispatch_cost[:, one],
                        demand=priced.demand[:, one])
         lp, _ = build_allocation_program(slot)
-        res = solve_milp(lp, None if node_limit is None else node_limit - nodes)
+        res = solve_milp(lp, None if node_limit is None else node_limit - nodes, start)
+        start = res.basis
         nodes += res.nodes
         iterations += res.iterations
         if res.status is MilpStatus.INFEASIBLE:

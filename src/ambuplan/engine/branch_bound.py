@@ -12,6 +12,10 @@ integer-constrained, node bounds are rounded up to the next integer before
 pruning and incumbent objectives are computed in exact integer arithmetic, so
 optimality proofs do not depend on floating-point dots.
 
+The root relaxation may start from a given basis, the final basis of an
+earlier solve over a program of the same shape, and the solution returns the
+root's own final basis; the children start from the crash.
+
 The search is serial, so repeated solves are bit-identical. A program without
 integer columns closes at the root, whose relaxation is trivially integral.
 """
@@ -54,20 +58,23 @@ def _exact_objective(lp: LinearProgram, x: np.ndarray) -> int:
     return sum(map(operator.mul, map(int, c), map(int, v)))
 
 
-def solve_milp(lp: LinearProgram, node_limit: int | None = None) -> MilpSolution:
+def solve_milp(lp: LinearProgram, node_limit: int | None = None,
+               start: tuple[np.ndarray, np.ndarray] | None = None) -> MilpSolution:
     """Minimize lp subject to its integrality flags.
 
     Statuses: OPTIMAL (x integral within 1e-6, objective proved optimal),
     INFEASIBLE, or NODE_LIMIT (budget exhausted; best_bound is still a valid
     lower bound and x/objective carry the incumbent, if any); ``node_limit``
     caps the number of nodes solved. An unbounded relaxation raises
-    UnboundedProgramError.
+    UnboundedProgramError. ``start`` is a ``MilpSolution.basis`` of an
+    earlier solve, which the root relaxation starts from (see core_solve).
     """
     int_idx = np.flatnonzero(lp.integrality)
     std = build_standard_form(lp)
     int_obj = _integral_objective(lp)
     best_obj: float | int | None = None
     best_x: np.ndarray | None = None
+    root_basis = None
     nodes = iterations = 0
 
     def effective(bound: float) -> float | int:
@@ -99,12 +106,14 @@ def solve_milp(lp: LinearProgram, node_limit: int | None = None) -> MilpSolution
                 raw = min(raw, best_obj)
             return MilpSolution(MilpStatus.NODE_LIMIT, best_x, best_obj,
                                 nodes=nodes, best_bound=effective(raw),
-                                iterations=iterations)
+                                iterations=iterations, basis=root_basis)
         lo = lp.lower.copy()
         hi = lp.upper.copy()
         for j, is_upper, v in fixes:
             (hi if is_upper else lo)[j] = v
-        res = core_solve(std, lo, hi)
+        res = core_solve(std, lo, hi, None if fixes else start)
+        if not fixes:
+            root_basis = res.basis
         nodes += 1
         iterations += res.iterations
         if res.status is LpStatus.INFEASIBLE:
@@ -133,6 +142,6 @@ def solve_milp(lp: LinearProgram, node_limit: int | None = None) -> MilpSolution
         heapq.heappush(heap, (res.objective, next(seq), fixes + ((j, False, v + 1),)))
     if best_x is None:
         return MilpSolution(MilpStatus.INFEASIBLE, None, None, nodes=nodes,
-                            best_bound=None, iterations=iterations)
+                            best_bound=None, iterations=iterations, basis=root_basis)
     return MilpSolution(MilpStatus.OPTIMAL, best_x, best_obj, nodes=nodes,
-                        best_bound=best_obj, iterations=iterations)
+                        best_bound=best_obj, iterations=iterations, basis=root_basis)

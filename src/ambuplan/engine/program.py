@@ -150,12 +150,19 @@ def matrix_from_blocks(blocks, shape: tuple[int, int]) -> sparse.csc_array:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Continuous solve result. x and objective are None unless OPTIMAL."""
+    """Continuous solve result. x and objective are None unless OPTIMAL.
+
+    At OPTIMAL, ``basis`` is the final ``(basis, dirn)`` of the standard
+    form: the column in each basis position, and each column's direction
+    (-1 at its lower bound, +1 at its upper, 0 basic or fixed). A later solve
+    over a standard form of the same shape may start from it.
+    """
 
     status: LpStatus
     x: np.ndarray | None
     objective: float | None
     iterations: int = 0
+    basis: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -166,7 +173,8 @@ class MilpSolution:
     ``x`` is exactly integral (rounded after passing the integrality
     tolerance). At NODE_LIMIT, ``objective``/``x`` describe the incumbent
     (None when none was found) and ``best_bound`` is a valid lower bound on
-    the true optimum.
+    the true optimum. ``basis`` is the root relaxation's final basis (see
+    LpSolution), None when the root was not solved to optimality.
     """
 
     status: MilpStatus
@@ -175,3 +183,4 @@ class MilpSolution:
     nodes: int = 0
     best_bound: float | None = None
     iterations: int = 0
+    basis: tuple[np.ndarray, np.ndarray] | None = None

@@ -15,19 +15,30 @@ inequality row, and stays at its lower bound. On the preset-5 transfer
 program (seed 42) those are the serve columns, one per station and slot,
 and phase 2 takes 2,367 pivots where the slack start took 3,776.
 
-Every solve then runs the dual simplex from the crash basis. Its start must
-price out (dirn * d <= the pricing tolerance for every nonbasic column). The
-crash basis is triangular, and the crash computes its prices y, and from
-them d, without a factorization. Each column that prices in gets the cost
-c_j - d_j, which zeroes its reduced cost (cost modification; Koberstein,
-PhD thesis, Paderborn 2005, ch. 4). Every allocation slot program and each
-of its branch-and-bound children has no such column. The dual factors its
-start once, and the start is feasible when no basic column violates its
-bounds by more than FEAS_TOL scaled by 1 + its value; a feasible start costs
-no pivot. Otherwise the dual pivots out the basic column with the largest
-bound violation. Its ratio test takes the long step: the columns whose
-breakpoints it passes flip to their other bound instead of each costing a
-pivot. A dual ray proves the program infeasible whatever the costs.
+A solve may instead start from the final (basis, dirn) of another solve
+over a standard form of the same shape, which ``core_solve`` returns and
+takes back. Each nonbasic column then sits on the bound its dirn names; it
+goes to its lower bound where that upper bound is now infinite, and a
+column with lo == up is fixed. Model 1's slot programs share one matrix,
+and on the preset-5 day (seed 42) each slot's optimal basis is optimal for
+the next slot at most slots: 21 pivots in all where the crash in every
+slot took 504.
+
+Every solve then runs the dual simplex from its start. That start must
+price out (dirn * d <= the pricing tolerance 1e-7 + 1e-11 * |c_j| of every
+nonbasic column). The crash basis is triangular, and the crash computes
+its prices y, and from them d, without a factorization; a given start is
+priced once on its first factorization. Each column that prices in gets
+the cost c_j - d_j, which zeroes its reduced cost (cost modification;
+Koberstein, PhD thesis, Paderborn 2005, ch. 4). No allocation slot program
+or branch-and-bound child of one has such a column at the crash. The dual
+runs on the start's one factorization, and the start is feasible when no
+basic column violates its bounds by more than FEAS_TOL scaled by 1 + its
+value; a feasible start costs no pivot. Otherwise the dual pivots out the
+basic column with the largest bound violation. Its ratio test takes the
+long step: the columns whose breakpoints it passes flip to their other
+bound instead of each costing a pivot. A dual ray proves the program
+infeasible whatever the costs.
 
 Phase 2 then runs the primal simplex on the true costs from the feasible
 basis. It restores the costs the dual shifted, finds an unbounded ray if
@@ -48,11 +59,12 @@ row rather than the row count m or the column count:
   movable at upper, 0 basic or fixed), turns pricing into one product
   dirn * d. Together with the basis it is the only record of a column's
   place: every lower bound is finite, so a nonbasic column sits on lo or up.
-  It is set by the crash, and each pivot updates only the entering and
-  leaving entries and those of the columns a dual pivot flips.
+  It is set by the crash or the start, and each pivot updates only the
+  entering and leaving entries and those of the columns a dual pivot flips.
 - Phase 2 computes the reduced costs d = c - A^T B^-T c_B in full only
-  after a factorization. A pivot on row r updates them from the pivot row,
-  d -= (d_q / w_r) * alpha_r, with alpha_r = rho^T A and rho = B^-T e_r
+  after a factorization, and takes them from the start's pricing when the
+  dual neither shifted a cost nor pivoted. A pivot on row r updates them
+  from the pivot row, d -= (d_q / w_r) * alpha_r, with alpha_r = rho^T A and rho = B^-T e_r
   (alpha_rq = w_r). rho is hyper-sparse, a median 8 nonzeros in 2,404 rows
   on the preset-5 transfer program, so the product reads only the rows of
   A at rho's nonzeros, from a row-major copy that the StandardForm keeps
@@ -98,6 +110,7 @@ from .program import (
 )
 
 FEAS_TOL = 1e-9      # row/bound tolerance, scaled by 1 + |reference value|
+DUAL_TOL = 1e-7      # reduced-cost tolerance, plus 1e-11 * |c_j| per column
 PIVOT_TOL = 1e-7     # smallest acceptable pivot magnitude
 INTEGRALITY_TOL = 1e-6
 REFACTOR_EVERY = 32  # eta-file length before folding into a fresh LU
@@ -185,7 +198,8 @@ class _Solver:
 
     def __init__(self, std: StandardForm,
                  lo_struct: np.ndarray | None, hi_struct: np.ndarray | None,
-                 conservative: bool = False):
+                 conservative: bool = False,
+                 start: tuple[np.ndarray, np.ndarray] | None = None):
         self.std = std
         self.pivot_tol = 1e-6 if conservative else PIVOT_TOL
         self.refactor_every = 16 if conservative else REFACTOR_EVERY
@@ -195,7 +209,8 @@ class _Solver:
         self.N = n_real + m
         self.A, self.AT = std.A, std.A.T
         self.c = std.cost
-        self.dtol = _dual_tol(self.c)  # pricing tolerance on the true costs
+        # pricing tolerance per column, relative to its own true cost
+        self.dtol = DUAL_TOL + 1e-11 * np.abs(self.c)
         rest = slice(std.n_struct, None)
         self.lo = std.lower if lo_struct is None else np.concatenate([lo_struct, std.lower[rest]])
         self.up = std.upper if hi_struct is None else np.concatenate([hi_struct, std.upper[rest]])
@@ -204,7 +219,7 @@ class _Solver:
         self.lu = None
         # one (r, w[r], idx, w[idx]) per pivot, idx the other nonzeros of w
         self.etas: list[tuple[int, float, np.ndarray, np.ndarray]] = []
-        self.dirn = None  # from crash_basis, then kept by _apply
+        self.dirn = None  # from crash_basis or start_basis, then kept by _apply
         # reduced costs on the costs the running phase prices: computed after
         # each factorization, then updated per pivot; refactor drops them
         self.d = None
@@ -212,6 +227,10 @@ class _Solver:
         self.iterations = 0
         self.bland_threshold = 5 * (std.n_struct + m)
         self.max_iterations = 20000 + 50 * (m + n_real)
+        # a (basis, dirn) of another solve; one of another shape is ignored
+        if start is not None and (start[0].shape != (m,) or start[1].shape != (self.N,)):
+            start = None
+        self.start = start
 
     # ----- basis linear algebra -------------------------------------------
 
@@ -309,10 +328,11 @@ class _Solver:
         y = self.c[basis] / diag
         d = self.c - self.AT @ y
 
-        if (d[:std.n_struct] < -self.dtol).any():
+        n = std.n_struct
+        if (d[:n] < -self.dtol[:n]).any():
             cols, row, a, other, starts = std.crash_columns
             k = np.flatnonzero((value[row] == 0) & (self.lo[cols] < self.up[cols])
-                               & (d[cols] < -self.dtol))
+                               & (d[cols] < -self.dtol[cols]))
             if k.size:
                 big = np.maximum.reduceat(np.abs(value[other]), starts)[k]
                 k = k[np.lexsort((cols[k], -big, d[cols[k]], row[k]))]
@@ -329,6 +349,19 @@ class _Solver:
         self.dirn = np.where(self.lo < self.up, -1.0, 0.0)
         self.dirn[basis] = 0.0
         return d
+
+    def start_basis(self) -> None:
+        """Place the start of another solve: its basis, and each nonbasic
+        column on the bound its dirn names. A column at an upper bound that
+        is now infinite goes to its lower bound, and a column with
+        lo == up is fixed, with dirn 0, whatever its dirn was. The basic
+        values follow at the first factorization."""
+        basis, dirn = self.start
+        self.basis[:] = basis
+        upper = (dirn > 0) & np.isfinite(self.up)
+        self.dirn = np.where(self.lo == self.up, 0.0, np.where(upper, 1.0, -1.0))
+        self.dirn[basis] = 0.0
+        self.x[:] = np.where(upper, self.up, self.lo)
 
     # ----- pricing and pivoting --------------------------------------------
 
@@ -354,25 +387,37 @@ class _Solver:
         pos += np.arange(pos.size)
         return R.indices[pos], R.data[pos] * np.repeat(rho[nz], lens)
 
-    def choose_entering(self, d: np.ndarray, dtol: float, bland: bool) -> int:
+    def choose_entering(self, d: np.ndarray, bland: bool) -> int:
+        """The column to enter among those that price in beyond their own
+        tolerance: the lowest under Bland's rule, else the one with the
+        largest dirn * d. -1 when none does."""
         if not self.N:
             return -1  # an empty program
         viol = self.dirn * d
-        q = int(np.argmax(viol > dtol if bland else viol))
-        return q if viol[q] > dtol else -1
+        q = int(np.argmax(viol))
+        top = float(viol[q])
+        if top <= DUAL_TOL:
+            return -1  # within every column's tolerance
+        if not bland and top > self.dtol[q]:
+            return q
+        # Bland's rule, or the largest dirn * d within its own column's
+        # tolerance, while a smaller one may exceed its own
+        ok = viol > self.dtol
+        q = int(np.argmax(ok if bland else np.where(ok, viol, 0.0)))
+        return q if ok[q] else -1
 
     def run_phase(self) -> str:
         """Primal simplex on the true costs from a feasible basis; returns
         'optimal' or 'unbounded'.
 
-        The reduced costs d are computed in full after each factorization.
-        A pivot on row r updates them from the pivot row alpha_r (see
-        pivot_row) as d -= (d_q / alpha_rq) * alpha_r, with alpha_rq = w_r,
-        on the columns that row touches; a bound flip leaves them as they
-        are. The artificials, fixed on [0, 0], are never priced.
+        The reduced costs d are computed in full after each factorization,
+        unless the dual left them on the true costs. A pivot on row r
+        updates them from the pivot row alpha_r (see pivot_row) as
+        d -= (d_q / alpha_rq) * alpha_r, with alpha_rq = w_r, on the columns
+        that row touches; a bound flip leaves them as they are. The artificials, fixed on [0, 0], are never priced.
         """
-        c, dtol = self.c, self.dtol
-        self.d = None  # a dual phase priced other costs
+        c = self.c
+        z = float(c @ self.x)
         since_improve = 0
 
         while True:
@@ -386,7 +431,7 @@ class _Solver:
                 z = float(c @ self.x)
             d = self.d
             bland = since_improve > self.bland_threshold
-            q = self.choose_entering(d, dtol, bland)
+            q = self.choose_entering(d, bland)
             if q < 0:
                 if fresh:
                     return "optimal"
@@ -421,24 +466,23 @@ class _Solver:
                 self.refactor()
 
     def run_dual(self, c: np.ndarray) -> bool:
-        """Dual simplex on the costs c, from a crash basis that prices out on
-        them.
+        """Dual simplex on the costs c, from a freshly factored basis that
+        prices out on them.
 
-        Its start is the solve's first factorization. Each pivot takes the
-        basic column with the largest bound violation out onto the bound it
-        violates, and brings in the column that keeps every reduced cost on
-        its side; the artificials sit on [0, 0] and never enter. The columns
-        whose breakpoints the ratio test passed first flip to their other
-        bound (see _dual_ratio); one ftran of their summed moves updates the
-        basic values, and the leaving column's step starts from its value
-        after the flips. A flip is no iteration. The basic values are checked
+        Each pivot takes the basic column with the largest bound violation
+        out onto the bound it violates, and brings in the column that keeps
+        every reduced cost on its side; the artificials sit on [0, 0] and
+        never enter. The columns whose breakpoints the ratio test passed
+        first flip to their other bound (see _dual_ratio); one ftran of
+        their summed moves updates the basic values, and the leaving
+        column's step starts from its value after the flips. A flip is no iteration. The basic values are checked
         before the reduced costs are priced, so a feasible start costs no
         btran and no pivot. Returns True once the basis is primal feasible
         on a fresh factorization, False when a violated row has no eligible
         entering column there (a dual ray: the program is infeasible,
         whatever c).
         """
-        self.refactor()
+        z = float(c @ self.x)
         since_improve = 0
 
         while True:
@@ -624,17 +668,32 @@ class _Solver:
     # ----- driver -----------------------------------------------------------
 
     def solve(self) -> LpSolution:
-        """Crash, then the dual on costs shifted until the crash basis prices
-        out, then phase 2 on the true costs and the final check."""
+        """Crash, or place the given start, then the dual on costs shifted
+        until that basis prices out, then phase 2 on the true costs and the
+        final check."""
         if np.any(self.lo > self.up):
             return LpSolution(LpStatus.INFEASIBLE, None, None)
         # the dual needs a start that prices out: shift each cost that prices
         # in by its reduced cost. The crash basis is triangular, and the
-        # crash prices it without a factorization.
-        d = self.crash_basis()
+        # crash prices it without a factorization; a given start is priced
+        # once on its first factorization.
         c = self.c
-        if not self.run_dual(np.where(self.dirn * d > self.dtol, c - d, c)):
+        if self.start is None:
+            d = self.crash_basis()
+            self.refactor()
+        else:
+            self.start_basis()
+            self.refactor()
+            d = self.d = self.reduced_costs(c)
+        shift = self.dirn * d > self.dtol
+        if shift.any():
+            c = np.where(shift, c - d, c)
+            if self.d is not None:
+                self.d = np.where(shift, 0.0, d)
+        if not self.run_dual(c):
             return LpSolution(LpStatus.INFEASIBLE, None, None, self.iterations)
+        if c is not self.c:
+            self.d = None  # priced on the shifted costs
 
         # phase 2 restores any shifted costs and certifies optimality
         outcome = self.run_phase()
@@ -643,7 +702,8 @@ class _Solver:
         self._verify()
         x_real = self.x[:self.n_real].copy()
         obj = float(self.c[:self.n_real] @ x_real)
-        return LpSolution(LpStatus.OPTIMAL, x_real, obj, self.iterations)
+        return LpSolution(LpStatus.OPTIMAL, x_real, obj, self.iterations,
+                          (self.basis, self.dirn))
 
     def _verify(self) -> None:
         """Exact-form residual and bound check; breakdown when irreparable."""
@@ -662,25 +722,25 @@ class _Solver:
             "optimal basis failed residual verification after refactorization")
 
 
-def _dual_tol(c: np.ndarray) -> float:
-    """Reduced-cost tolerance for the cost vector c."""
-    return 1e-7 + 1e-11 * float(np.abs(c).max(initial=0.0))
-
-
 def core_solve(std: StandardForm,
                lo_struct: np.ndarray | None = None,
-               hi_struct: np.ndarray | None = None) -> LpSolution:
+               hi_struct: np.ndarray | None = None,
+               start: tuple[np.ndarray, np.ndarray] | None = None) -> LpSolution:
     """Solve the continuous program over std with optional bound overrides.
 
     The solution's x spans the structural columns, then the slack columns;
-    the artificials, zero at an optimum, are left out.
+    the artificials, zero at an optimum, are left out. At OPTIMAL it also
+    carries the final (basis, dirn), which ``start`` takes back: a solve
+    over a standard form of the same shape, whatever its costs, bounds and
+    right-hand side, may start from it in place of the crash. A start of
+    another shape is ignored.
 
-    A numerical failure triggers one full retry under conservative settings
-    (tighter pivot threshold, more frequent refactorization) before the
-    breakdown is reported to the caller.
+    A numerical failure triggers one full retry from the crash under
+    conservative settings (tighter pivot threshold, more frequent
+    refactorization) before the breakdown is reported to the caller.
     """
     try:
-        return _Solver(std, lo_struct, hi_struct).solve()
+        return _Solver(std, lo_struct, hi_struct, start=start).solve()
     except NumericalBreakdownError:
         return _Solver(std, lo_struct, hi_struct, conservative=True).solve()
 

@@ -97,7 +97,8 @@ def dual_runs(monkeypatch):
     feasible basis) per call of the simplex's ``run_dual`` in the test.
 
     Each call must start from a basis that prices out on the costs it is
-    given, checked against a fresh factorization.
+    given, within each column's pricing tolerance, checked against a fresh
+    factorization.
     """
     from scipy.sparse.linalg import splu
 
@@ -109,7 +110,7 @@ def dual_runs(monkeypatch):
     def recorded(solver, c):
         y = splu(solver.A[:, solver.basis]).solve(c[solver.basis], trans="T")
         d = c - solver.AT @ y
-        assert np.all(solver.dirn * d <= simplex._dual_tol(solver.c))
+        assert np.all(solver.dirn * d <= solver.dtol)
         shifted = np.flatnonzero(c != solver.c)
         feasible = run_dual(solver, c)
         runs.append((shifted, feasible))

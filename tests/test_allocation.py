@@ -293,21 +293,25 @@ class TestSolve:
             assert objective == outcome.objective, f"seed {seed}"
 
     def test_repeat_solves_identical(self, tiny1):
-        a = solve_allocation(tiny1)
-        b = solve_allocation(tiny1)
-        assert a.plan == b.plan
-        assert (a.objective, a.nodes, a.iterations) == \
-            (b.objective, b.nodes, b.iterations)
+        # a one-slot day, and one whose slots start from each other's bases
+        for inst in (tiny1, generate(preset(1), 0)):
+            a = solve_allocation(inst)
+            b = solve_allocation(inst)
+            assert a.plan == b.plan
+            assert (a.objective, a.nodes, a.iterations) == \
+                (b.objective, b.nodes, b.iterations)
 
     def test_headline_instance_pins_the_dual_simplex(self):
         # the 24-slot, 20-station, 60-zone day of the paper's benchmark; every
         # slot starts on the dual simplex, so a solve that reaches a
         # feasible basis with the primal simplex (5,880 pivots) fails here,
         # and so does a dual ratio test that stops at the first breakpoint
-        # instead of flipping the columns it passes (984)
+        # instead of flipping the columns it passes (984). Each slot after
+        # the first starts from the previous slot's optimal basis; every
+        # slot from the crash takes 504
         outcome = solve_allocation(generate(preset(5), 42))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == 150_626_543
         assert outcome.nodes == 24
-        assert outcome.iterations == 504
+        assert outcome.iterations == 21
         assert outcome.iterations < 1_500

@@ -188,6 +188,19 @@ class TestDirected:
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         assert residuals_ok(lp, sol.x)
 
+    def test_each_column_prices_against_its_own_cost(self):
+        # a tolerance relative to the largest cost (about 2 here) would hide
+        # x1's reduced cost of -1 at the start on x0, and stop at 2
+        lp = lp_of(3, [2, 1, 2e11], [0, 0, 0], [inf, inf, inf],
+                   [LinearRow(((0, 1.0), (1, 1.0), (2, 1.0)), "=", 1.0)],
+                   integrality=[1, 1, 1])
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(sol.x, [0.0, 1.0, 0.0], atol=1e-9)
+        milp = solve_milp(lp)
+        assert milp.status is MilpStatus.OPTIMAL and milp.objective == 1
+
 
 class TestCrash:
     """The crash gives an equality row to a column singleton that fits its
@@ -451,6 +464,101 @@ class TestFeasibilityPerRow:
         monkeypatch.setattr(simplex._Solver, "run_dual", stopped)
         with pytest.raises(NumericalBreakdownError):
             solve_lp(equality_under_a_loose_row(1e10))
+
+
+def with_data(lp, rng):
+    """lp's matrix and row senses under new costs, bounds and right-hand
+    sides: some columns fixed, some without an upper bound."""
+    n, m = lp.num_vars, lp.num_rows
+    lo = rng.integers(-4, 3, size=n).astype(float)
+    hi = lo + rng.integers(0, 8, size=n).astype(float)
+    hi[rng.random(n) < 0.15] = inf
+    return LinearProgram(n, rng.integers(-5, 6, size=n).astype(float), lo, hi,
+                         lp.integrality, lp.A, lp.sense,
+                         rng.integers(-10, 11, size=m).astype(float))
+
+
+class TestStart:
+    """core_solve from the final basis of another solve over a standard form
+    of the same shape."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """Count the calls of _Solver.<name> from now on."""
+        calls = []
+        method = getattr(simplex._Solver, name)
+
+        def counting(solver, *args):
+            calls.append(True)
+            return method(solver, *args)
+
+        monkeypatch.setattr(simplex._Solver, name, counting)
+        return calls
+
+    def test_started_solve_factors_once(self, monkeypatch):
+        # an optimal start: one factorization, priced once, and no pivot
+        std = simplex.build_standard_form(
+            build_transfer_program(generate(preset(1), 0))[0])
+        first = simplex.core_solve(std)
+        assert first.status is LpStatus.OPTIMAL and first.iterations > 100
+        factored, lu = [], simplex.splu
+
+        def counted_lu(*args, **kwargs):
+            factored.append(True)
+            return lu(*args, **kwargs)
+
+        monkeypatch.setattr(simplex, "splu", counted_lu)
+        priced = self.counted(monkeypatch, "reduced_costs")
+        crashed = self.counted(monkeypatch, "crash_basis")
+        again = simplex.core_solve(std, start=first.basis)
+        assert (len(factored), len(priced), crashed) == (1, 1, [])
+        assert again.status is LpStatus.OPTIMAL and again.iterations == 0
+        assert again.objective == pytest.approx(first.objective, rel=1e-12)
+        assert np.allclose(again.x, first.x, rtol=1e-12, atol=1e-9)
+        assert np.array_equal(again.basis[0], first.basis[0])
+
+    def test_start_of_another_shape_is_ignored(self, monkeypatch):
+        std = simplex.build_standard_form(
+            build_transfer_program(generate(preset(1), 0))[0])
+        small = simplex.build_standard_form(
+            build_allocation_program(generate(tiny_params(3), 3))[0])
+        basis, dirn = simplex.core_solve(small).basis
+        plain = simplex.core_solve(std)
+        crashed = self.counted(monkeypatch, "crash_basis")
+        # a basis or a dirn of the wrong length, each with the other fitting
+        for start in ((basis, plain.basis[1]), (plain.basis[0], dirn)):
+            res = simplex.core_solve(std, start=start)
+            assert res.iterations == plain.iterations
+            assert res.x.tobytes() == plain.x.tobytes()
+        assert len(crashed) == 2
+
+    def test_start_from_other_data_reoptimizes_to_the_crash_optimum(self, monkeypatch):
+        # the start is the optimal basis of the same matrix under other costs,
+        # bounds and right-hand sides; from it the solve reaches the status
+        # and optimum that the crash path reaches
+        rng = np.random.default_rng(2024)
+        crashed = self.counted(monkeypatch, "crash_basis")
+        started = compared = 0
+        statuses = set()
+        for trial in range(600):
+            lp, _ = random_program(rng)
+            first = simplex.core_solve(simplex.build_standard_form(lp))
+            if first.status is not LpStatus.OPTIMAL:
+                continue
+            std = simplex.build_standard_form(with_data(lp, rng))
+            before = len(crashed)
+            res = simplex.core_solve(std, start=first.basis)
+            started += len(crashed) == before
+            ref = simplex.core_solve(std)
+            label = f"trial {trial}"
+            assert res.status is ref.status, label
+            compared += 1
+            statuses.add(ref.status)
+            if ref.status is LpStatus.OPTIMAL:
+                assert res.objective == pytest.approx(
+                    ref.objective, abs=1e-6 * (1 + abs(ref.objective))), label
+        assert started == compared >= 150, (started, compared)
+        assert statuses == set(LpStatus)
 
 
 class TestProgramValidation:
@@ -915,7 +1023,7 @@ class TestKernel:
             c = in_dual[-1]
             d = c - solver.AT @ fresh.solve(c[solver.basis], trans="T")
             # dual feasibility holds after every pivot
-            assert np.all(solver.dirn * d <= simplex._dual_tol(c)), q
+            assert np.all(solver.dirn * d <= solver.dtol), q
             # the basic values solve B x_B = b - N x_N
             xn = solver.x.copy()
             xn[solver.basis] = 0.0
@@ -997,8 +1105,8 @@ class TestKernel:
 
     def test_dual_start_factors_once(self, monkeypatch):
         # the crash returns the prices of its triangular basis, so the
-        # dual-feasibility check needs no factorization; run_dual factors
-        # that start
+        # dual-feasibility check needs no factorization; the dual starts on
+        # the one factorization of that start
         factored, before_pivot = [], []
         lu = simplex.splu
 

@@ -20,13 +20,16 @@ from ambuplan import (
     Instance,
     SolveStatus,
     build_allocation_program,
+    evaluate_allocation,
+    evaluate_transfer,
     generate,
     preset,
     solve_allocation,
     solve_transfer,
     tiny_params,
+    validate_instance,
 )
-from ambuplan.core import at_minimal_penalty
+from ambuplan.core import at_minimal_penalty, big_m_bound
 from ambuplan.engine import LinearProgram, LinearRow
 from ambuplan.transfer import TransferIndex
 
@@ -83,6 +86,47 @@ MODELS = {
     "allocation": (lambda inst: build_allocation_program(inst)[0], solve_allocation),
     "transfer": (explicit_transfer_program, solve_transfer),
 }
+EVALUATORS = {"allocation": evaluate_allocation, "transfer": evaluate_transfer}
+
+
+def random_instance(seed: int) -> Instance:
+    """A valid instance drawn far wider than the generator's families.
+
+    2-8 stations, 3-20 zones and 1-6 slots. Coverage has density 0.15, 0.3,
+    0.6 or 1.0, so some zones may have no station. Hold and dispatch costs
+    come from [0, 3], [0, 10], [0, 1000] or [0, 10**6], and in 30% of draws
+    each is one value for every station and slot. Capacities and demands
+    come from [0, 2], [0, 5] or [0, 30]. Half the demands are zeroed in 30%
+    of draws, and in half the draws each station-slot capacity is zeroed
+    with probability 0.3, so a station's columns are fixed in some slots and
+    free in others. The fleet is drawn up to the usable fleet + 2, the
+    transfer cost from {0, 1, max cost, 10 * max cost}, and ``big_m`` from
+    the smallest valid value + 0..4.
+    """
+    rng = np.random.default_rng(seed)
+    jn, zn, tn = int(rng.integers(2, 9)), int(rng.integers(3, 21)), int(rng.integers(1, 7))
+    coverage = (rng.random((jn, zn)) < rng.choice([0.15, 0.3, 0.6, 1.0])).astype(int)
+    top = int(rng.choice([3, 10, 1000, 10**6]))
+    if rng.random() < 0.3:
+        hold = np.full((jn, tn), rng.integers(0, top + 1))
+        dispatch = np.full((jn, tn), rng.integers(0, top + 1))
+    else:
+        hold, dispatch = rng.integers(0, top + 1, (2, jn, tn))
+    size = int(rng.choice([2, 5, 30]))
+    capacity = rng.integers(0, size + 1, (jn, tn))
+    demand = rng.integers(0, size + 1, (zn, tn))
+    if rng.random() < 0.3:
+        demand[rng.random((zn, tn)) < 0.5] = 0
+    if rng.random() < 0.5:
+        capacity[rng.random((jn, tn)) < 0.3] = 0
+    fleet = int(rng.integers(0, int(capacity.sum(axis=0).max()) + 3))
+    most = int(max(hold.max(), dispatch.max()))
+    transfer = int(rng.choice([0, 1, most, 10 * most]))
+    big_m = big_m_bound(hold, dispatch, transfer, fleet, tn) + 1 + int(rng.integers(0, 5))
+    return Instance(num_stations=jn, num_zones=zn, num_slots=tn, fleet_size=fleet,
+                    coverage=coverage, capacity=capacity, hold_cost=hold,
+                    dispatch_cost=dispatch, demand=demand, big_m=big_m,
+                    transfer_cost=transfer)
 
 
 def highs(lp):
@@ -224,3 +268,25 @@ def test_half_integral_transfer_vertex_agrees_with_highs():
     assert ref.status == 0
     assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == round(ref.fun) == 11_375_952
+
+
+@pytest.mark.parametrize("first", range(0, 200, 50))
+def test_random_instances_match_highs(first):
+    # valid instances beyond the generator, capacities of 0 in some slots
+    # among them: each model's status and optimum against HiGHS on its
+    # whole-day program, and each plan against the exact evaluator
+    for seed in range(first, first + 50):
+        inst = random_instance(seed)
+        assert not validate_instance(inst), seed
+        for model in sorted(MODELS):
+            build, solve = MODELS[model]
+            ref = highs(build(inst))
+            outcome = solve(inst)
+            label = f"{model} seed {seed}"
+            assert ref.status in (0, 2), label
+            if ref.status == 2:
+                assert outcome.status is SolveStatus.INFEASIBLE, label
+                continue
+            assert outcome.status is SolveStatus.OPTIMAL, label
+            assert outcome.objective == round(ref.fun), label
+            assert EVALUATORS[model](inst, outcome.plan) == (outcome.objective, []), label
