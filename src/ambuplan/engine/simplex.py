@@ -12,8 +12,7 @@ that can absorb the row's residual within its bounds, else to the row's
 artificial at the signed residual. An inequality row whose slack sits at
 zero then takes instead a column that prices in, has no other nonzero in an
 inequality row, and stays at its lower bound. On the preset-5 transfer
-program (seed 42) those are the serve columns, one per station and slot,
-and phase 2 takes 2,367 pivots where the slack start took 3,776.
+program (seed 42) those are the serve columns, one per station and slot.
 
 A solve may instead start from the final (basis, dirn) of another solve
 over a standard form of the same shape, which ``core_solve`` returns and
@@ -28,23 +27,31 @@ Every solve then runs the dual simplex from its start. That start must
 price out (dirn * d <= the pricing tolerance 1e-7 + 1e-11 * |c_j| of every
 nonbasic column). The crash basis is triangular, and the crash computes
 its prices y, and from them d, without a factorization; a given start is
-priced once on its first factorization. Each column that prices in gets
-the cost c_j - d_j, which zeroes its reduced cost (cost modification;
-Koberstein, PhD thesis, Paderborn 2005, ch. 4). No allocation slot program
-or branch-and-bound child of one has such a column at the crash. The dual
-runs on the start's one factorization, and the start is feasible when no
-basic column violates its bounds by more than FEAS_TOL scaled by 1 + its
-value; a feasible start costs no pivot. Otherwise the dual pivots out the
-basic column with the largest bound violation. Its ratio test takes the
-long step: the columns whose breakpoints it passes flip to their other
-bound instead of each costing a pivot. A dual ray proves the program
-infeasible whatever the costs.
+priced once on its first factorization. A column that prices in and has
+a finite upper bound flips to its other bound, where it prices out: at
+the crash it starts on its upper bound and the first factorization
+computes the basic values, and at a given start one ftran of the flipped
+columns updates them, as for the dual's own flips. Only a column without
+an upper bound gets the cost c_j - d_j instead, which zeroes its reduced
+cost (cost modification; Koberstein, PhD thesis, Paderborn 2005, ch. 4).
+The transfer program bounds every column that can price in, so its solves
+shift no cost; an allocation slot start still shifts one now and then, as
+its dispatch and shortage columns and the slacks have no upper bound. The
+dual runs on the start's one factorization, and the start is feasible
+when no basic column violates its bounds by more than FEAS_TOL scaled by
+1 + its value; a feasible start costs no pivot. Otherwise the dual pivots
+out the basic column with the largest bound violation. Its ratio test
+takes the long step: the columns whose breakpoints it passes flip to
+their other bound instead of each costing a pivot. A dual ray proves the
+program infeasible whatever the costs. On the preset-5 transfer program
+(seed 42) the dual takes 1,482 pivots and phase 2 none.
 
 Phase 2 then runs the primal simplex on the true costs from the feasible
-basis. It restores the costs the dual shifted, finds an unbounded ray if
-there is one, and certifies the optimum on a fresh factorization. The
-optimum must then pass a residual check and a bound check on every column,
-the artificials included.
+basis. It pivots only where the dual ran on shifted costs: it restores
+them, finds an unbounded ray if there is one, and certifies the optimum
+on a fresh factorization. After an unshifted dual that certification is
+all it does. The optimum must then pass a residual check and a bound
+check on every column, the artificials included.
 
 Per-pivot work follows the nonzeros of the pivot column w = B^-1 a_q (a
 median 7% of the rows on the preset-5 transfer program) and of the pivot
@@ -61,17 +68,33 @@ row rather than the row count m or the column count:
   place: every lower bound is finite, so a nonbasic column sits on lo or up.
   It is set by the crash or the start, and each pivot updates only the
   entering and leaving entries and those of the columns a dual pivot flips.
-- Phase 2 computes the reduced costs d = c - A^T B^-T c_B in full only
-  after a factorization, and takes them from the start's pricing when the
-  dual neither shifted a cost nor pivoted. A pivot on row r updates them
-  from the pivot row, d -= (d_q / w_r) * alpha_r, with alpha_r = rho^T A and rho = B^-T e_r
-  (alpha_rq = w_r). rho is hyper-sparse, a median 8 nonzeros in 2,404 rows
-  on the preset-5 transfer program, so the product reads only the rows of
-  A at rho's nonzeros, from a row-major copy that the StandardForm keeps
-  (Hall & McKinnon, "Hyper-sparsity in the revised simplex method", Comp.
-  Optim. Appl. 32, 2005). A bound flip changes neither the basis nor d and
-  costs no btran. The dual forms its pivot row as a dense A^T rho, since
-  its ratio test reads every column of it.
+- Both phases compute the reduced costs d = c - A^T B^-T c_B in full only
+  after a factorization, and phase 2 takes them from the dual when it
+  shifted no cost. A pivot on row r updates them from the pivot row,
+  d -= (d_q / alpha_rq) * alpha_r with alpha_r = rho^T A and rho = B^-T e_r
+  (alpha_rq = w_r), on the columns of that row only. The dual's ratio test
+  also reads only those columns. A bound flip changes neither the basis
+  nor d and costs no btran; the basic values follow from one ftran of the
+  flipped columns, summed from the CSC arrays.
+- One function, pivot_row, forms alpha_r for both phases, in one of two
+  ways. rho is hyper-sparse, a median 8 nonzeros in 2,404 rows on the
+  preset-5 transfer program, so the row can be gathered from the rows of
+  A at rho's nonzeros, kept row-major by the StandardForm, and merged per
+  column by a stable sort and np.add.reduceat (Hall & McKinnon,
+  "Hyper-sparsity in the revised simplex method", Comp. Optim. Appl. 32,
+  2005). The dense product A^T rho reads all of A instead, but in one
+  scipy call. Micro-timings on a 2-CPU Xeon host (Python 3.11, numpy 2.4,
+  scipy 1.17), over the pivot rows of real solves, put the product at
+  about 4.5 us + 1.5 ns * (nnz(A) + N) and the gather at about 16 us +
+  40 ns per entry gathered, estimated as nnz(rho) * nnz(A) / m:
+  PRODUCT_NS, PRODUCT_ENTRY_NS, GATHER_NS and GATHER_ENTRY_NS. Each solve
+  turns this model into the count of rho's nonzeros below which pivot_row
+  gathers; on small programs that count is 0 and rho is not even scanned.
+  The two tie near the preset-3 transfer program (nnz(A) + N about 6.5k,
+  15-20 us each), so tiny programs, the allocation slot programs (at most
+  2k) and the preset-1 and preset-2 transfer programs take the product,
+  and the preset-4 and preset-5 transfer programs (20k and 58k) the
+  gather, 23-31 us against 37-97 us.
 
 REFACTOR_EVERY = 32 was chosen on preset 5 (seed 42), before the dual phase
 existed. Going from 64 to 32 doubles the refactorizations (transfer 68 ->
@@ -114,6 +137,10 @@ DUAL_TOL = 1e-7      # reduced-cost tolerance, plus 1e-11 * |c_j| per column
 PIVOT_TOL = 1e-7     # smallest acceptable pivot magnitude
 INTEGRALITY_TOL = 1e-6
 REFACTOR_EVERY = 32  # eta-file length before folding into a fresh LU
+# pivot_row's cost model, in ns: the product A^T rho, and the gather of the
+# rows of A at rho's nonzeros (see the module docstring)
+PRODUCT_NS, PRODUCT_ENTRY_NS = 4500.0, 1.5
+GATHER_NS, GATHER_ENTRY_NS = 16000.0, 40.0
 
 
 @dataclass
@@ -138,7 +165,7 @@ class StandardForm:
     @cached_property
     def rows(self) -> sparse.csr_array:
         """A in row-major form, built on first use and shared by every solve
-        over this form (phase 2 gathers its pivot rows from it)."""
+        over this form (pivot_row gathers its rows from it)."""
         return self.A.tocsr()
 
     @cached_property
@@ -193,6 +220,16 @@ def build_standard_form(lp: LinearProgram) -> StandardForm:
                         upper=np.concatenate([lp.upper, np.full(s, np.inf), np.zeros(m)]))
 
 
+def _runs(indptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries of the runs idx (columns of a CSC matrix,
+    rows of a CSR one), run after run, and each run's length."""
+    starts = indptr[idx]
+    lens = indptr[idx + 1] - starts
+    pos = np.repeat(starts - np.cumsum(lens) + lens, lens)
+    pos += np.arange(pos.size)
+    return pos, lens
+
+
 class _Solver:
     """One bounded-simplex run over a shared StandardForm."""
 
@@ -208,6 +245,12 @@ class _Solver:
         self.n_real = n_real
         self.N = n_real + m
         self.A, self.AT = std.A, std.A.T
+        # pivot_row gathers a row when rho has fewer nonzeros than this,
+        # where the cost model of the module docstring puts the gather below
+        # the product; on small programs no rho is that sparse
+        nnz = int(std.A.indptr[-1])
+        product_ns = PRODUCT_NS + PRODUCT_ENTRY_NS * (nnz + self.N)
+        self.gather_nz = (product_ns - GATHER_NS) * m / (GATHER_ENTRY_NS * max(nnz, 1))
         self.c = std.cost
         # pricing tolerance per column, relative to its own true cost
         self.dtol = DUAL_TOL + 1e-11 * np.abs(self.c)
@@ -369,23 +412,33 @@ class _Solver:
         return c - self.AT @ self.btran(c[self.basis])
 
     def pivot_row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row r of B^-1 A.
+        """Row r of B^-1 A: alpha_r = rho^T A with rho = B^-T e_r.
 
-        Returns (cols, vals), whose sums per column are alpha_r = rho^T A
-        with rho = B^-T e_r; a column may repeat. Only the CSR rows of A at
-        the nonzeros of rho are read.
+        Returns (cols, vals): distinct ascending columns that hold every
+        nonzero of alpha_r, and alpha_r on them. The row is formed either
+        by the dense product A^T rho, keeping its nonzeros, or by gathering
+        the CSR rows of A at the nonzeros of rho and summing them per
+        column, which keeps a column whose entries cancel. The size rule of
+        the module docstring picks the one it expects to be cheaper.
         """
         e_r = np.zeros(self.m)
         e_r[r] = 1.0
         rho = self.btran(e_r)
-        nz = np.flatnonzero(rho)
-        R = self.std.rows
-        starts = R.indptr[nz]
-        lens = R.indptr[nz + 1] - starts
-        # positions of those rows' entries, one run per row
-        pos = np.repeat(starts - np.cumsum(lens) + lens, lens)
-        pos += np.arange(pos.size)
-        return R.indices[pos], R.data[pos] * np.repeat(rho[nz], lens)
+        if self.gather_nz > 0:
+            nz = np.flatnonzero(rho)
+            if nz.size < self.gather_nz:
+                # every row of A holds its artificial: the gather is never empty
+                R = self.std.rows
+                pos, lens = _runs(R.indptr, nz)
+                cols = R.indices[pos]
+                order = np.argsort(cols, kind="stable")
+                cols = cols[order]
+                vals = (R.data[pos] * np.repeat(rho[nz], lens))[order]
+                first = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
+                return cols[first], np.add.reduceat(vals, first)
+        alpha = self.AT @ rho
+        cols = np.flatnonzero(alpha)
+        return cols, alpha[cols]
 
     def choose_entering(self, d: np.ndarray, bland: bool) -> int:
         """The column to enter among those that price in beyond their own
@@ -414,7 +467,8 @@ class _Solver:
         unless the dual left them on the true costs. A pivot on row r
         updates them from the pivot row alpha_r (see pivot_row) as
         d -= (d_q / alpha_rq) * alpha_r, with alpha_rq = w_r, on the columns
-        that row touches; a bound flip leaves them as they are. The artificials, fixed on [0, 0], are never priced.
+        of that row; a bound flip leaves them as they are. The artificials,
+        fixed on [0, 0], are never priced.
         """
         c = self.c
         z = float(c @ self.x)
@@ -458,7 +512,7 @@ class _Solver:
             z = z_new
             if r >= 0:
                 cols, vals = self.pivot_row(r)
-                np.subtract.at(d, cols, (d[q] / w[r]) * vals)
+                d[cols] -= (d[q] / w[r]) * vals
                 d[q] = 0.0
             self._apply(q, sigma, w, step, r, r >= 0 and sigma * w[r] < 0)
             if (len(self.etas) >= self.refactor_every
@@ -470,17 +524,18 @@ class _Solver:
         prices out on them.
 
         Each pivot takes the basic column with the largest bound violation
-        out onto the bound it violates, and brings in the column that keeps
-        every reduced cost on its side; the artificials sit on [0, 0] and
-        never enter. The columns whose breakpoints the ratio test passed
-        first flip to their other bound (see _dual_ratio); one ftran of
-        their summed moves updates the basic values, and the leaving
-        column's step starts from its value after the flips. A flip is no iteration. The basic values are checked
-        before the reduced costs are priced, so a feasible start costs no
-        btran and no pivot. Returns True once the basis is primal feasible
-        on a fresh factorization, False when a violated row has no eligible
-        entering column there (a dual ray: the program is infeasible,
-        whatever c).
+        out onto the bound it violates, and brings in the column of its
+        pivot row (see pivot_row) that keeps every reduced cost on its
+        side; the artificials sit on [0, 0] and never enter. The reduced
+        costs are updated on the columns of that row only. The columns whose
+        breakpoints the ratio test passed first flip to their other bound
+        (see _dual_ratio and flip), and the leaving column's step starts
+        from its value after the flips. A flip is no iteration. The basic
+        values are checked before the reduced costs are priced, so a
+        feasible start costs no btran and no pivot. Returns True once the
+        basis is primal feasible on a fresh factorization, False when a
+        violated row has no eligible entering column there (a dual ray: the
+        program is infeasible, whatever c).
         """
         z = float(c @ self.x)
         since_improve = 0
@@ -511,13 +566,12 @@ class _Solver:
                 r = int(rows[np.argmax(viol[rows])])
             s = 1.0 if below[r] > 0 else -1.0  # +1 below lower, -1 above upper
 
-            # pivot row alpha = rho^T A with rho = B^-T e_r
-            e_r = np.zeros(self.m)
-            e_r[r] = 1.0
-            alpha = self.AT @ self.btran(e_r)
-            q, flips = self._dual_ratio(d, alpha, s, bland, float(viol[r]))
-            w = None if q < 0 else self.ftran(self.column(q))
-            if q < 0 or not (w[r] * alpha[q] > 0 and abs(w[r]) > self.pivot_tol):
+            cols, alpha = self.pivot_row(r)
+            q, flips = self._dual_ratio(d, cols, alpha, s, bland, float(viol[r]))
+            if q >= 0:
+                alpha_q = float(alpha[np.searchsorted(cols, q)])
+                w = self.ftran(self.column(q))
+            if q < 0 or not (w[r] * alpha_q > 0 and abs(w[r]) > self.pivot_tol):
                 # no entering column, or a pivot column that disagrees with
                 # the pivot row: trust neither before a refactorization
                 if not fresh:
@@ -528,15 +582,8 @@ class _Solver:
                 raise NumericalBreakdownError(
                     "dual pivot row and column disagree on a fresh factorization")
 
-            dz = 0.0
-            if flips.size:
-                # each passed breakpoint crosses its whole range; one ftran
-                # of the sum of their columns moves the basic values
-                delta = -self.dirn[flips] * (self.up[flips] - self.lo[flips])
-                dz = float(d[flips] @ delta)
-                self.x[self.basis] -= self.ftran(self.A[:, flips] @ delta)
-                self.x[flips] = np.where(delta > 0, self.up[flips], self.lo[flips])
-                self.dirn[flips] = -self.dirn[flips]
+            # each passed breakpoint crosses its whole range
+            dz = float(d[flips] @ self.flip(flips)) if flips.size else 0.0
             sigma = -float(self.dirn[q])
             leave = int(self.basis[r])
             bound = self.lo[leave] if s > 0 else self.up[leave]
@@ -548,25 +595,26 @@ class _Solver:
             else:
                 since_improve += 1
             z += dz
-            d -= (d[q] / alpha[q]) * alpha
+            d[cols] -= (d[q] / alpha_q) * alpha
             d[q] = 0.0
             self._apply(q, sigma, w, step, r, s < 0)
             if (len(self.etas) >= self.refactor_every
                     or self.updates_since_refactor >= 4 * self.refactor_every):
                 self.refactor()
 
-    def _dual_ratio(self, d: np.ndarray, alpha: np.ndarray, s: float,
-                    bland: bool, slope: float) -> tuple[int, np.ndarray]:
+    def _dual_ratio(self, d: np.ndarray, cols: np.ndarray, alpha: np.ndarray,
+                    s: float, bland: bool, slope: float) -> tuple[int, np.ndarray]:
         """Entering column of a dual pivot on a row whose basic column
         violates its lower (s = +1) or upper (s = -1) bound by ``slope``, and
         the columns that flip to their other bound: (q, flips), q = -1 when
         no column is eligible.
 
-        Eligible are the movable nonbasic columns whose move pushes the
-        leaving column towards that bound, dirn * s * alpha > pivot tol.
-        Their breakpoints are the ratios |d_j| / |alpha_j|. The smallest
-        wins; among (near-)ties the largest |alpha_j|, under Bland's rule the
-        lowest index, and then nothing flips.
+        The pivot row is alpha on the columns cols, distinct and ascending,
+        and zero elsewhere. Eligible are the movable nonbasic columns whose
+        move pushes the leaving column towards that bound, dirn * s * alpha
+        > pivot tol. Their breakpoints are the ratios |d_j| / |alpha_j|. The
+        smallest wins; among (near-)ties the largest |alpha_j|, under
+        Bland's rule the lowest index, and then nothing flips.
 
         Otherwise the test takes the long step (bound flipping; Koberstein,
         PhD thesis, Paderborn 2005, section 3.3): passing breakpoint j flips
@@ -578,11 +626,11 @@ class _Solver:
         The columns are sorted only when the smallest ratio's column leaves
         the slope positive, so a pivot without flips pays for no sort.
         """
-        da = s * self.dirn * alpha  # |alpha| on eligible columns
-        cols = np.flatnonzero(da > self.pivot_tol)
-        if not cols.size:
-            return -1, cols
-        da = da[cols]
+        da = s * self.dirn[cols] * alpha  # |alpha| on eligible columns
+        k = np.flatnonzero(da > self.pivot_tol)
+        if not k.size:
+            return -1, k
+        cols, da = cols[k], da[k]
         ratios = np.maximum(-self.dirn[cols] * d[cols], 0.0) / da
         t = float(ratios.min())
         tied = np.flatnonzero(ratios <= t + 1e-9 * (1.0 + t))
@@ -600,6 +648,20 @@ class _Solver:
         t = float(ratios[rest[0]])
         tied = rest[ratios[rest] <= t + 1e-9 * (1.0 + t)]
         return int(cols[tied[np.argmax(da[tied])]]), cols[order[:i]]
+
+    def flip(self, cols: np.ndarray) -> np.ndarray:
+        """Move the nonbasic columns cols, each movable and boxed, across
+        their whole range to their other bound. One ftran of the sum of
+        their moved columns, gathered from the CSC arrays, updates the basic
+        values: x_B -= B^-1 sum_j a_j delta_j. Returns the moves delta."""
+        delta = -self.dirn[cols] * (self.up[cols] - self.lo[cols])
+        pos, lens = _runs(self.A.indptr, cols)
+        moved = np.bincount(self.A.indices[pos], self.A.data[pos] * np.repeat(delta, lens),
+                            minlength=self.m)
+        self.x[self.basis] -= self.ftran(moved)
+        self.x[cols] = np.where(delta > 0, self.up[cols], self.lo[cols])
+        self.dirn[cols] = -self.dirn[cols]
+        return delta
 
     def _ratio(self, q: int, sigma: float, w: np.ndarray,
                bland: bool) -> tuple[float | None, int]:
@@ -668,28 +730,42 @@ class _Solver:
     # ----- driver -----------------------------------------------------------
 
     def solve(self) -> LpSolution:
-        """Crash, or place the given start, then the dual on costs shifted
-        until that basis prices out, then phase 2 on the true costs and the
-        final check."""
+        """Crash, or place the given start, then the dual from that basis
+        once it prices out, then phase 2 on the true costs and the final
+        check."""
         if np.any(self.lo > self.up):
             return LpSolution(LpStatus.INFEASIBLE, None, None)
-        # the dual needs a start that prices out: shift each cost that prices
-        # in by its reduced cost. The crash basis is triangular, and the
-        # crash prices it without a factorization; a given start is priced
-        # once on its first factorization.
+        # the dual needs a start that prices out: each boxed column that
+        # prices in flips to its other bound, and each other one has its
+        # cost shifted by its reduced cost. The crash basis is triangular,
+        # and the crash prices it without a factorization; a given start is
+        # priced once on its first factorization.
         c = self.c
         if self.start is None:
             d = self.crash_basis()
-            self.refactor()
         else:
             self.start_basis()
             self.refactor()
             d = self.d = self.reduced_costs(c)
-        shift = self.dirn * d > self.dtol
-        if shift.any():
-            c = np.where(shift, c - d, c)
+        # the columns that price in: the boxed ones flip, the others shift
+        flip = shift = np.flatnonzero(self.dirn * d > self.dtol)
+        if flip.size:
+            boxed = np.isfinite(self.up[flip])
+            flip, shift = flip[boxed], flip[~boxed]
+        if self.start is None:
+            # every nonbasic column sits at its lower bound, and the
+            # factorization computes the basic values after the flips
+            if flip.size:
+                self.x[flip] = self.up[flip]
+                self.dirn[flip] = 1.0
+            self.refactor()
+        elif flip.size:
+            self.flip(flip)
+        if shift.size:
+            c = c.copy()
+            c[shift] -= d[shift]
             if self.d is not None:
-                self.d = np.where(shift, 0.0, d)
+                self.d[shift] = 0.0
         if not self.run_dual(c):
             return LpSolution(LpStatus.INFEASIBLE, None, None, self.iterations)
         if c is not self.c:
@@ -747,8 +823,8 @@ def core_solve(std: StandardForm,
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Bounded-variable simplex on the continuous relaxation: the dual
-    simplex from the crash basis (on shifted costs where that basis does not
-    price out), then primal phase 2.
+    simplex from the crash basis (with boxed columns flipped and other
+    costs shifted where that basis does not price out), then primal phase 2.
 
     Statuses: OPTIMAL with a primal-feasible x (rows within FEAS_TOL scaled by
     1 + |rhs|), INFEASIBLE, or UNBOUNDED. Integrality flags are ignored here.

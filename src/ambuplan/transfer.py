@@ -14,6 +14,13 @@ stock as ``transfer_in = max(0, Δstock)`` and ``transfer_out = max(0,
 -Δstock)``. Each arrival costs ``transfer_cost`` through ``tin >= Δstock``,
 on top of the holding and service costs. Serving is limited by on-site
 stock; unmet demand is priced per zone at the ``big_m`` weight.
+
+Every column but ``tin`` has an upper bound: stock its station's capacity,
+the fleet ``fleet_size``, and each serve and shortage column its zone's
+demand in that slot, which the demand rows imply. ``tin`` costs at least 0
+in rows that start on their slacks, so it never prices in at the crash.
+The engine's dual start flips each column that does price in to its upper
+bound instead of shifting its cost, and phase 2 has no pivot left to do.
 """
 
 from __future__ import annotations
@@ -110,7 +117,10 @@ def build_transfer_program(inst: Instance) -> tuple[LinearProgram, TransferIndex
     obj = np.concatenate([inst.hold_cost.ravel(), inst.dispatch_cost[pj].ravel(),
                           np.full(jm.size, float(inst.transfer_cost)),
                           np.full(zn * tn, float(inst.big_m)), [0.0]])
-    upper = np.concatenate([inst.capacity.ravel(), np.full(n - jt.size - 1, np.inf),
+    # a zone's demand bounds its serve and shortage columns, as its demand
+    # row implies
+    upper = np.concatenate([inst.capacity.ravel(), inst.demand[pi].ravel(),
+                            np.full(mj.size, np.inf), inst.demand.ravel(),
                             [float(inst.fleet_size)]])
     lp = LinearProgram(n, obj, np.zeros(n), upper, np.ones(n, dtype=bool),
                        matrix_from_blocks(blocks, (sense.size, n)), sense, rhs)

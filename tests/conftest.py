@@ -93,28 +93,44 @@ def unmet_rows():
 
 @pytest.fixture
 def dual_runs(monkeypatch):
-    """One (columns whose cost the dual phase shifted, whether it reached a
-    feasible basis) per call of the simplex's ``run_dual`` in the test.
+    """One (columns the start flipped to their other bound, columns whose
+    cost the dual phase shifted, whether it reached a feasible basis) per
+    call of the simplex's ``run_dual`` in the test.
 
-    Each call must start from a basis that prices out on the costs it is
-    given, within each column's pricing tolerance, checked against a fresh
-    factorization.
+    A flipped column is one whose direction at the dual's start differs
+    from the one the crash or the given start placed it on. Each call must
+    start from a basis that prices out on the costs it is given, within
+    each column's pricing tolerance, checked against a fresh factorization.
     """
     from scipy.sparse.linalg import splu
 
     from ambuplan.engine import simplex
 
     runs = []
+    placed = {}  # each solver's directions as its crash or start placed them
     run_dual = simplex._Solver.run_dual
+    crash_basis, start_basis = simplex._Solver.crash_basis, simplex._Solver.start_basis
+
+    def crashed(solver):
+        d = crash_basis(solver)
+        placed[solver] = solver.dirn.copy()
+        return d
+
+    def started(solver):
+        start_basis(solver)
+        placed[solver] = solver.dirn.copy()
 
     def recorded(solver, c):
         y = splu(solver.A[:, solver.basis]).solve(c[solver.basis], trans="T")
         d = c - solver.AT @ y
         assert np.all(solver.dirn * d <= solver.dtol)
+        flipped = np.flatnonzero(solver.dirn != placed.pop(solver))
         shifted = np.flatnonzero(c != solver.c)
         feasible = run_dual(solver, c)
-        runs.append((shifted, feasible))
+        runs.append((flipped, shifted, feasible))
         return feasible
 
+    monkeypatch.setattr(simplex._Solver, "crash_basis", crashed)
+    monkeypatch.setattr(simplex._Solver, "start_basis", started)
     monkeypatch.setattr(simplex._Solver, "run_dual", recorded)
     return runs

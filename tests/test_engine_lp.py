@@ -304,17 +304,23 @@ class TestCrash:
         assert res.objective == pytest.approx(5.0, abs=1e-9)
         assert np.allclose(res.x[:2], [1.0, 2.0], atol=1e-9)
 
-    def test_zero_slack_row_takes_the_column_that_prices_in_most(self, dual_runs):
-        # a serve/stock miniature: x0, x1, x2 serve under the limit row
-        # x0 + x1 + x2 - x3 <= 0, whose slack sits at zero; the demand rows
-        # start on the shortage singletons x4 (value 1) and x5 (value 3),
-        # at price 10. x0 and x1 price in at -9, x2 at -5; x1's other row
-        # holds the larger value, so x1 takes the limit row at price -9
-        lp = lp_of(6, [1, 1, 5, 2, 10, 10], [0] * 6, [inf, inf, inf, 4, inf, inf], [
+    @staticmethod
+    def serve_miniature(x3_upper):
+        """A serve/stock miniature: x0, x1, x2 serve under the limit row
+        x0 + x1 + x2 - x3 <= 0, whose slack sits at zero; the demand rows
+        start on the shortage singletons x4 (value 1) and x5 (value 3), at
+        price 10. x0 and x1 price in at -9, x2 at -5, and the stock x3 at
+        -7. The optimum serves every call from x3 = 4, at cost 12."""
+        return lp_of(6, [1, 1, 5, 2, 10, 10], [0] * 6, [inf, inf, inf, x3_upper, inf, inf], [
             LinearRow(((0, 1.0), (1, 1.0), (2, 1.0), (3, -1.0)), "<=", 0.0),
             LinearRow(((0, 1.0), (4, 1.0)), "=", 1.0),
             LinearRow(((1, 1.0), (2, 1.0), (5, 1.0)), "=", 3.0),
         ])
+
+    def test_zero_slack_row_takes_the_column_that_prices_in_most(self, dual_runs):
+        # x1's other row holds the larger value, so x1 takes the limit row
+        # at price -9
+        lp = self.serve_miniature(inf)
         solver = simplex._Solver(simplex.build_standard_form(lp), None, None)
         d = solver.crash_basis()
         slack = solver.std.slack_col[0]
@@ -326,10 +332,26 @@ class TestCrash:
         y = splu(solver.A[:, solver.basis]).solve(solver.c[solver.basis], trans="T")
         assert np.allclose(y, [-9.0, 10.0, 10.0], rtol=0, atol=1e-12)
         assert np.array_equal(d, solver.c - solver.AT @ np.array([-9.0, 10.0, 10.0]))
-        # the start prices out once x3's cost is shifted (dual_runs checks
-        # it against a fresh factorization), and the optimum serves it all
+        # x3 has no upper bound, so the start prices out once x3's cost is
+        # shifted (dual_runs checks it against a fresh factorization), and
+        # the optimum serves it all
         sol = solve_lp(lp)
-        assert [shifted.tolist() for shifted, _ in dual_runs] == [[3]]
+        assert [(flipped.tolist(), shifted.tolist()) for flipped, shifted, _ in dual_runs] \
+            == [([], [3])]
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(12.0, abs=1e-9)
+        assert np.allclose(sol.x, [1, 3, 0, 4, 0, 0], atol=1e-9)
+
+    def test_zero_slack_row_flips_the_boxed_column_that_prices_in(self, dual_runs):
+        # the crash of the test above, with x3 <= 4: x3 starts on its upper
+        # bound instead of having its cost shifted
+        lp = self.serve_miniature(4)
+        solver = simplex._Solver(simplex.build_standard_form(lp), None, None)
+        solver.crash_basis()
+        assert solver.basis.tolist() == [1, 4, 5]
+        sol = solve_lp(lp)
+        assert [(flipped.tolist(), shifted.tolist()) for flipped, shifted, _ in dual_runs] \
+            == [([3], [])]
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(12.0, abs=1e-9)
         assert np.allclose(sol.x, [1, 3, 0, 4, 0, 0], atol=1e-9)
@@ -365,37 +387,73 @@ class TestCrash:
         cols = simplex.build_standard_form(transfer).crash_columns[0]
         assert cols.tolist() == list(range(ix.serve_pair(0, 0), ix.transfer_in(0, 1)))
 
-    def test_negative_cost_shifts_into_the_dual(self, monkeypatch, dual_runs):
-        # x1 at its lower bound prices in at cost -2, so the crash basis is
-        # not dual feasible: the dual runs with x1's cost shifted until it
-        # prices out, and phase 2 restores the true cost
-        lp = lp_of(2, [1, -2], [0, 0], [10, 10], [
+    @staticmethod
+    def negative_cost(x1_upper):
+        """x1 at its lower bound prices in at cost -2, so the crash basis,
+        under x0 <= 1, is not dual feasible; the optimum is x1 = 3."""
+        lp = lp_of(2, [1, -2], [0, 0], [10, x1_upper], [
             LinearRow(((0, 1.0), (1, 1.0)), "=", 3.0),
             LinearRow(((1, 1.0),), "<=", 5.0),
         ])
+        return lp, np.array([1.0, x1_upper])
+
+    def test_negative_cost_shifts_into_the_dual(self, monkeypatch, dual_runs):
+        # x1 has no upper bound: the dual runs with x1's cost shifted until
+        # it prices out, and phase 2 restores the true cost
+        lp, hi = self.negative_cost(inf)
         std = simplex.build_standard_form(lp)
-        hi = np.array([1.0, 10.0])
         assert self.crashed(lp, hi_struct=hi).basis[0] == std.n_real
         phases = self.phases_run(monkeypatch)
         res = simplex.core_solve(std, None, hi)
         assert phases == ["dual", 2]
-        assert [shifted.tolist() for shifted, _ in dual_runs] == [[1]]
+        assert [(flipped.tolist(), shifted.tolist()) for flipped, shifted, _ in dual_runs] \
+            == [([], [1])]
         assert res.status is LpStatus.OPTIMAL
         assert res.objective == pytest.approx(-6.0, abs=1e-9)
         assert np.allclose(res.x[:2], [0.0, 3.0], atol=1e-9)
 
-    def test_shifted_dual_proves_infeasibility_by_a_dual_ray(self, monkeypatch, dual_runs):
-        # x1 prices in at cost -1; x0 <= 2 and x1 <= 1 cannot make 5
-        lp = lp_of(2, [1, -1], [0, 0], [2, 1], [
+    def test_negative_cost_flips_into_the_dual(self, monkeypatch, dual_runs):
+        # x1 <= 10 starts on its upper bound, where it prices out, and the
+        # dual takes it back down to 3 on the true costs
+        lp, hi = self.negative_cost(10.0)
+        phases = self.phases_run(monkeypatch)
+        res = simplex.core_solve(simplex.build_standard_form(lp), None, hi)
+        assert phases == ["dual", 2]
+        assert [(flipped.tolist(), shifted.tolist()) for flipped, shifted, _ in dual_runs] \
+            == [([1], [])]
+        assert res.status is LpStatus.OPTIMAL
+        assert res.objective == pytest.approx(-6.0, abs=1e-9)
+        assert np.allclose(res.x[:2], [0.0, 3.0], atol=1e-9)
+
+    @staticmethod
+    def short_of_five(x1_upper):
+        """x1 prices in at cost -1; x0 <= 2 and the row x1 <= 1 cannot make
+        x0 + x1 = 5."""
+        return lp_of(2, [1, -1], [0, 0], [2, x1_upper], [
             LinearRow(((0, 1.0), (1, 1.0)), "=", 5.0),
             LinearRow(((1, 1.0),), "<=", 1.0),
         ])
+
+    def test_shifted_dual_proves_infeasibility_by_a_dual_ray(self, monkeypatch, dual_runs):
+        # x1 has no upper bound: on its shifted cost it enters first, at 5;
+        # a second pivot holds it to the row x1 <= 1 and leaves x0 at 4 > 2,
+        # which no column can lower
         phases = self.phases_run(monkeypatch)
-        sol = solve_lp(lp)
+        sol = solve_lp(self.short_of_five(inf))
         assert sol.status is LpStatus.INFEASIBLE
         assert phases == ["dual"]
-        assert [(shifted.tolist(), feasible) for shifted, feasible in dual_runs] \
-            == [([1], False)]
+        assert [(flipped.tolist(), shifted.tolist(), feasible)
+                for flipped, shifted, feasible in dual_runs] == [([], [1], False)]
+        assert sol.iterations == 2
+
+    def test_flipped_dual_proves_infeasibility_by_a_dual_ray(self, monkeypatch, dual_runs):
+        # x1 <= 1 as a bound: x1 starts on it instead
+        phases = self.phases_run(monkeypatch)
+        sol = solve_lp(self.short_of_five(1.0))
+        assert sol.status is LpStatus.INFEASIBLE
+        assert phases == ["dual"]
+        assert [(flipped.tolist(), shifted.tolist(), feasible)
+                for flipped, shifted, feasible in dual_runs] == [([1], [], False)]
         assert sol.iterations == 1
 
     def test_shifted_dual_leaves_the_unbounded_ray_to_phase_2(self, monkeypatch, dual_runs):
@@ -409,8 +467,8 @@ class TestCrash:
         sol = solve_lp(lp)
         assert sol.status is LpStatus.UNBOUNDED
         assert phases == ["dual", 2]
-        assert [(shifted.tolist(), feasible) for shifted, feasible in dual_runs] \
-            == [([2], True)]
+        assert [(flipped.tolist(), shifted.tolist(), feasible)
+                for flipped, shifted, feasible in dual_runs] == [([], [2], True)]
         assert sol.iterations == 1
 
     def test_transfer_demand_rows_start_on_shortage(self):
@@ -516,6 +574,25 @@ class TestStart:
         assert again.objective == pytest.approx(first.objective, rel=1e-12)
         assert np.allclose(again.x, first.x, rtol=1e-12, atol=1e-9)
         assert np.array_equal(again.basis[0], first.basis[0])
+
+    def test_started_solve_flips_the_boxed_columns_that_price_in(self, dual_runs):
+        # the slack basis is optimal at costs (1, 1, 1); at costs (-1, -2, 0)
+        # x0 <= 4 and the unbounded x1 price in there: x0 flips to 4, x1
+        # has its cost shifted, and phase 2 reaches the crash's optimum
+        def program(cost):
+            return simplex.build_standard_form(lp_of(3, cost, [0] * 3, [4, inf, inf], [
+                LinearRow(((0, 1.0), (1, 1.0), (2, 1.0)), "<=", 10.0)]))
+
+        first = simplex.core_solve(program([1, 1, 1]))
+        assert first.status is LpStatus.OPTIMAL and first.basis[0].tolist() == [3]
+        std = program([-1, -2, 0])
+        res = simplex.core_solve(std, start=first.basis)
+        flipped, shifted, feasible = dual_runs[-1]
+        assert (flipped.tolist(), shifted.tolist(), feasible) == ([0], [1], True)
+        ref = simplex.core_solve(std)
+        assert res.status is ref.status is LpStatus.OPTIMAL
+        assert res.objective == ref.objective == -20.0
+        assert np.allclose(res.x[:3], [0.0, 10.0, 0.0], atol=1e-9)
 
     def test_start_of_another_shape_is_ignored(self, monkeypatch):
         std = simplex.build_standard_form(
@@ -654,9 +731,12 @@ class TestAgainstIndependentSolver:
                 compared += 1
                 assert sol.status is LpStatus.UNBOUNDED, label
         assert compared >= 100  # the families above must dominate the draw
-        # crash bases that do not price out reach feasibility on shifted costs
-        shifted = sum(cols.size > 0 for cols, _ in dual_runs)
-        assert shifted >= 100, shifted
+        # crash bases that do not price out reach feasibility with boxed
+        # columns flipped, and on shifted costs where a column has no upper
+        # bound; each path has its own minimum
+        flipped = sum(cols.size > 0 for cols, _, _ in dual_runs)
+        shifted = sum(cols.size > 0 for _, cols, _ in dual_runs)
+        assert flipped >= 100 and shifted >= 25, (flipped, shifted)
 
     def test_repeat_solves_are_bit_identical(self, dual_runs):
         rng = np.random.default_rng(777)
@@ -669,8 +749,9 @@ class TestAgainstIndependentSolver:
                 assert first.x.tobytes() == second.x.tobytes()
                 assert first.objective == second.objective
                 assert first.iterations == second.iterations
-        shifted = sum(cols.size > 0 for cols, _ in dual_runs)
-        assert shifted >= 20, shifted
+        flipped = sum(cols.size > 0 for cols, _, _ in dual_runs)
+        shifted = sum(cols.size > 0 for _, cols, _ in dual_runs)
+        assert flipped >= 20 and shifted >= 5, (flipped, shifted)
 
 
 def random_dual_program(rng):
@@ -771,9 +852,9 @@ class TestDualAgainstIndependentSolver:
             init(solver, *args, **kwargs)
             solver.bland_threshold = 0
 
-        def counted(solver, d, alpha, s, bland, slope):
+        def counted(solver, d, cols, alpha, s, bland, slope):
             nonlocal bland_flips
-            q, flips = ratio(solver, d, alpha, s, bland, slope)
+            q, flips = ratio(solver, d, cols, alpha, s, bland, slope)
             bland_pivots.append(bland)
             bland_flips += bland * flips.size
             return q, flips
@@ -897,14 +978,28 @@ class TestKernel:
     def kernel_programs():
         transfer, _ = build_transfer_program(generate(preset(1), 0))
         tiny, _ = build_allocation_program(generate(tiny_params(3), 3))
-        # x0 and x1 cross their whole range without any basis change
-        flips = lp_of(3, [-1, -1, 2], [0, 0, -1], [2, 2, 3],
-                      [LinearRow(((0, 1.0), (1, 1.0), (2, 1.0)), "<=", 10.0)])
+        # x2 has no upper bound, so its cost is shifted at the crash; once
+        # phase 2 restores it, x2 enters, and x0 and x1 then cross their
+        # whole range without any basis change
+        flips = lp_of(3, [0.5, 0.5, -1], [0, 0, 0], [2, 2, inf],
+                      [LinearRow(((0, -1.0), (1, -1.0), (2, 1.0)), "<=", 0.0)])
         return [transfer, tiny, flips]
 
     @staticmethod
+    def phase_2_transfer():
+        """The preset-1 transfer program with every upper bound but the
+        fleet's lifted: the crash shifts the cost of each column that prices
+        in, its basis is feasible, and phase 2 takes every pivot."""
+        lp, ix = build_transfer_program(generate(preset(1), 0))
+        upper = np.full(lp.num_vars, inf)
+        upper[ix.fleet] = lp.upper[ix.fleet]
+        return LinearProgram(lp.num_vars, lp.objective, lp.lower, upper,
+                             lp.integrality, lp.A, lp.sense, lp.rhs)
+
+    @staticmethod
     def solve_watched(lp, monkeypatch, check):
-        """Solve lp, calling check(solver, q, r, leaving) after every pivot."""
+        """Solve lp, calling check(solver, q, r, leaving) once after every
+        pivot; the watch ends with the solve."""
         apply = simplex._Solver._apply
 
         def watched(solver, q, sigma, w, step, r, upper):
@@ -912,9 +1007,10 @@ class TestKernel:
             apply(solver, q, sigma, w, step, r, upper)
             check(solver, q, r, leaving)
 
-        monkeypatch.setattr(simplex._Solver, "_apply", watched)
-        solver = simplex._Solver(simplex.build_standard_form(lp), None, None)
-        assert solver.solve().status is LpStatus.OPTIMAL
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex._Solver, "_apply", watched)
+            solver = simplex._Solver(simplex.build_standard_form(lp), None, None)
+            assert solver.solve().status is LpStatus.OPTIMAL
 
     def test_eta_solves_match_a_fresh_factorization(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -924,10 +1020,11 @@ class TestKernel:
             assert_eta_solves_match(solver, splu(solver.A[:, solver.basis]), q, rng)
             pivots.append(len(solver.etas))
 
-        # a preset-1 transfer program takes about 150 pivots from the
-        # triangular crash, so a second one keeps the pivots checked above 200
+        # a preset-1 transfer program takes about 100 dual pivots from the
+        # crash, so a second one and the phase-2 form keep the pivots
+        # checked above 200, in both phases
         second, _ = build_transfer_program(generate(preset(1), 1))
-        for lp in self.kernel_programs()[:2] + [second]:
+        for lp in self.kernel_programs()[:2] + [second, self.phase_2_transfer()]:
             self.solve_watched(lp, monkeypatch, check)
         # the check ran on long eta files, not only after refactorizations
         assert len(pivots) > 200 and max(pivots) == simplex.REFACTOR_EVERY
@@ -1039,9 +1136,9 @@ class TestKernel:
 
         monkeypatch.setattr(simplex._Solver, "run_dual", watched_dual)
         monkeypatch.setattr(simplex._Solver, "_dual_ratio", watched_ratio)
-        tiny = self.kernel_programs()[1]
+        transfer, tiny, _ = self.kernel_programs()
         day, _ = build_allocation_program(generate(preset(1), 0))
-        for lp in (tiny, day):
+        for lp in (tiny, day, transfer):
             before = seen["solves"]
             self.solve_watched(lp, monkeypatch, check)
             assert seen["solves"] == before + 1  # the program took the dual
@@ -1096,8 +1193,8 @@ class TestKernel:
         monkeypatch.setattr(simplex._Solver, "run_phase", watched_phase)
         monkeypatch.setattr(simplex._Solver, "btran", counted_btran)
         monkeypatch.setattr(simplex._Solver, "reduced_costs", counted_pricing)
-        transfer, _, flips = self.kernel_programs()
-        for lp in (transfer, flips):
+        flips = self.kernel_programs()[2]
+        for lp in (self.phase_2_transfer(), flips):
             self.solve_watched(lp, monkeypatch, check)
         # the checks ran on long eta files, and bound flips were among them
         assert seen["etas"] == simplex.REFACTOR_EVERY, seen
@@ -1123,3 +1220,38 @@ class TestKernel:
         self.solve_watched(self.kernel_programs()[1], monkeypatch, check)
         assert phases == ["dual", 2]
         assert before_pivot == [1]
+
+    def test_pivot_row_formations_agree(self, monkeypatch):
+        # on every pivot row the solves below form, in either phase, the
+        # gather of A's rows at rho's nonzeros and the dense product A^T rho
+        # give the same columns and values to 1e-12. The gather also keeps
+        # the columns whose entries cancel, which the product drops where
+        # they cancel exactly; the two round differently
+        pivot_row = simplex._Solver.pivot_row
+        compared = []
+
+        def both(solver, r):
+            rule, rows = solver.gather_nz, []
+            for below in (np.inf, 0):  # the gather, then the product
+                solver.gather_nz = below
+                cols, vals = pivot_row(solver, r)
+                assert np.all(np.diff(cols) > 0), r  # distinct, ascending
+                row = np.zeros(solver.N)
+                row[cols] = vals
+                rows.append((cols, row))
+            solver.gather_nz = rule
+            (gc, gather), (pc, product) = rows
+            assert np.isin(pc, gc).all(), r
+            err = np.abs(gather - product).max()
+            assert err <= 1e-12 * max(1.0, np.abs(product).max()), r
+            compared.append(solver.m)
+            return pivot_row(solver, r)
+
+        monkeypatch.setattr(simplex._Solver, "pivot_row", both)
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            solve_lp(random_program(rng)[0])
+        small = len(compared)
+        transfer, _ = build_transfer_program(generate(preset(3), 0))
+        assert solve_lp(transfer).status is LpStatus.OPTIMAL
+        assert small >= 100 and len(compared) - small >= 200, (small, len(compared))

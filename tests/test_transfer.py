@@ -45,12 +45,16 @@ def row_by_row_program(inst: Instance) -> LinearProgram:
             upper[ix.stock(j, t)] = inst.capacity[j, t]
             if t > 0:
                 obj[ix.transfer_in(j, t)] = inst.transfer_cost
+    # a zone's demand bounds the calls any one station answers there, and
+    # the zone's shortage
     for (j, i) in ix.pairs:
         for t in range(tn):
             obj[ix.serve(j, i, t)] = inst.dispatch_cost[j, t]
+            upper[ix.serve(j, i, t)] = inst.demand[i, t]
     for i in range(zn):
         for t in range(tn):
             obj[ix.shortage(i, t)] = inst.big_m
+            upper[ix.shortage(i, t)] = inst.demand[i, t]
     rows = [LinearRow(tuple((ix.stock(j, t), 1.0) for j in range(jn))
                       + ((ix.fleet, -1.0),), "=", 0.0) for t in range(tn)]
     for j in range(jn):
@@ -310,14 +314,15 @@ class TestSolve:
             assert outcome.status is SolveStatus.OPTIMAL
             assert outcome.nodes <= 1, f"seed {seed}"
 
-    def test_headline_instance_pins_the_primal_simplex(self):
-        # the 24-slot, 20-station, 60-zone day of the paper's benchmark; the
-        # crash basis is feasible, so phase 2 does every pivot, pricing from
-        # reduced costs that each pivot updates along its pivot row. The
-        # crash puts a serve column in each limit row. A change that moves
-        # the start or the entering choices fails here
+    def test_headline_instance_pins_the_dual_simplex(self):
+        # the 24-slot, 20-station, 60-zone day of the paper's benchmark. The
+        # crash puts a serve column in each limit row, and every column that
+        # prices in there is boxed and starts on its upper bound, so the
+        # dual does every pivot, from the hyper-sparse pivot row, and phase 2
+        # none. A change that moves the start or the entering choices fails
+        # here
         outcome = solve_transfer(generate(preset(5), 42))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == 170_053_492
         assert outcome.nodes == 1
-        assert outcome.iterations == 2_367
+        assert outcome.iterations == 1_482
