@@ -15,7 +15,11 @@ coverage is the same in every slot; only demand, costs and capacities
 differ. The plan's ``inventory``, the placed-but-idle vehicles,
 carries no cost and is not a program variable: ``dispatch <= alloc`` keeps
 it nonnegative, and the plan derives it as the running sum of
-``alloc - dispatch``.
+``alloc - dispatch``. Every column is bounded: alloc and dispatch by the
+station's capacity, shortage by the slot's calls, bounds that
+``dispatch <= alloc <= capacity`` and the slot's total row imply. So only
+a slack can price in without an upper bound at a slot's start, and only
+then does the start take the engine's dual phase 1.
 ``build_allocation_program`` writes the whole day as one program, for
 inspection and independent checks; ``solve_allocation`` solves one small
 program per slot, each from the previous slot's optimal root basis, and
@@ -104,7 +108,10 @@ def build_allocation_program(inst: Instance) -> tuple[LinearProgram, AllocationI
     # each slot's block: alloc, dispatch, shortage
     obj = np.column_stack([inst.hold_cost.T, inst.dispatch_cost.T,
                            np.full(tn, float(inst.big_m))]).ravel()
-    upper = np.column_stack([inst.capacity.T, np.full((tn, jn + 1), np.inf)]).ravel()
+    # dispatch <= alloc <= capacity and the slot's total row imply the
+    # dispatch and shortage bounds
+    upper = np.column_stack([inst.capacity.T, inst.capacity.T,
+                             inst.demand.sum(axis=0, dtype=float)]).ravel()
     lp = LinearProgram(n, obj, np.zeros(n), upper, np.ones(n, dtype=bool),
                        matrix_from_blocks(blocks, (sense.size, n)), sense, rhs)
     return lp, ix

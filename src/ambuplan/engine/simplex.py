@@ -1,4 +1,4 @@
-"""Bounded-variable primal and dual simplex over a sparse revised formulation.
+"""Bounded-variable dual simplex over a sparse revised formulation.
 
 The program's constraint matrix is converted once into equality standard
 form: a slack column per inequality row, then an artificial unit column per
@@ -20,8 +20,8 @@ takes back. Each nonbasic column then sits on the bound its dirn names; it
 goes to its lower bound where that upper bound is now infinite, and a
 column with lo == up is fixed. Model 1's slot programs share one matrix,
 and on the preset-5 day (seed 42) each slot's optimal basis is optimal for
-the next slot at most slots: 21 pivots in all where the crash in every
-slot took 504.
+the next slot at most slots: 22 pivots in all where the crash in every
+slot takes 530.
 
 Every solve then runs the dual simplex from its start. That start must
 price out (dirn * d <= the pricing tolerance 1e-7 + 1e-11 * |c_j| of every
@@ -31,27 +31,33 @@ priced once on its first factorization. A column that prices in and has
 a finite upper bound flips to its other bound, where it prices out: at
 the crash it starts on its upper bound and the first factorization
 computes the basic values, and at a given start one ftran of the flipped
-columns updates them, as for the dual's own flips. Only a column without
-an upper bound gets the cost c_j - d_j instead, which zeroes its reduced
-cost (cost modification; Koberstein, PhD thesis, Paderborn 2005, ch. 4).
-The transfer program bounds every column that can price in, so its solves
-shift no cost; an allocation slot start still shifts one now and then, as
-its dispatch and shortage columns and the slacks have no upper bound. The
-dual runs on the start's one factorization, and the start is feasible
-when no basic column violates its bounds by more than FEAS_TOL scaled by
-1 + its value; a feasible start costs no pivot. Otherwise the dual pivots
-out the basic column with the largest bound violation. Its ratio test
-takes the long step: the columns whose breakpoints it passes flip to
-their other bound instead of each costing a pivot. A dual ray proves the
-program infeasible whatever the costs. On the preset-5 transfer program
-(seed 42) the dual takes 1,482 pivots and phase 2 none.
+columns updates them, as for the dual's own flips. Both models bound
+every structural column that can price in, so only a slack, or a column
+of a program outside them, can price in without an upper bound. Such a
+column sends the start through dual phase 1: the dual simplex on the
+auxiliary problem min c x, A x = 0, with each column without an upper
+bound on [0, 1] and every other column fixed at 0 (Fourer, "Notes on the
+dual simplex method", 1994; Koberstein, PhD thesis, Paderborn 2005,
+ch. 4). Every movable column of it is boxed, so its start prices out
+after flips. At its optimum either no column without an upper bound
+prices in, and each column goes back to the program's bound it prices
+out on, or one still does, and x is a ray of the program. The dual
+simplex on zero costs, where every basis prices out, then decides between
+UNBOUNDED and INFEASIBLE. On the generator corpus phase 1 runs only at
+allocation slot starts, where a slack prices in.
 
-Phase 2 then runs the primal simplex on the true costs from the feasible
-basis. It pivots only where the dual ran on shifted costs: it restores
-them, finds an unbounded ray if there is one, and certifies the optimum
-on a fresh factorization. After an unshifted dual that certification is
-all it does. The optimum must then pass a residual check and a bound
-check on every column, the artificials included.
+The dual is feasible when no basic column violates its bounds by more
+than FEAS_TOL scaled by 1 + its value; a feasible start costs no pivot.
+Otherwise the dual pivots out the basic column with the largest bound
+violation. Its ratio test takes the long step: the columns whose
+breakpoints it passes flip to their other bound instead of each costing
+a pivot. A dual ray proves the program infeasible whatever the costs. On
+the preset-5 transfer program (seed 42) the dual takes 1,482 pivots. The
+feasible basis is optimal once it prices out on the fresh factorization
+the dual ends on; where a column prices in there, drift in the updated
+reduced costs hid it, and the start repeats from that basis. The optimum
+must then pass a residual check and a bound check on every column, the
+artificials included, or the solve raises NumericalBreakdownError.
 
 Per-pivot work follows the nonzeros of the pivot column w = B^-1 a_q (a
 median 7% of the rows on the preset-5 transfer program) and of the pivot
@@ -60,24 +66,21 @@ row rather than the row count m or the column count:
 - Each eta holds (r, w[r], idx, w[idx]) with idx the nonzeros of w other
   than the pivot row r, so ftran subtracts over idx and btran updates u[r]
   with one short dot product.
-- The ratio test looks only at rows with |w| > pivot tol, each against the
-  bound that the sign of sigma * w selects.
 - A maintained direction per column, dirn (-1 movable at lower, +1
   movable at upper, 0 basic or fixed), turns pricing into one product
   dirn * d. Together with the basis it is the only record of a column's
   place: every lower bound is finite, so a nonbasic column sits on lo or up.
-  It is set by the crash or the start, and each pivot updates only the
-  entering and leaving entries and those of the columns a dual pivot flips.
-- Both phases compute the reduced costs d = c - A^T B^-T c_B in full only
-  after a factorization, and phase 2 takes them from the dual when it
-  shifted no cost. A pivot on row r updates them from the pivot row,
+  It is set by the crash, the start or phase 1, and each pivot updates
+  only the entering and leaving entries and those of the columns it flips.
+- The dual computes the reduced costs d = c - A^T B^-T c_B in full only
+  after a factorization. A pivot on row r updates them from the pivot row,
   d -= (d_q / alpha_rq) * alpha_r with alpha_r = rho^T A and rho = B^-T e_r
-  (alpha_rq = w_r), on the columns of that row only. The dual's ratio test
-  also reads only those columns. A bound flip changes neither the basis
-  nor d and costs no btran; the basic values follow from one ftran of the
+  (alpha_rq = w_r), on the columns of that row only. The ratio test also
+  reads only those columns. A bound flip changes neither the basis nor d
+  and costs no btran; the basic values follow from one ftran of the
   flipped columns, summed from the CSC arrays.
-- One function, pivot_row, forms alpha_r for both phases, in one of two
-  ways. rho is hyper-sparse, a median 8 nonzeros in 2,404 rows on the
+- pivot_row forms alpha_r in one of two ways. rho is hyper-sparse, a
+  median 8 nonzeros in 2,404 rows on the
   preset-5 transfer program, so the row can be gathered from the rows of
   A at rho's nonzeros, kept row-major by the StandardForm, and merged per
   column by a stable sort and np.add.reduceat (Hall & McKinnon,
@@ -100,20 +103,20 @@ REFACTOR_EVERY = 32 was chosen on preset 5 (seed 42), before the dual phase
 existed. Going from 64 to 32 doubles the refactorizations (transfer 68 ->
 133, allocation 140 -> 227) but cuts the time of the ftran and btran eta
 loops by about 40%, a net gain that was largest on the allocation slot
-programs. The conservative retry refactorizes every 16 pivots. SuperLU
-orders each basis by COLAMD and builds no relaxed supernodes (relax=1,
-panel_size=1). On 20 of the preset-5 transfer bases that cut the mean
-factorization from 993 to 660 us and the ftran/btran solves from 103/70 to
-72/57 us, for 1% more fill; the allocation slot bases (about 10 us per
-solve) did not change.
+programs. SuperLU orders each basis by COLAMD and builds no relaxed
+supernodes (relax=1, panel_size=1). On 20 of the preset-5 transfer bases
+that cut the mean factorization from 993 to 660 us and the ftran/btran
+solves from 103/70 to 72/57 us, for 1% more fill; the allocation slot
+bases (about 10 us per solve) did not change.
 
-Anti-cycling: Dantzig pricing by default, switching to Bland's rule whenever
-the objective has not improved for 5 * (num_vars + num_rows) iterations. The
-dual phase counts stalls of its own objective the same way and then takes
-the lowest basic column among the violated rows and the lowest-index column
-among the tied ratios, flipping none. Pivots smaller than PIVOT_TOL are
-never accepted; if no acceptable pivot exists after a fresh refactorization
-the solver raises NumericalBreakdownError rather than guessing.
+Anti-cycling: once the dual objective has not risen for 5 * (num_vars +
+num_rows) pivots, the dual takes Bland's rule: the lowest basic column
+among the violated rows and the lowest-index column among the tied
+ratios, flipping none. Pivots smaller than PIVOT_TOL are never accepted;
+if no acceptable pivot exists after a fresh refactorization the solver
+raises NumericalBreakdownError rather than guessing. core_solve makes one
+run and retries nothing: no generator or random input has reached a
+breakdown.
 """
 
 from __future__ import annotations
@@ -235,11 +238,8 @@ class _Solver:
 
     def __init__(self, std: StandardForm,
                  lo_struct: np.ndarray | None, hi_struct: np.ndarray | None,
-                 conservative: bool = False,
                  start: tuple[np.ndarray, np.ndarray] | None = None):
         self.std = std
-        self.pivot_tol = 1e-6 if conservative else PIVOT_TOL
-        self.refactor_every = 16 if conservative else REFACTOR_EVERY
         m, n_real = std.m, std.n_real
         self.m = m
         self.n_real = n_real
@@ -257,16 +257,16 @@ class _Solver:
         rest = slice(std.n_struct, None)
         self.lo = std.lower if lo_struct is None else np.concatenate([lo_struct, std.lower[rest]])
         self.up = std.upper if hi_struct is None else np.concatenate([hi_struct, std.upper[rest]])
+        self.b = std.b  # dual_phase_1 solves on b = 0
         self.x = np.zeros(self.N)
         self.basis = np.zeros(m, dtype=np.int64)
         self.lu = None
         # one (r, w[r], idx, w[idx]) per pivot, idx the other nonzeros of w
         self.etas: list[tuple[int, float, np.ndarray, np.ndarray]] = []
         self.dirn = None  # from crash_basis or start_basis, then kept by _apply
-        # reduced costs on the costs the running phase prices: computed after
-        # each factorization, then updated per pivot; refactor drops them
+        # reduced costs: computed after a factorization, then updated per
+        # pivot; refactor drops them
         self.d = None
-        self.updates_since_refactor = 0
         self.iterations = 0
         self.bland_threshold = 5 * (std.n_struct + m)
         self.max_iterations = 20000 + 50 * (m + n_real)
@@ -292,12 +292,15 @@ class _Solver:
             raise NumericalBreakdownError(
                 f"basis factorization failed: {exc}") from exc
         self.etas = []
-        self.updates_since_refactor = 0
         self.d = None
-        # recompute basic values from scratch to shed accumulated drift
+        self.basic_values()
+
+    def basic_values(self) -> None:
+        """x_B = B^-1 (b - N x_N) on a fresh factorization, which sheds the
+        drift of the per-pivot updates."""
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        self.x[self.basis] = self.lu.solve(self.std.b - self.A @ xn)
+        self.x[self.basis] = self.lu.solve(self.b - self.A @ xn)
 
     def ftran(self, col: np.ndarray) -> np.ndarray:
         v = self.lu.solve(col)
@@ -326,7 +329,7 @@ class _Solver:
         A slack takes its row whatever value that leaves it; the dual phase
         repairs a negative one. An equality row whose residual is nonzero
         goes to a structural column with its only nonzero in that row,
-        |a| >= pivot_tol, when moving that column to x + resid / a keeps it
+        |a| >= PIVOT_TOL, when moving that column to x + resid / a keeps it
         within this solve's bounds; the lowest such column wins (Bixby, ORSA
         J. Computing 4(3), 1992). The other equality rows start on their
         artificials at the signed residual. Every other column starts at its
@@ -359,7 +362,7 @@ class _Solver:
         cols = np.flatnonzero(np.diff(indptr[:std.n_struct + 1]) == 1)
         rows = std.A.indices[indptr[cols]]
         a = std.A.data[indptr[cols]]
-        ok = ~slack[rows] & (resid[rows] != 0) & (np.abs(a) >= self.pivot_tol)
+        ok = ~slack[rows] & (resid[rows] != 0) & (np.abs(a) >= PIVOT_TOL)
         cols, rows, a = cols[ok], rows[ok], a[ok]
         x_new = self.x[cols] + resid[rows] / a
         ok = (x_new >= self.lo[cols]) & (x_new <= self.up[cols])
@@ -401,9 +404,15 @@ class _Solver:
         values follow at the first factorization."""
         basis, dirn = self.start
         self.basis[:] = basis
-        upper = (dirn > 0) & np.isfinite(self.up)
+        self.place((dirn > 0) & np.isfinite(self.up))
+
+    def place(self, upper: np.ndarray) -> None:
+        """Put each nonbasic column on its upper bound where ``upper``, which
+        must be finite there, else on its lower bound; a column with
+        lo == up is fixed, with dirn 0. The basic values are left to the
+        next factorization or basic_values."""
         self.dirn = np.where(self.lo == self.up, 0.0, np.where(upper, 1.0, -1.0))
-        self.dirn[basis] = 0.0
+        self.dirn[self.basis] = 0.0
         self.x[:] = np.where(upper, self.up, self.lo)
 
     # ----- pricing and pivoting --------------------------------------------
@@ -440,85 +449,6 @@ class _Solver:
         cols = np.flatnonzero(alpha)
         return cols, alpha[cols]
 
-    def choose_entering(self, d: np.ndarray, bland: bool) -> int:
-        """The column to enter among those that price in beyond their own
-        tolerance: the lowest under Bland's rule, else the one with the
-        largest dirn * d. -1 when none does."""
-        if not self.N:
-            return -1  # an empty program
-        viol = self.dirn * d
-        q = int(np.argmax(viol))
-        top = float(viol[q])
-        if top <= DUAL_TOL:
-            return -1  # within every column's tolerance
-        if not bland and top > self.dtol[q]:
-            return q
-        # Bland's rule, or the largest dirn * d within its own column's
-        # tolerance, while a smaller one may exceed its own
-        ok = viol > self.dtol
-        q = int(np.argmax(ok if bland else np.where(ok, viol, 0.0)))
-        return q if ok[q] else -1
-
-    def run_phase(self) -> str:
-        """Primal simplex on the true costs from a feasible basis; returns
-        'optimal' or 'unbounded'.
-
-        The reduced costs d are computed in full after each factorization,
-        unless the dual left them on the true costs. A pivot on row r
-        updates them from the pivot row alpha_r (see pivot_row) as
-        d -= (d_q / alpha_rq) * alpha_r, with alpha_rq = w_r, on the columns
-        of that row; a bound flip leaves them as they are. The artificials,
-        fixed on [0, 0], are never priced.
-        """
-        c = self.c
-        z = float(c @ self.x)
-        since_improve = 0
-
-        while True:
-            if self.iterations >= self.max_iterations:
-                raise NumericalBreakdownError(
-                    f"iteration cap {self.max_iterations} exceeded in phase 2")
-            # pricing against a clean factorization is trusted as-is
-            fresh = not self.etas and self.updates_since_refactor == 0
-            if self.d is None:
-                self.d = self.reduced_costs(c)
-                z = float(c @ self.x)
-            d = self.d
-            bland = since_improve > self.bland_threshold
-            q = self.choose_entering(d, bland)
-            if q < 0:
-                if fresh:
-                    return "optimal"
-                # re-certify optimality against a clean factorization
-                self.refactor()
-                continue
-
-            sigma = -float(self.dirn[q])  # into the column's range
-            w = self.ftran(self.column(q))
-            step, r = self._ratio(q, sigma, w, bland)
-            if step is None:
-                # no finite blocking step and no own bound to flip to
-                if not fresh:
-                    self.refactor()
-                    continue
-                return "unbounded"
-
-            self.iterations += 1
-            z_new = z + step * sigma * d[q]
-            if z_new < z - 1e-9 * (1.0 + abs(z)):
-                since_improve = 0
-            else:
-                since_improve += 1
-            z = z_new
-            if r >= 0:
-                cols, vals = self.pivot_row(r)
-                d[cols] -= (d[q] / w[r]) * vals
-                d[q] = 0.0
-            self._apply(q, sigma, w, step, r, r >= 0 and sigma * w[r] < 0)
-            if (len(self.etas) >= self.refactor_every
-                    or self.updates_since_refactor >= 4 * self.refactor_every):
-                self.refactor()
-
     def run_dual(self, c: np.ndarray) -> bool:
         """Dual simplex on the costs c, from a freshly factored basis that
         prices out on them.
@@ -543,8 +473,8 @@ class _Solver:
         while True:
             if self.iterations >= self.max_iterations:
                 raise NumericalBreakdownError(
-                    f"iteration cap {self.max_iterations} exceeded in the dual phase")
-            fresh = not self.etas and self.updates_since_refactor == 0
+                    f"iteration cap {self.max_iterations} exceeded in the dual simplex")
+            fresh = not self.etas
             xB = self.x[self.basis]
             below = self.lo[self.basis] - xB
             viol = np.maximum(below, xB - self.up[self.basis])
@@ -571,7 +501,7 @@ class _Solver:
             if q >= 0:
                 alpha_q = float(alpha[np.searchsorted(cols, q)])
                 w = self.ftran(self.column(q))
-            if q < 0 or not (w[r] * alpha_q > 0 and abs(w[r]) > self.pivot_tol):
+            if q < 0 or not (w[r] * alpha_q > 0 and abs(w[r]) > PIVOT_TOL):
                 # no entering column, or a pivot column that disagrees with
                 # the pivot row: trust neither before a refactorization
                 if not fresh:
@@ -598,8 +528,7 @@ class _Solver:
             d[cols] -= (d[q] / alpha_q) * alpha
             d[q] = 0.0
             self._apply(q, sigma, w, step, r, s < 0)
-            if (len(self.etas) >= self.refactor_every
-                    or self.updates_since_refactor >= 4 * self.refactor_every):
+            if len(self.etas) >= REFACTOR_EVERY:
                 self.refactor()
 
     def _dual_ratio(self, d: np.ndarray, cols: np.ndarray, alpha: np.ndarray,
@@ -627,7 +556,7 @@ class _Solver:
         the slope positive, so a pivot without flips pays for no sort.
         """
         da = s * self.dirn[cols] * alpha  # |alpha| on eligible columns
-        k = np.flatnonzero(da > self.pivot_tol)
+        k = np.flatnonzero(da > PIVOT_TOL)
         if not k.size:
             return -1, k
         cols, da = cols[k], da[k]
@@ -663,56 +592,13 @@ class _Solver:
         self.dirn[cols] = -self.dirn[cols]
         return delta
 
-    def _ratio(self, q: int, sigma: float, w: np.ndarray,
-               bland: bool) -> tuple[float | None, int]:
-        """Largest step before a basic variable or q's own range blocks.
-
-        Returns (step, r) with r the blocking basis position, or r = -1 for a
-        bound flip of q itself, or (None, -1) when nothing blocks.
-        """
-        # only rows with an acceptable pivot can block; each one moves
-        # towards the bound that the sign of sigma * w selects
-        rows = np.flatnonzero(np.abs(w) > self.pivot_tol)
-        r, step_basic = -1, np.inf
-        if rows.size:
-            sw = sigma * w[rows]
-            j = self.basis[rows]
-            steps = (self.x[j] - np.where(sw > 0, self.lo[j], self.up[j])) / sw
-            np.maximum(steps, 0.0, out=steps)
-            k = int(np.argmin(steps))
-            step_basic = float(steps[k])
-            if np.isfinite(step_basic):
-                # among (near-)minimal steps prefer the largest pivot for
-                # stability; under Bland's rule the lowest variable index
-                cand = np.flatnonzero(steps <= step_basic + 1e-9 * (1.0 + step_basic))
-                if bland:
-                    k = int(cand[np.argmin(j[cand])])
-                else:
-                    k = int(cand[np.argmax(np.abs(sw[cand]))])
-                r, step_basic = int(rows[k]), float(steps[k])
-
-        step_self = self.up[q] - self.lo[q]  # inf without an upper bound
-        if step_self <= step_basic:
-            if not np.isfinite(step_self):
-                return (None, -1)
-            return (step_self, -1)
-        if not np.isfinite(step_basic):
-            return (None, -1)
-        return (step_basic, r)
-
     def _apply(self, q: int, sigma: float, w: np.ndarray,
                step: float, r: int, upper: bool) -> None:
-        """Move q by step in direction sigma; with r >= 0 the column in basis
-        position r leaves onto its upper bound when ``upper``, else its lower."""
+        """Move q by step in direction sigma into basis position r, whose
+        column leaves onto its upper bound when ``upper``, else its lower."""
         nz = np.flatnonzero(w)
         if step != 0.0:
             self.x[self.basis[nz]] -= step * sigma * w[nz]
-        if r < 0:
-            # bound flip: q crosses its full range, basis unchanged
-            self.x[q] = self.up[q] if sigma > 0 else self.lo[q]
-            self.dirn[q] = sigma
-            self.updates_since_refactor += 1
-            return
         enter_val = self.x[q] + sigma * step
         leave = int(self.basis[r])
         self.dirn[leave] = 1.0 if upper else -1.0
@@ -725,77 +611,111 @@ class _Solver:
         self.x[q] = enter_val
         idx = nz[nz != r]
         self.etas.append((r, float(w[r]), idx, w[idx]))
-        self.updates_since_refactor += 1
 
     # ----- driver -----------------------------------------------------------
 
     def solve(self) -> LpSolution:
-        """Crash, or place the given start, then the dual from that basis
-        once it prices out, then phase 2 on the true costs and the final
-        check."""
+        """Crash, or place the given start, then the dual simplex, repeated
+        from its feasible basis until that prices out on a fresh
+        factorization, and the final check."""
         if np.any(self.lo > self.up):
             return LpSolution(LpStatus.INFEASIBLE, None, None)
-        # the dual needs a start that prices out: each boxed column that
-        # prices in flips to its other bound, and each other one has its
-        # cost shifted by its reduced cost. The crash basis is triangular,
-        # and the crash prices it without a factorization; a given start is
-        # priced once on its first factorization.
         c = self.c
         if self.start is None:
             d = self.crash_basis()
+            # every nonbasic column sits at its lower bound: the boxed ones
+            # that price in start on their upper bound, and the
+            # factorization computes the basic values
+            flip = np.flatnonzero(self.dirn * d > self.dtol)
+            flip = flip[np.isfinite(self.up[flip])]
+            self.x[flip] = self.up[flip]
+            self.dirn[flip] = 1.0
+            self.refactor()
         else:
             self.start_basis()
             self.refactor()
             d = self.d = self.reduced_costs(c)
-        # the columns that price in: the boxed ones flip, the others shift
-        flip = shift = np.flatnonzero(self.dirn * d > self.dtol)
-        if flip.size:
-            boxed = np.isfinite(self.up[flip])
-            flip, shift = flip[boxed], flip[~boxed]
-        if self.start is None:
-            # every nonbasic column sits at its lower bound, and the
-            # factorization computes the basic values after the flips
-            if flip.size:
-                self.x[flip] = self.up[flip]
-                self.dirn[flip] = 1.0
-            self.refactor()
-        elif flip.size:
-            self.flip(flip)
-        if shift.size:
-            c = c.copy()
-            c[shift] -= d[shift]
-            if self.d is not None:
-                self.d[shift] = 0.0
-        if not self.run_dual(c):
-            return LpSolution(LpStatus.INFEASIBLE, None, None, self.iterations)
-        if c is not self.c:
-            self.d = None  # priced on the shifted costs
-
-        # phase 2 restores any shifted costs and certifies optimality
-        outcome = self.run_phase()
-        if outcome == "unbounded":
-            return LpSolution(LpStatus.UNBOUNDED, None, None, self.iterations)
+        while True:
+            # the start must price out: each boxed column that prices in
+            # flips to its other bound, and one without an upper bound
+            # sends the start through dual phase 1
+            cols = np.flatnonzero(self.dirn * d > self.dtol)
+            if not np.isfinite(self.up[cols]).all():
+                if not self.dual_phase_1(d):
+                    return self.ray()
+            elif cols.size:
+                self.flip(cols)
+            if not self.run_dual(c):
+                return LpSolution(LpStatus.INFEASIBLE, None, None, self.iterations)
+            # the feasible basis is optimal once it prices out on the fresh
+            # factorization that run_dual ends on
+            if self.d is None:
+                self.d = self.reduced_costs(c)
+            d = self.d
+            if not (self.dirn * d > self.dtol).any():
+                break
         self._verify()
         x_real = self.x[:self.n_real].copy()
         obj = float(self.c[:self.n_real] @ x_real)
         return LpSolution(LpStatus.OPTIMAL, x_real, obj, self.iterations,
                           (self.basis, self.dirn))
 
+    def dual_phase_1(self, d: np.ndarray) -> bool:
+        """Move the basis, whose reduced costs are d, to one at which no
+        column without an upper bound prices in, by the dual simplex on
+        the auxiliary problem min c x, A x = 0, each column without an
+        upper bound on [0, 1] and every other column fixed at 0 (Fourer,
+        "Notes on the dual simplex method", 1994; Koberstein, PhD thesis,
+        Paderborn 2005, ch. 4).
+
+        The auxiliary problem has the program's costs and basis, so the
+        same reduced costs, and it boxes every movable column: its start
+        prices out with the columns that price in on their upper bound 1,
+        and x = 0 is feasible, so the dual reaches its optimum. There
+        c x = sum of d_j over the columns at 1. A column without an upper
+        bound that still prices in makes that sum negative, and then x is a
+        ray, a direction that keeps every bound and row of the program and
+        lowers its objective. Each nonbasic column then returns to the
+        program's bound it prices out on, a column without an upper bound
+        to its lower bound, and the basic values follow on the fresh
+        factorization that the dual ends on. Returns False on a ray, with
+        the basis placed all the same.
+        """
+        bounds = self.lo, self.up, self.b
+        free = np.isinf(self.up)
+        self.lo, self.up, self.b = np.zeros(self.N), free.astype(float), np.zeros(self.m)
+        self.place(free & (d < -self.dtol))
+        self.basic_values()
+        self.d = d
+        if not self.run_dual(self.c):
+            raise NumericalBreakdownError("dual phase 1 found x = 0 infeasible")
+        d = self.d if self.d is not None else self.reduced_costs(self.c)
+        self.lo, self.up, self.b = bounds
+        self.place(np.isfinite(self.up) & (d < -self.dtol))
+        self.basic_values()
+        self.d = d
+        return not (self.dirn * d > self.dtol).any()
+
+    def ray(self) -> LpSolution:
+        """UNBOUNDED or INFEASIBLE after dual phase 1 found a ray: the dual
+        simplex on zero costs, at which every basis prices out, decides
+        whether the program has a feasible point for the ray to start from."""
+        zero = np.zeros(self.N)
+        self.d = zero.copy()
+        status = LpStatus.UNBOUNDED if self.run_dual(zero) else LpStatus.INFEASIBLE
+        return LpSolution(status, None, None, self.iterations)
+
     def _verify(self) -> None:
-        """Exact-form residual and bound check; breakdown when irreparable."""
+        """Exact-form residual and bound check on every column, the
+        artificials too: one off [0, 0] hides a violated row."""
         lo, up = self.lo, self.up
-        for attempt in range(3):
-            resid = self.A @ self.x - self.std.b
-            row_tol = FEAS_TOL * (1.0 + np.abs(self.std.b))
-            rows_ok = bool(np.all(np.abs(resid) <= row_tol * 100))
-            # the artificials too: one off [0, 0] hides a violated row
-            lo_ok = bool(np.all(self.x >= lo - 1e-7 * (1.0 + np.abs(lo))))
-            up_ok = bool(np.all(self.x <= up + 1e-7 * (1.0 + np.abs(up))))
-            if rows_ok and lo_ok and up_ok:
-                return
-            self.refactor()
-        raise NumericalBreakdownError(
-            "optimal basis failed residual verification after refactorization")
+        resid = self.A @ self.x - self.std.b
+        row_tol = FEAS_TOL * (1.0 + np.abs(self.std.b))
+        if not (np.all(np.abs(resid) <= row_tol * 100)
+                and np.all(self.x >= lo - 1e-7 * (1.0 + np.abs(lo)))
+                and np.all(self.x <= up + 1e-7 * (1.0 + np.abs(up)))):
+            raise NumericalBreakdownError(
+                "optimal basis failed residual verification")
 
 
 def core_solve(std: StandardForm,
@@ -809,22 +729,16 @@ def core_solve(std: StandardForm,
     carries the final (basis, dirn), which ``start`` takes back: a solve
     over a standard form of the same shape, whatever its costs, bounds and
     right-hand side, may start from it in place of the crash. A start of
-    another shape is ignored.
-
-    A numerical failure triggers one full retry from the crash under
-    conservative settings (tighter pivot threshold, more frequent
-    refactorization) before the breakdown is reported to the caller.
+    another shape is ignored. A numerical failure raises
+    NumericalBreakdownError.
     """
-    try:
-        return _Solver(std, lo_struct, hi_struct, start=start).solve()
-    except NumericalBreakdownError:
-        return _Solver(std, lo_struct, hi_struct, conservative=True).solve()
+    return _Solver(std, lo_struct, hi_struct, start=start).solve()
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Bounded-variable simplex on the continuous relaxation: the dual
-    simplex from the crash basis (with boxed columns flipped and other
-    costs shifted where that basis does not price out), then primal phase 2.
+    """Bounded-variable dual simplex on the continuous relaxation, from the
+    crash basis with the boxed columns that price in flipped, through dual
+    phase 1 where a column without an upper bound prices in.
 
     Statuses: OPTIMAL with a primal-feasible x (rows within FEAS_TOL scaled by
     1 + |rhs|), INFEASIBLE, or UNBOUNDED. Integrality flags are ignored here.

@@ -20,7 +20,7 @@ the fleet ``fleet_size``, and each serve and shortage column its zone's
 demand in that slot, which the demand rows imply. ``tin`` costs at least 0
 in rows that start on their slacks, so it never prices in at the crash.
 The engine's dual start flips each column that does price in to its upper
-bound instead of shifting its cost, and phase 2 has no pivot left to do.
+bound, and no start needs the engine's dual phase 1.
 """
 
 from __future__ import annotations

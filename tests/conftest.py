@@ -93,14 +93,16 @@ def unmet_rows():
 
 @pytest.fixture
 def dual_runs(monkeypatch):
-    """One (columns the start flipped to their other bound, columns whose
-    cost the dual phase shifted, whether it reached a feasible basis) per
-    call of the simplex's ``run_dual`` in the test.
+    """One (columns the start flipped to their other bound, whether the run
+    is dual phase 1's, whether it reached a feasible basis) per call of the
+    simplex's ``run_dual`` in the test.
 
-    A flipped column is one whose direction at the dual's start differs
-    from the one the crash or the given start placed it on. Each call must
-    start from a basis that prices out on the costs it is given, within
-    each column's pricing tolerance, checked against a fresh factorization.
+    A flipped column is nonbasic both where the crash or the given start
+    placed it and at the run's start, on the other bound; in a phase-1 run
+    these are the columns without an upper bound that start on their bound
+    1. A solver may call ``run_dual`` more than once. Each call must start
+    from a basis that prices out on the costs it is given, within each
+    column's pricing tolerance, checked against a fresh factorization.
     """
     from scipy.sparse.linalg import splu
 
@@ -108,7 +110,8 @@ def dual_runs(monkeypatch):
 
     runs = []
     placed = {}  # each solver's directions as its crash or start placed them
-    run_dual = simplex._Solver.run_dual
+    in_phase_1 = set()
+    run_dual, dual_phase_1 = simplex._Solver.run_dual, simplex._Solver.dual_phase_1
     crash_basis, start_basis = simplex._Solver.crash_basis, simplex._Solver.start_basis
 
     def crashed(solver):
@@ -120,17 +123,25 @@ def dual_runs(monkeypatch):
         start_basis(solver)
         placed[solver] = solver.dirn.copy()
 
+    def phase_1(solver, d):
+        in_phase_1.add(solver)
+        try:
+            return dual_phase_1(solver, d)
+        finally:
+            in_phase_1.discard(solver)
+
     def recorded(solver, c):
         y = splu(solver.A[:, solver.basis]).solve(c[solver.basis], trans="T")
         d = c - solver.AT @ y
         assert np.all(solver.dirn * d <= solver.dtol)
-        flipped = np.flatnonzero(solver.dirn != placed.pop(solver))
-        shifted = np.flatnonzero(c != solver.c)
+        was = placed[solver]
+        flipped = np.flatnonzero((solver.dirn != was) & (solver.dirn != 0) & (was != 0))
         feasible = run_dual(solver, c)
-        runs.append((flipped, shifted, feasible))
+        runs.append((flipped, solver in in_phase_1, feasible))
         return feasible
 
     monkeypatch.setattr(simplex._Solver, "crash_basis", crashed)
     monkeypatch.setattr(simplex._Solver, "start_basis", started)
+    monkeypatch.setattr(simplex._Solver, "dual_phase_1", phase_1)
     monkeypatch.setattr(simplex._Solver, "run_dual", recorded)
     return runs

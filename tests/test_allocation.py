@@ -45,8 +45,10 @@ def row_by_row_program(inst: Instance) -> LinearProgram:
             obj[ix.alloc(j, t)] = inst.hold_cost[j, t]
             obj[ix.dispatch(j, t)] = inst.dispatch_cost[j, t]
             upper[ix.alloc(j, t)] = inst.capacity[j, t]
+            upper[ix.dispatch(j, t)] = inst.capacity[j, t]
     for t in range(tn):
         obj[ix.shortage(t)] = inst.big_m
+        upper[ix.shortage(t)] = inst.demand[:, t].sum()
         rows.append(LinearRow(tuple((ix.alloc(j, t), 1.0) for j in range(jn)),
                               "<=", inst.fleet_size))
     covering = [[j for j in range(jn) if inst.coverage[j, i]] for i in range(zn)]
@@ -308,10 +310,13 @@ class TestSolve:
         # and so does a dual ratio test that stops at the first breakpoint
         # instead of flipping the columns it passes (984). Each slot after
         # the first starts from the previous slot's optimal basis; every
-        # slot from the crash takes 504
+        # slot from the crash takes 530. With dispatch and shortage bounded
+        # by capacity and the slot's demand, the first slot's first long
+        # step passes 20 dispatch breakpoints and takes the shortage column,
+        # and its path is one pivot longer than the 21 without those bounds
         outcome = solve_allocation(generate(preset(5), 42))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == 150_626_543
         assert outcome.nodes == 24
-        assert outcome.iterations == 21
+        assert outcome.iterations == 22
         assert outcome.iterations < 1_500

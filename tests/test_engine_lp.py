@@ -5,8 +5,6 @@ shares no code with this engine, so agreement over hundreds of seeded
 programs is strong evidence for both statuses and objectives.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy import sparse
@@ -21,7 +19,6 @@ from ambuplan import (
     tiny_params,
 )
 from ambuplan.engine import (
-    PIVOT_TOL,
     LinearProgram,
     LinearRow,
     LpStatus,
@@ -215,20 +212,29 @@ class TestCrash:
 
     @staticmethod
     def phases_run(monkeypatch):
-        """The phases solves run from now on: "dual" or 2."""
-        phases = []
-        run_phase, run_dual = simplex._Solver.run_phase, simplex._Solver.run_dual
+        """The dual simplex runs of the solves from now on, one entry per
+        run: "phase 1" on dual phase 1's auxiliary problem, "ray" on the
+        zero costs after a ray, else "dual"."""
+        phases, roles = [], []
+        run_dual = simplex._Solver.run_dual
 
-        def recorded(solver):
-            phases.append(2)
-            return run_phase(solver)
+        def in_role(role, method):
+            def wrapped(solver, *args):
+                roles.append(role)
+                try:
+                    return method(solver, *args)
+                finally:
+                    roles.pop()
+            return wrapped
 
-        def recorded_dual(solver, c):
-            phases.append("dual")
+        def recorded(solver, c):
+            phases.append(roles[-1] if roles else "dual")
             return run_dual(solver, c)
 
-        monkeypatch.setattr(simplex._Solver, "run_phase", recorded)
-        monkeypatch.setattr(simplex._Solver, "run_dual", recorded_dual)
+        monkeypatch.setattr(simplex._Solver, "dual_phase_1",
+                            in_role("phase 1", simplex._Solver.dual_phase_1))
+        monkeypatch.setattr(simplex._Solver, "ray", in_role("ray", simplex._Solver.ray))
+        monkeypatch.setattr(simplex._Solver, "run_dual", recorded)
         return phases
 
     def test_singleton_within_bounds_takes_its_row(self, monkeypatch):
@@ -251,9 +257,10 @@ class TestCrash:
 
         monkeypatch.setattr(simplex._Solver, "run_dual", counted)
         sol = solve_lp(lp)
-        # the crash is feasible, so the dual only factors it
-        assert phases == ["dual", 2]
-        assert dual_pivots == [0]
+        # the crash is feasible, but x1 and x2 price in at x0's price 3 and
+        # have no upper bound: phase 1 takes one pivot, the dual one more
+        assert phases == ["phase 1", "dual"]
+        assert dual_pivots == [1, 2]
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(5.5, abs=1e-9)
         assert np.allclose(sol.x, [0.0, 2.5, 1.5, 0.0], atol=1e-9)
@@ -272,7 +279,7 @@ class TestCrash:
         assert not solver.x[solver.n_real:].any()
         phases = self.phases_run(monkeypatch)
         sol = solve_lp(lp)
-        assert phases == ["dual", 2]
+        assert phases == ["dual"]
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
         assert np.allclose(sol.x, [3.0, 0.0], atol=1e-9)
@@ -298,8 +305,8 @@ class TestCrash:
         assert self.crashed(lp, hi_struct=hi).basis[0] == std.n_real
         phases = self.phases_run(monkeypatch)
         res = simplex.core_solve(std, None, hi)
-        # nonnegative costs price out at the crash, so the dual needs no shift
-        assert phases == ["dual", 2]
+        # nonnegative costs price out at the crash, so phase 1 has no work
+        assert phases == ["dual"]
         assert res.status is LpStatus.OPTIMAL
         assert res.objective == pytest.approx(5.0, abs=1e-9)
         assert np.allclose(res.x[:2], [1.0, 2.0], atol=1e-9)
@@ -332,26 +339,26 @@ class TestCrash:
         y = splu(solver.A[:, solver.basis]).solve(solver.c[solver.basis], trans="T")
         assert np.allclose(y, [-9.0, 10.0, 10.0], rtol=0, atol=1e-12)
         assert np.array_equal(d, solver.c - solver.AT @ np.array([-9.0, 10.0, 10.0]))
-        # x3 has no upper bound, so the start prices out once x3's cost is
-        # shifted (dual_runs checks it against a fresh factorization), and
-        # the optimum serves it all
+        # x3 has no upper bound, so the start goes through phase 1, where x3
+        # starts on its bound 1 (dual_runs checks each run's start against a
+        # fresh factorization), and the optimum serves it all
         sol = solve_lp(lp)
-        assert [(flipped.tolist(), shifted.tolist()) for flipped, shifted, _ in dual_runs] \
-            == [([], [3])]
+        assert [(flipped.tolist(), phase_1) for flipped, phase_1, _ in dual_runs] \
+            == [([3], True), ([], False)]
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(12.0, abs=1e-9)
         assert np.allclose(sol.x, [1, 3, 0, 4, 0, 0], atol=1e-9)
 
     def test_zero_slack_row_flips_the_boxed_column_that_prices_in(self, dual_runs):
         # the crash of the test above, with x3 <= 4: x3 starts on its upper
-        # bound instead of having its cost shifted
+        # bound, and the start needs no phase 1
         lp = self.serve_miniature(4)
         solver = simplex._Solver(simplex.build_standard_form(lp), None, None)
         solver.crash_basis()
         assert solver.basis.tolist() == [1, 4, 5]
         sol = solve_lp(lp)
-        assert [(flipped.tolist(), shifted.tolist()) for flipped, shifted, _ in dual_runs] \
-            == [([3], [])]
+        assert [(flipped.tolist(), phase_1) for flipped, phase_1, _ in dual_runs] \
+            == [([3], False)]
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(12.0, abs=1e-9)
         assert np.allclose(sol.x, [1, 3, 0, 4, 0, 0], atol=1e-9)
@@ -398,16 +405,18 @@ class TestCrash:
         return lp, np.array([1.0, x1_upper])
 
     def test_negative_cost_shifts_into_the_dual(self, monkeypatch, dual_runs):
-        # x1 has no upper bound: the dual runs with x1's cost shifted until
-        # it prices out, and phase 2 restores the true cost
+        # x1 has no upper bound: phase 1 starts it on its bound 1, and its
+        # one pivot takes x1 into the basis in place of the row's
+        # artificial; back on the true bounds x1 = 3 is feasible, and the
+        # dual has no pivot left
         lp, hi = self.negative_cost(inf)
         std = simplex.build_standard_form(lp)
         assert self.crashed(lp, hi_struct=hi).basis[0] == std.n_real
         phases = self.phases_run(monkeypatch)
         res = simplex.core_solve(std, None, hi)
-        assert phases == ["dual", 2]
-        assert [(flipped.tolist(), shifted.tolist()) for flipped, shifted, _ in dual_runs] \
-            == [([], [1])]
+        assert phases == ["phase 1", "dual"]
+        assert [(flipped.tolist(), phase_1) for flipped, phase_1, _ in dual_runs] \
+            == [([1], True), ([], False)]
         assert res.status is LpStatus.OPTIMAL
         assert res.objective == pytest.approx(-6.0, abs=1e-9)
         assert np.allclose(res.x[:2], [0.0, 3.0], atol=1e-9)
@@ -418,9 +427,9 @@ class TestCrash:
         lp, hi = self.negative_cost(10.0)
         phases = self.phases_run(monkeypatch)
         res = simplex.core_solve(simplex.build_standard_form(lp), None, hi)
-        assert phases == ["dual", 2]
-        assert [(flipped.tolist(), shifted.tolist()) for flipped, shifted, _ in dual_runs] \
-            == [([1], [])]
+        assert phases == ["dual"]
+        assert [(flipped.tolist(), phase_1) for flipped, phase_1, _ in dual_runs] \
+            == [([1], False)]
         assert res.status is LpStatus.OPTIMAL
         assert res.objective == pytest.approx(-6.0, abs=1e-9)
         assert np.allclose(res.x[:2], [0.0, 3.0], atol=1e-9)
@@ -435,15 +444,16 @@ class TestCrash:
         ])
 
     def test_shifted_dual_proves_infeasibility_by_a_dual_ray(self, monkeypatch, dual_runs):
-        # x1 has no upper bound: on its shifted cost it enters first, at 5;
-        # a second pivot holds it to the row x1 <= 1 and leaves x0 at 4 > 2,
+        # x1 has no upper bound: phase 1 takes it into the basis, where the
+        # dual's pivot holds it to the row x1 <= 1 and leaves x0 at 4 > 2,
         # which no column can lower
         phases = self.phases_run(monkeypatch)
         sol = solve_lp(self.short_of_five(inf))
         assert sol.status is LpStatus.INFEASIBLE
-        assert phases == ["dual"]
-        assert [(flipped.tolist(), shifted.tolist(), feasible)
-                for flipped, shifted, feasible in dual_runs] == [([], [1], False)]
+        assert phases == ["phase 1", "dual"]
+        assert [(flipped.tolist(), phase_1, feasible)
+                for flipped, phase_1, feasible in dual_runs] \
+            == [([1], True, True), ([], False, False)]
         assert sol.iterations == 2
 
     def test_flipped_dual_proves_infeasibility_by_a_dual_ray(self, monkeypatch, dual_runs):
@@ -452,13 +462,14 @@ class TestCrash:
         sol = solve_lp(self.short_of_five(1.0))
         assert sol.status is LpStatus.INFEASIBLE
         assert phases == ["dual"]
-        assert [(flipped.tolist(), shifted.tolist(), feasible)
-                for flipped, shifted, feasible in dual_runs] == [([1], [], False)]
+        assert [(flipped.tolist(), phase_1, feasible)
+                for flipped, phase_1, feasible in dual_runs] == [([1], False, False)]
         assert sol.iterations == 1
 
-    def test_shifted_dual_leaves_the_unbounded_ray_to_phase_2(self, monkeypatch, dual_runs):
-        # x2 prices in at cost -1 and nothing bounds it: the shifted dual
-        # makes the basis feasible and phase 2 finds the ray
+    def test_phase_1_finds_the_unbounded_ray(self, monkeypatch, dual_runs):
+        # x2 prices in at cost -1 and nothing bounds it: at phase 1's optimum
+        # x2 still prices in, a ray, and the dual on zero costs finds a
+        # feasible point for it to start from
         lp = lp_of(3, [0, 0, -1], [0, 0, 0], [1, inf, inf], [
             LinearRow(((0, 1.0), (1, 1.0)), "=", 3.0),
             LinearRow(((1, 1.0), (2, -1.0)), "<=", 4.0),
@@ -466,10 +477,22 @@ class TestCrash:
         phases = self.phases_run(monkeypatch)
         sol = solve_lp(lp)
         assert sol.status is LpStatus.UNBOUNDED
-        assert phases == ["dual", 2]
-        assert [(flipped.tolist(), shifted.tolist(), feasible)
-                for flipped, shifted, feasible in dual_runs] == [([], [2], True)]
+        assert phases == ["phase 1", "ray"]
+        assert [(flipped.tolist(), phase_1, feasible)
+                for flipped, phase_1, feasible in dual_runs] \
+            == [([2], True, True), ([], False, True)]
         assert sol.iterations == 1
+
+    def test_phase_1_ray_of_an_infeasible_program(self, monkeypatch):
+        # the ray of the test above, with the equality row x0 + x1 = -1 that
+        # no point within the bounds meets: the dual on zero costs proves it
+        lp = lp_of(3, [0, 0, -1], [0, 0, 0], [1, inf, inf], [
+            LinearRow(((0, 1.0), (1, 1.0)), "=", -1.0),
+            LinearRow(((1, 1.0), (2, -1.0)), "<=", 4.0),
+        ])
+        phases = self.phases_run(monkeypatch)
+        assert solve_lp(lp).status is LpStatus.INFEASIBLE
+        assert phases == ["phase 1", "ray"]
 
     def test_transfer_demand_rows_start_on_shortage(self):
         inst = generate(preset(1), 0)
@@ -576,23 +599,28 @@ class TestStart:
         assert np.array_equal(again.basis[0], first.basis[0])
 
     def test_started_solve_flips_the_boxed_columns_that_price_in(self, dual_runs):
-        # the slack basis is optimal at costs (1, 1, 1); at costs (-1, -2, 0)
-        # x0 <= 4 and the unbounded x1 price in there: x0 flips to 4, x1
-        # has its cost shifted, and phase 2 reaches the crash's optimum
+        # the slack basis is optimal at costs (1, 1, 1). At costs (-1, 1, 0)
+        # only x0 <= 4 prices in there, and it flips to 4; at costs
+        # (-1, -2, 0) the unbounded x1 prices in too, and the start goes
+        # through phase 1. Both reach the crash's optimum
         def program(cost):
             return simplex.build_standard_form(lp_of(3, cost, [0] * 3, [4, inf, inf], [
                 LinearRow(((0, 1.0), (1, 1.0), (2, 1.0)), "<=", 10.0)]))
 
         first = simplex.core_solve(program([1, 1, 1]))
         assert first.status is LpStatus.OPTIMAL and first.basis[0].tolist() == [3]
-        std = program([-1, -2, 0])
-        res = simplex.core_solve(std, start=first.basis)
-        flipped, shifted, feasible = dual_runs[-1]
-        assert (flipped.tolist(), shifted.tolist(), feasible) == ([0], [1], True)
-        ref = simplex.core_solve(std)
-        assert res.status is ref.status is LpStatus.OPTIMAL
-        assert res.objective == ref.objective == -20.0
-        assert np.allclose(res.x[:3], [0.0, 10.0, 0.0], atol=1e-9)
+        for cost, runs, x in (([-1, 1, 0], [([0], False, True)], [4.0, 0.0, 0.0]),
+                              ([-1, -2, 0], [([1], True, True), ([], False, True)],
+                               [0.0, 10.0, 0.0])):
+            std = program(cost)
+            dual_runs.clear()
+            res = simplex.core_solve(std, start=first.basis)
+            assert [(flipped.tolist(), phase_1, feasible)
+                    for flipped, phase_1, feasible in dual_runs] == runs, cost
+            ref = simplex.core_solve(std)
+            assert res.status is ref.status is LpStatus.OPTIMAL
+            assert res.objective == ref.objective == float(np.dot(cost, x))
+            assert np.allclose(res.x[:3], x, atol=1e-9)
 
     def test_start_of_another_shape_is_ignored(self, monkeypatch):
         std = simplex.build_standard_form(
@@ -732,11 +760,11 @@ class TestAgainstIndependentSolver:
                 assert sol.status is LpStatus.UNBOUNDED, label
         assert compared >= 100  # the families above must dominate the draw
         # crash bases that do not price out reach feasibility with boxed
-        # columns flipped, and on shifted costs where a column has no upper
+        # columns flipped, and through phase 1 where a column has no upper
         # bound; each path has its own minimum
-        flipped = sum(cols.size > 0 for cols, _, _ in dual_runs)
-        shifted = sum(cols.size > 0 for _, cols, _ in dual_runs)
-        assert flipped >= 100 and shifted >= 25, (flipped, shifted)
+        flipped = sum(cols.size > 0 for cols, phase_1, _ in dual_runs if not phase_1)
+        phase_1 = sum(phase_1 for _, phase_1, _ in dual_runs)
+        assert flipped >= 100 and phase_1 >= 25, (flipped, phase_1)
 
     def test_repeat_solves_are_bit_identical(self, dual_runs):
         rng = np.random.default_rng(777)
@@ -749,9 +777,9 @@ class TestAgainstIndependentSolver:
                 assert first.x.tobytes() == second.x.tobytes()
                 assert first.objective == second.objective
                 assert first.iterations == second.iterations
-        flipped = sum(cols.size > 0 for cols, _, _ in dual_runs)
-        shifted = sum(cols.size > 0 for _, cols, _ in dual_runs)
-        assert flipped >= 20 and shifted >= 5, (flipped, shifted)
+        flipped = sum(cols.size > 0 for cols, phase_1, _ in dual_runs if not phase_1)
+        phase_1 = sum(phase_1 for _, phase_1, _ in dual_runs)
+        assert flipped >= 20 and phase_1 >= 5, (flipped, phase_1)
 
 
 def random_dual_program(rng):
@@ -872,74 +900,25 @@ class TestDualAgainstIndependentSolver:
         assert bland_flips == 0
 
 
-class TestConservativeRetry:
-    """core_solve reruns a broken-down solve once under conservative settings."""
+class TestBreakdown:
+    """core_solve makes one run: a numerical breakdown reaches the caller."""
 
-    @staticmethod
-    def textbook_form():
-        return simplex.build_standard_form(lp_of(2, [-3, -5], [0, 0], [inf, inf], [
+    def test_forced_breakdown_propagates(self, monkeypatch):
+        std = simplex.build_standard_form(lp_of(2, [-3, -5], [0, 0], [inf, inf], [
             LinearRow(((0, 1.0),), "<=", 4.0),
             LinearRow(((1, 2.0),), "<=", 12.0),
             LinearRow(((0, 3.0), (1, 2.0)), "<=", 18.0),
         ]))
-
-    def test_breakdown_retried_and_solved(self, monkeypatch):
-        std = self.textbook_form()
-        solve = simplex._Solver.solve
-        runs = []
-
-        def breaks_by_default(solver):
-            runs.append((solver.pivot_tol, solver.refactor_every))
-            if solver.pivot_tol == PIVOT_TOL:
-                raise NumericalBreakdownError("forced breakdown")
-            return solve(solver)
-
-        monkeypatch.setattr(simplex._Solver, "solve", breaks_by_default)
-        res = simplex.core_solve(std)
-        assert runs == [(PIVOT_TOL, simplex.REFACTOR_EVERY), (1e-6, 16)]
-        assert res.status is LpStatus.OPTIMAL
-        assert res.objective == pytest.approx(-36.0, abs=1e-8)
-        assert np.allclose(res.x[:2], [2.0, 6.0], atol=1e-8)
-
-    def test_breakdown_in_both_runs_propagates(self, monkeypatch):
-        std = self.textbook_form()
         runs = []
 
         def always_breaks(solver):
-            runs.append(solver.pivot_tol)
+            runs.append(solver)
             raise NumericalBreakdownError("forced breakdown")
 
         monkeypatch.setattr(simplex._Solver, "solve", always_breaks)
         with pytest.raises(NumericalBreakdownError, match="forced breakdown"):
             simplex.core_solve(std)
-        assert runs == [PIVOT_TOL, 1e-6]
-
-
-def dense_ratio(s, q, sigma, w, bland):
-    """The ratio test over every basis position, with no sparsity shortcut."""
-    xB, loB, upB = s.x[s.basis], s.lo[s.basis], s.up[s.basis]
-    sw = sigma * w
-    tol = s.pivot_tol
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = np.where(sw > tol, (xB - loB) / sw, np.inf)
-        t_up = np.where(sw < -tol, (xB - upB) / sw, np.inf)
-    steps = np.minimum(t_lo, t_up)
-    np.nan_to_num(steps, copy=False, nan=np.inf, posinf=np.inf)
-    np.maximum(steps, 0.0, out=steps)
-    m = w.size
-    r = int(np.argmin(steps)) if m else -1
-    step_basic = float(steps[r]) if m else np.inf
-    if m and np.isfinite(step_basic):
-        cand = np.flatnonzero(steps <= step_basic + 1e-9 * (1.0 + step_basic))
-        if bland:
-            r = int(cand[np.argmin(s.basis[cand])])
-        else:
-            r = int(cand[np.argmax(np.abs(sw[cand]))])
-        step_basic = float(steps[r])
-    step_self = s.up[q] - s.lo[q]
-    if step_self <= step_basic:
-        return (None, -1) if not np.isfinite(step_self) else (step_self, -1)
-    return (None, -1) if not np.isfinite(step_basic) else (step_basic, r)
+        assert len(runs) == 1
 
 
 def assert_direction_matches_bounds(solver):
@@ -978,18 +957,18 @@ class TestKernel:
     def kernel_programs():
         transfer, _ = build_transfer_program(generate(preset(1), 0))
         tiny, _ = build_allocation_program(generate(tiny_params(3), 3))
-        # x2 has no upper bound, so its cost is shifted at the crash; once
-        # phase 2 restores it, x2 enters, and x0 and x1 then cross their
-        # whole range without any basis change
+        # x2 has no upper bound and prices in at the crash, so the start
+        # goes through phase 1, after which x0 and x1 price in and start on
+        # their upper bound
         flips = lp_of(3, [0.5, 0.5, -1], [0, 0, 0], [2, 2, inf],
                       [LinearRow(((0, -1.0), (1, -1.0), (2, 1.0)), "<=", 0.0)])
         return [transfer, tiny, flips]
 
     @staticmethod
-    def phase_2_transfer():
+    def unbounded_transfer():
         """The preset-1 transfer program with every upper bound but the
-        fleet's lifted: the crash shifts the cost of each column that prices
-        in, its basis is feasible, and phase 2 takes every pivot."""
+        fleet's lifted: the columns that price in at the crash have no upper
+        bound, so the start goes through phase 1."""
         lp, ix = build_transfer_program(generate(preset(1), 0))
         upper = np.full(lp.num_vars, inf)
         upper[ix.fleet] = lp.upper[ix.fleet]
@@ -1021,65 +1000,39 @@ class TestKernel:
             pivots.append(len(solver.etas))
 
         # a preset-1 transfer program takes about 100 dual pivots from the
-        # crash, so a second one and the phase-2 form keep the pivots
-        # checked above 200, in both phases
+        # crash, so a second one and the unbounded form keep the pivots
+        # checked above 200, in phase 1 too
         second, _ = build_transfer_program(generate(preset(1), 1))
-        for lp in self.kernel_programs()[:2] + [second, self.phase_2_transfer()]:
+        for lp in self.kernel_programs()[:2] + [second, self.unbounded_transfer()]:
             self.solve_watched(lp, monkeypatch, check)
         # the check ran on long eta files, not only after refactorizations
         assert len(pivots) > 200 and max(pivots) == simplex.REFACTOR_EVERY
 
-    def test_ratio_matches_the_dense_formula(self):
-        rng = np.random.default_rng(11)
-        tol = PIVOT_TOL
-        for trial in range(400):
-            m = int(rng.integers(0, 10))
-            N = m + 6
-            lo = rng.integers(-4, 3, size=N).astype(float)
-            up = lo + rng.integers(0, 5, size=N)
-            lo[rng.random(N) < 0.2] = -inf
-            up[rng.random(N) < 0.2] = inf
-            basis = rng.permutation(N)[:m]
-            x = rng.integers(-6, 7, size=N).astype(float)  # often out of bounds
-            # integral entries give exact ties; the rest sit at or near the
-            # pivot tolerance or are exact zeros
-            w = rng.integers(-3, 4, size=m).astype(float)
-            kind = rng.random(m)
-            w[kind < 0.15] = 0.9 * tol
-            w[(kind >= 0.15) & (kind < 0.25)] = -0.9 * tol
-            w[(kind >= 0.25) & (kind < 0.3)] = 2 * tol
-            s = SimpleNamespace(x=x, lo=lo, up=up, basis=basis, pivot_tol=tol)
-            q = int(rng.permutation(np.setdiff1d(np.arange(N), basis))[0])
-            for sigma in (1.0, -1.0):
-                for bland in (False, True):
-                    got = simplex._Solver._ratio(s, q, sigma, w, bland)
-                    assert got == dense_ratio(s, q, sigma, w, bland), (trial, sigma, bland)
-
     def test_maintained_direction_matches_status(self, monkeypatch):
-        seen = {"flip": 0, "artificial": 0, "dual": 0, "phase": 0}
+        seen = {"artificial": 0, "dual": 0, "phase 1": 0}
         assert_current = assert_direction_matches_bounds
 
         def check(solver, q, r, leaving):
             assert_current(solver)
-            seen["flip"] += r < 0
             seen["artificial"] += leaving >= solver.n_real
 
-        run_phase, run_dual = simplex._Solver.run_phase, simplex._Solver.run_dual
+        run_dual, dual_phase_1 = simplex._Solver.run_dual, simplex._Solver.dual_phase_1
 
         def dual_start(solver, c):
-            # after the crash
+            # after the crash, or on phase 1's bounds
             assert_current(solver)
             seen["dual"] += 1
             return run_dual(solver, c)
 
-        def phase_start(solver):
-            # after the crash or the dual phase
+        def phase_1_end(solver, d):
+            # back on the program's bounds
+            no_ray = dual_phase_1(solver, d)
             assert_current(solver)
-            seen["phase"] += 1
-            return run_phase(solver)
+            seen["phase 1"] += 1
+            return no_ray
 
         monkeypatch.setattr(simplex._Solver, "run_dual", dual_start)
-        monkeypatch.setattr(simplex._Solver, "run_phase", phase_start)
+        monkeypatch.setattr(simplex._Solver, "dual_phase_1", phase_1_end)
         for lp in self.kernel_programs():
             self.solve_watched(lp, monkeypatch, check)
         assert min(seen.values()) > 0, seen
@@ -1093,6 +1046,16 @@ class TestKernel:
         flipping = [np.zeros(0, dtype=np.int64), np.zeros(0)]
         seen = {"pivots": 0, "artificial": 0, "etas": 0, "solves": 0,
                 "flip pivots": 0, "flips": 0}
+        btran, reduced_costs = simplex._Solver.btran, simplex._Solver.reduced_costs
+        calls = {"btran": 0, "priced": 0}
+
+        def counted_btran(solver, c):
+            calls["btran"] += 1
+            return btran(solver, c)
+
+        def counted_pricing(solver, c):
+            calls["priced"] += 1
+            return reduced_costs(solver, c)
 
         def watched_dual(solver, c):
             in_dual.append(c)
@@ -1108,8 +1071,12 @@ class TestKernel:
             return q, flips
 
         def check(solver, q, r, leaving):
+            # a pivot costs one btran, for its pivot row, apart from the
+            # btran of c_B that prices each fresh factorization
+            pivot_rows = calls["btran"] - calls["priced"]
             if not in_dual:
                 return
+            assert pivot_rows == 1, (q, pivot_rows)
             assert_direction_matches_bounds(solver)
             # every flipped column sits on its other bound, dirn negated
             flips, before = flipping
@@ -1119,8 +1086,12 @@ class TestKernel:
             fresh = splu(solver.A[:, solver.basis])
             c = in_dual[-1]
             d = c - solver.AT @ fresh.solve(c[solver.basis], trans="T")
-            # dual feasibility holds after every pivot
+            # dual feasibility holds after every pivot, and the reduced costs
+            # updated from the pivot row match a fresh pricing
             assert np.all(solver.dirn * d <= solver.dtol), q
+            movable = solver.dirn != 0
+            err = np.abs(solver.d[movable] - d[movable]).max(initial=0.0)
+            assert err <= 1e-9 * max(1.0, np.abs(d[movable]).max(initial=0.0)), q
             # the basic values solve B x_B = b - N x_N
             xn = solver.x.copy()
             xn[solver.basis] = 0.0
@@ -1133,7 +1104,10 @@ class TestKernel:
             seen["etas"] = max(seen["etas"], len(solver.etas))
             seen["flip pivots"] += flips.size > 0
             seen["flips"] += flips.size
+            calls.update(btran=0, priced=0)  # the checks above call btran too
 
+        monkeypatch.setattr(simplex._Solver, "btran", counted_btran)
+        monkeypatch.setattr(simplex._Solver, "reduced_costs", counted_pricing)
         monkeypatch.setattr(simplex._Solver, "run_dual", watched_dual)
         monkeypatch.setattr(simplex._Solver, "_dual_ratio", watched_ratio)
         transfer, tiny, _ = self.kernel_programs()
@@ -1147,58 +1121,6 @@ class TestKernel:
         assert seen["etas"] == simplex.REFACTOR_EVERY, seen
         assert seen["pivots"] > 50 and seen["artificial"] > 0, seen
         assert seen["flip pivots"] > 0 and seen["flips"] > seen["flip pivots"], seen
-
-    def test_phase_2_keeps_the_reduced_costs(self, monkeypatch):
-        # after every phase-2 pivot the maintained reduced costs match a
-        # fresh pricing on every movable nonbasic column. A basis change
-        # costs one btran (the pivot row) and a bound flip none, apart from
-        # the btran of c_B that prices each fresh factorization
-        run_phase = simplex._Solver.run_phase
-        btran, reduced_costs = simplex._Solver.btran, simplex._Solver.reduced_costs
-        in_phase = []
-        calls = {"btran": 0, "priced": 0}
-        seen = {"pivots": 0, "flips": 0, "etas": 0}
-
-        def watched_phase(solver):
-            in_phase.append(True)
-            try:
-                return run_phase(solver)
-            finally:
-                in_phase.pop()
-
-        def counted_btran(solver, c):
-            calls["btran"] += 1
-            return btran(solver, c)
-
-        def counted_pricing(solver, c):
-            calls["priced"] += 1
-            return reduced_costs(solver, c)
-
-        def check(solver, q, r, leaving):
-            pivot_rows = calls["btran"] - calls["priced"]
-            calls.update(btran=0, priced=0)
-            if not in_phase:
-                return
-            assert pivot_rows == (r >= 0), (q, r, pivot_rows)
-            fresh = splu(solver.A[:, solver.basis])
-            c = solver.c
-            d = c - solver.AT @ fresh.solve(c[solver.basis], trans="T")
-            movable = solver.dirn != 0
-            err = np.abs(solver.d[movable] - d[movable]).max()
-            assert err <= 1e-9 * max(1.0, np.abs(d[movable]).max()), q
-            seen["pivots"] += 1
-            seen["flips"] += r < 0
-            seen["etas"] = max(seen["etas"], len(solver.etas))
-
-        monkeypatch.setattr(simplex._Solver, "run_phase", watched_phase)
-        monkeypatch.setattr(simplex._Solver, "btran", counted_btran)
-        monkeypatch.setattr(simplex._Solver, "reduced_costs", counted_pricing)
-        flips = self.kernel_programs()[2]
-        for lp in (self.phase_2_transfer(), flips):
-            self.solve_watched(lp, monkeypatch, check)
-        # the checks ran on long eta files, and bound flips were among them
-        assert seen["etas"] == simplex.REFACTOR_EVERY, seen
-        assert seen["pivots"] > 100 and seen["flips"] >= 2, seen
 
     def test_dual_start_factors_once(self, monkeypatch):
         # the crash returns the prices of its triangular basis, so the
@@ -1218,12 +1140,11 @@ class TestKernel:
         phases = TestCrash.phases_run(monkeypatch)
         monkeypatch.setattr(simplex, "splu", counted)
         self.solve_watched(self.kernel_programs()[1], monkeypatch, check)
-        assert phases == ["dual", 2]
+        assert phases == ["dual"]
         assert before_pivot == [1]
 
     def test_pivot_row_formations_agree(self, monkeypatch):
-        # on every pivot row the solves below form, in either phase, the
-        # gather of A's rows at rho's nonzeros and the dense product A^T rho
+        # on every pivot row the solves below form, the gather of A's rows at rho's nonzeros and the dense product A^T rho
         # give the same columns and values to 1e-12. The gather also keeps
         # the columns whose entries cancel, which the product drops where
         # they cancel exactly; the two round differently

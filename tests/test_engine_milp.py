@@ -187,10 +187,10 @@ class TestAgainstBruteForce:
         assert infeasible_seen >= 10  # the draw must exercise both branches
         # nodes whose crash basis does not price out take the dual with
         # boxed columns flipped; every structural column here is boxed, so
-        # nothing is shifted
+        # no start needs phase 1
         flipped = sum(cols.size > 0 for cols, _, _ in dual_runs)
-        shifted = sum(cols.size > 0 for _, cols, _ in dual_runs)
-        assert flipped >= 55 and shifted == 0, (flipped, shifted)
+        phase_1 = sum(phase_1 for _, phase_1, _ in dual_runs)
+        assert flipped >= 55 and phase_1 == 0, (flipped, phase_1)
 
 
 class TestDeterminism:

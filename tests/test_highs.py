@@ -4,7 +4,9 @@ HiGHS shares no code with the built-in engine, so equal integer optima on
 presets 1-3, and on preset 4 for each model, check the crash, the simplex
 and the branch and bound at a scale that brute force cannot reach.
 ``solve_allocation`` solves one program per slot, and HiGHS gets the one
-program over every slot, so its answers also check that split. For the
+program over every slot, without the dispatch and shortage bounds that the
+rows imply (``loose_allocation_program``), so its answers also check that
+split and that those bounds cut off no plan. For the
 transfer model HiGHS solves ``explicit_transfer_program``, the model with
 its moves as columns, so its answers also check the derived moves and the
 fleet column of ``build_transfer_program``.
@@ -82,8 +84,22 @@ def explicit_transfer_program(inst: Instance) -> LinearProgram:
     return LinearProgram.from_rows(n, obj, np.zeros(n), upper, np.ones(n), rows)
 
 
+def loose_allocation_program(inst: Instance) -> LinearProgram:
+    """The allocation program with its dispatch and shortage columns
+    unbounded above, as a reference: ``dispatch <= alloc <= capacity`` and
+    each slot's total row imply the bounds that ``build_allocation_program``
+    gives them."""
+    lp, ix = build_allocation_program(inst)
+    j, t = np.divmod(np.arange(inst.num_stations * inst.num_slots), inst.num_slots)
+    upper = lp.upper.copy()
+    upper[ix.dispatch(j, t)] = np.inf
+    upper[ix.shortage(np.arange(inst.num_slots))] = np.inf
+    return LinearProgram(lp.num_vars, lp.objective, lp.lower, upper,
+                         lp.integrality, lp.A, lp.sense, lp.rhs)
+
+
 MODELS = {
-    "allocation": (lambda inst: build_allocation_program(inst)[0], solve_allocation),
+    "allocation": (loose_allocation_program, solve_allocation),
     "transfer": (explicit_transfer_program, solve_transfer),
 }
 EVALUATORS = {"allocation": evaluate_allocation, "transfer": evaluate_transfer}

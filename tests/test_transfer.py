@@ -318,9 +318,9 @@ class TestSolve:
         # the 24-slot, 20-station, 60-zone day of the paper's benchmark. The
         # crash puts a serve column in each limit row, and every column that
         # prices in there is boxed and starts on its upper bound, so the
-        # dual does every pivot, from the hyper-sparse pivot row, and phase 2
-        # none. A change that moves the start or the entering choices fails
-        # here
+        # start needs no phase 1 and the dual does every pivot, from the
+        # hyper-sparse pivot row. A change that moves the start or the
+        # entering choices fails here
         outcome = solve_transfer(generate(preset(5), 42))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == 170_053_492
