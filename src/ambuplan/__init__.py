@@ -6,10 +6,12 @@ day, solves them with its own exact LP/MILP engine, and ships a seeded
 instance generator, a brute-force reference solver for small cases, and a
 command line front end.
 
-``import ambuplan`` loads numpy only. The names that need the engine
-(and with it scipy), ``solve_allocation``, ``solve_transfer``,
-``build_allocation_program`` and ``build_transfer_program``, are loaded
-from their model modules on first use (PEP 562).
+``import ambuplan`` loads numpy only. The names that need the engine,
+``solve_allocation``, ``solve_transfer``, ``build_allocation_program``
+and ``build_transfer_program``, are loaded from their model modules on
+first use (PEP 562). The engine itself loads numpy only; it imports scipy
+on the first basis that its triangular factor does not take (see
+``ambuplan.engine.simplex``), which no preset-1 solve meets.
 """
 
 import importlib

@@ -12,9 +12,12 @@ optimality was proven, 5 a ``check`` run found a solver/reference mismatch,
 6 the solver failed (numerical breakdown, unbounded relaxation, or a plan
 that did not pass its re-check); no plan file is written then.
 
-Only ``solve`` and ``check`` load the engine and scipy: they call the module
+Only ``solve`` and ``check`` load the engine: they call the module
 attributes ``solve_allocation`` and ``solve_transfer``, which the package
-serves on first use (PEP 562). ``generate`` and ``report`` load numpy only.
+serves on first use (PEP 562). ``generate`` and ``report`` load numpy only,
+and so does a solve whose bases the engine factors in numpy: scipy loads
+only for a basis with a bump or above the engine's size limits, which no
+preset-1 solve meets.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ integers, so a reported objective is never a rounded number.
 ``outcome_from_milp`` turns an engine result for either model into a
 :class:`SolveOutcome`, re-checking an optimal plan with that evaluator; it is
 the only part of this module that uses the engine, and it imports it when
-called, so loading ``core`` loads numpy but not scipy.
+called, so loading ``core`` loads numpy but not the engine.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ the continuous relaxation or solve_milp to enforce integrality flags.
 
 from .branch_bound import solve_milp
 from .program import (
+    CscMatrix,
     EngineError,
     LinearProgram,
     LinearRow,
@@ -20,6 +21,7 @@ from .program import (
 from .simplex import FEAS_TOL, INTEGRALITY_TOL, PIVOT_TOL, solve_lp
 
 __all__ = [
+    "CscMatrix",
     "EngineError",
     "FEAS_TOL",
     "INTEGRALITY_TOL",

@@ -3,7 +3,10 @@
 A :class:`LinearProgram` is a minimization over bounded variables subject to
 the rows of one sparse constraint matrix. Integrality is a per-variable flag
 interpreted by ``solve_milp``; ``solve_lp`` always solves the continuous
-relaxation of whatever it is given.
+relaxation of whatever it is given. The matrix is a :class:`CscMatrix`,
+three numpy arrays in compressed sparse column form; a program also takes a
+scipy sparse matrix or a dense array and reads it through its attributes,
+so this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
 
 # row sense per relation, the sign a row's slack column carries
 SENSES = {"<=": 1.0, ">=": -1.0, "=": 0.0}
@@ -33,6 +35,105 @@ class NumericalBreakdownError(EngineError):
 
 class UnboundedProgramError(EngineError):
     """Raised when an integer solve meets an unbounded relaxation."""
+
+
+class CscMatrix:
+    """A sparse matrix in compressed sparse column form: column j holds the
+    values ``data[indptr[j]:indptr[j + 1]]`` in the rows ``indices`` at the
+    same positions, ascending. ``A @ x`` sums the entries per row with
+    np.bincount; the product with the transpose is ``A.transpose() @ y``.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "shape", "_cols")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 shape: tuple[int, int]):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape = (int(shape[0]), int(shape[1]))
+        self._cols = None
+
+    @classmethod
+    def from_triplets(cls, rows, cols, vals, shape: tuple[int, int]) -> CscMatrix:
+        """The matrix with value vals[k] at (rows[k], cols[k]); repeated
+        positions are summed, and entries that are zero are dropped."""
+        m, n = shape
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        cols = np.asarray(cols, dtype=np.int64).ravel()
+        vals = np.asarray(vals, dtype=np.float64).ravel()
+        if rows.size and (rows.min() < 0 or rows.max() >= m
+                          or cols.min() < 0 or cols.max() >= n):
+            raise ValueError(f"matrix entry index out of range for shape {shape}")
+        order = np.lexsort((rows, cols))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        if rows.size:
+            first = np.flatnonzero(np.concatenate(
+                ([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))))
+            rows, cols, vals = rows[first], cols[first], np.add.reduceat(vals, first)
+        keep = vals != 0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+        return cls(indptr, rows, vals, shape)
+
+    @classmethod
+    def of(cls, A) -> CscMatrix:
+        """A as a CscMatrix: a CscMatrix itself, a scipy sparse matrix (read
+        through ``tocoo()``, without importing scipy) or a dense 2-d array."""
+        if isinstance(A, CscMatrix):
+            return A
+        if hasattr(A, "tocoo"):
+            coo = A.tocoo()
+            return cls.from_triplets(coo.row, coo.col, coo.data, coo.shape)
+        dense = np.asarray(A, dtype=np.float64)
+        if dense.ndim != 2:
+            raise ValueError(f"A must be a 2-d matrix, got {dense.ndim} dimensions")
+        rows, cols = np.nonzero(dense)
+        return cls.from_triplets(rows, cols, dense[rows, cols], dense.shape)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def entry_columns(self) -> np.ndarray:
+        """The column of each entry, built on first use."""
+        if self._cols is None:
+            self._cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+        return self._cols
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.indices, self.data * x[self.entry_columns()],
+                           minlength=self.shape[0])
+
+    def combination(self, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_k weights[k] * A[:, idx[k]], from the entries of those
+        columns only."""
+        pos, lens = runs(self.indptr, idx)
+        return np.bincount(self.indices[pos], self.data[pos] * np.repeat(weights, lens),
+                           minlength=self.shape[0])
+
+    def columns(self, idx: np.ndarray) -> CscMatrix:
+        """The columns idx, in that order."""
+        pos, lens = runs(self.indptr, idx)
+        return CscMatrix(np.concatenate(([0], np.cumsum(lens))), self.indices[pos],
+                         self.data[pos], (self.shape[0], len(idx)))
+
+    def transpose(self) -> CscMatrix:
+        """The transpose, by a stable sort of the entries by row: its
+        columns are this matrix's rows, each in ascending column order."""
+        order = np.argsort(self.indices, kind="stable")
+        counts = np.bincount(self.indices, minlength=self.shape[0])
+        return CscMatrix(np.concatenate(([0], np.cumsum(counts))),
+                         self.entry_columns()[order], self.data[order],
+                         (self.shape[1], self.shape[0]))
+
+
+def runs(indptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries of the runs idx (columns of a CSC matrix),
+    run after run, and each run's length."""
+    starts = indptr[idx]
+    lens = indptr[idx + 1] - starts
+    pos = np.repeat(starts - np.cumsum(lens) + lens, lens)
+    pos += np.arange(pos.size)
+    return pos, lens
 
 
 @dataclass(frozen=True)
@@ -68,7 +169,8 @@ class MilpStatus(Enum):
 class LinearProgram:
     """min objective @ x  subject to  A x (sense) rhs, lower <= x <= upper.
 
-    ``A`` is sparse, num_rows x num_vars. Row k reads ``<=`` when
+    ``A`` is a CscMatrix, num_rows x num_vars (any sparse or dense matrix
+    given is read into one, see CscMatrix.of). Row k reads ``<=`` when
     ``sense[k]`` is +1, ``>=`` when it is -1 and ``=`` when it is 0. Lower
     bounds are finite, upper bounds finite or +inf. ``integrality[k]`` marks
     x_k as integer for ``solve_milp``.
@@ -79,7 +181,7 @@ class LinearProgram:
     lower: np.ndarray
     upper: np.ndarray
     integrality: np.ndarray
-    A: sparse.csc_array
+    A: CscMatrix
     sense: np.ndarray
     rhs: np.ndarray
 
@@ -89,8 +191,7 @@ class LinearProgram:
         self.lower = np.asarray(self.lower, dtype=np.float64)
         self.upper = np.asarray(self.upper, dtype=np.float64)
         self.integrality = np.asarray(self.integrality, dtype=bool)
-        if not isinstance(self.A, sparse.csc_array) or self.A.dtype != np.float64:
-            self.A = sparse.csc_array(self.A, dtype=np.float64)
+        self.A = CscMatrix.of(self.A)
         self.sense = np.asarray(self.sense, dtype=np.float64)
         self.rhs = np.asarray(self.rhs, dtype=np.float64)
         m = self.A.shape[0]
@@ -118,8 +219,7 @@ class LinearProgram:
         rows = list(rows)
         k, i, v = np.array([(k, i, v) for k, row in enumerate(rows) for i, v in row.coeffs],
                            dtype=np.float64).reshape(-1, 3).T
-        A = sparse.csc_array((v, (k.astype(np.int64), i.astype(np.int64))),
-                             shape=(len(rows), int(num_vars)))
+        A = CscMatrix.from_triplets(k, i, v, (len(rows), int(num_vars)))
         return cls(num_vars, objective, lower, upper, integrality, A,
                    [SENSES[row.relation] for row in rows], [row.rhs for row in rows])
 
@@ -130,14 +230,14 @@ class LinearProgram:
     @property
     def rows(self) -> list[LinearRow]:
         """The constraints as LinearRows, rebuilt from A (a read-only view)."""
-        A = self.A.tocsr()
+        A = self.A.transpose()
         ends = zip(A.indptr[:-1].tolist(), A.indptr[1:].tolist())
         return [LinearRow(tuple(zip(A.indices[s:e].tolist(), A.data[s:e].tolist())),
                           _RELATIONS[sense], rhs)
                 for (s, e), sense, rhs in zip(ends, self.sense.tolist(), self.rhs.tolist())]
 
 
-def matrix_from_blocks(blocks, shape: tuple[int, int]) -> sparse.csc_array:
+def matrix_from_blocks(blocks, shape: tuple[int, int]) -> CscMatrix:
     """The CSC matrix of COO blocks ``(rows, cols, coeff)``: equal-length index
     arrays and the one coefficient their entries share. No entry may repeat."""
     rows, cols, coeffs = zip(*blocks)
@@ -145,7 +245,7 @@ def matrix_from_blocks(blocks, shape: tuple[int, int]) -> sparse.csc_array:
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     order = np.argsort(cols * shape[0] + rows)  # column-major; keys are unique
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=shape[1]))])
-    return sparse.csc_array((vals[order], rows[order], indptr), shape=shape)
+    return CscMatrix(indptr, rows[order], vals[order], shape)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,14 @@
 The program's constraint matrix is converted once into equality standard
 form: a slack column per inequality row, then an artificial unit column per
 row, fixed on [0, 0] at zero cost. Every solve and every branch-and-bound
-node works on that one matrix. The basis inverse is represented by a sparse
-LU factorization (scipy ``splu``) plus a product-form eta file that is
-folded back into a fresh factorization every REFACTOR_EVERY pivots. The
-crash basis gives every inequality row to its slack, whatever value that
-leaves the slack, and each equality row to a structural column singleton
-that can absorb the row's residual within its bounds, else to the row's
-artificial at the signed residual. An inequality row whose slack sits at
+node works on that one matrix, held as numpy CSC arrays (CscMatrix). The
+basis inverse is represented by a factorization of the basis (``splu``,
+see "Factors" below) plus a product-form eta file that is folded back into
+a fresh factorization every REFACTOR_EVERY pivots. The crash basis gives
+every inequality row to its slack, whatever value that leaves the slack,
+and each equality row to a structural column singleton that can absorb
+the row's residual within its bounds, else to the row's artificial at the
+signed residual. An inequality row whose slack sits at
 zero then takes instead a column that prices in, has no other nonzero in an
 inequality row, and stays at its lower bound. On the preset-5 transfer
 program (seed 42) those are the serve columns, one per station and slot.
@@ -85,25 +86,56 @@ row rather than the row count m or the column count:
   A at rho's nonzeros, kept row-major by the StandardForm, and merged per
   column by a stable sort and np.add.reduceat (Hall & McKinnon,
   "Hyper-sparsity in the revised simplex method", Comp. Optim. Appl. 32,
-  2005). The dense product A^T rho reads all of A instead, but in one
-  scipy call. Micro-timings on a 2-CPU Xeon host (Python 3.11, numpy 2.4,
-  scipy 1.17), over the pivot rows of real solves, put the product at
-  about 4.5 us + 1.5 ns * (nnz(A) + N) and the gather at about 16 us +
-  40 ns per entry gathered, estimated as nnz(rho) * nnz(A) / m:
-  PRODUCT_NS, PRODUCT_ENTRY_NS, GATHER_NS and GATHER_ENTRY_NS. Each solve
-  turns this model into the count of rho's nonzeros below which pivot_row
-  gathers; on small programs that count is 0 and rho is not even scanned.
-  The two tie near the preset-3 transfer program (nnz(A) + N about 6.5k,
-  15-20 us each), so tiny programs, the allocation slot programs (at most
-  2k) and the preset-1 and preset-2 transfer programs take the product,
-  and the preset-4 and preset-5 transfer programs (20k and 58k) the
-  gather, 23-31 us against 37-97 us.
+  2005). The dense product A^T rho reads all of A instead, in a gather, a
+  product and np.bincount. Micro-timings on a 2-CPU Xeon host (Python
+  3.11, numpy 2.4), over the pivot rows of real solves, put the product at
+  about 3 us + 2.7 ns * (nnz(A) + N) and the gather at about 16 us + 40 ns
+  per entry gathered, estimated as nnz(rho) * nnz(A) / m: PRODUCT_NS,
+  PRODUCT_ENTRY_NS, GATHER_NS and GATHER_ENTRY_NS. Each solve turns this
+  model into the count of rho's nonzeros below which pivot_row gathers; on
+  small programs that count is 0 and rho is not even scanned. The two tie
+  near the preset-3 transfer program (nnz(A) + N about 6.5k, about 20 us
+  each), which gathers when rho has at most 8 nonzeros. Tiny programs,
+  the allocation slot programs (at most 2k) and the preset-1 and preset-2
+  transfer programs take the product, and the preset-4 and preset-5
+  transfer programs (20k and 58k) the gather, 23-31 us against 57-150 us.
+- A pivot whose ratio test flips columns solves its entering column and
+  the flips' moved sum in one two-column call of the factor, so every
+  pivot costs one btran and one ftran. On the preset-5 transfer program
+  (seed 42) that is 3,060 SuperLU solves for 1,482 pivots, where a
+  separate ftran for the flips took 3,956.
+
+Factors. ``splu`` factors each basis in one of two ways. A basis of at
+most TRIANGULAR_ROWS rows is first peeled by row singletons (Suhl & Suhl,
+ORSA J. Comput. 2, 1990). If that makes it triangular within
+TRIANGULAR_LEVELS rounds, a numpy level-scheduled factor takes it: ftran
+walks the rounds forward and btran walks them back, a few numpy calls per
+round (Anderson & Saad, Int. J. High Speed Comput. 1, 1989). Any other
+basis, with a bump or above either limit, goes to scipy's SuperLU, and
+scipy is imported on the first such call. Every basis met in solving
+preset 1 (seeds 42-61), presets 2-4 (seed 0), preset 5 (seed 42) and tiny
+seeds 0-199 is triangular: at most 6 rounds deep on the allocation slot
+programs, 12 on preset-1 transfer and 16 on presets 3-5 transfer; random
+programs sometimes keep a bump. So the CLI solves a preset-1 day with
+either model without loading scipy, which takes about 0.15 s. Timed per
+basis on the host above, the peel and the level factor cost about 50 us
+at tiny scale and 60-90 us on the allocation slot bases, where slicing
+the basis for scipy and SuperLU's factorization cost about 80 us and
+90-200 us. A level solve there costs 3-7 us, as SuperLU's does; on the
+preset-1 transfer bases (7 rounds median) it costs 15 us against 6 us,
+about 2 us a round. TRIANGULAR_LEVELS = 16, the deepest basis measured,
+keeps a level solve near 35 us, what SuperLU's costs on the preset-5
+transfer bases. TRIANGULAR_ROWS = 1,024 takes every basis of presets 1-4
+(preset-4 transfer has 952 rows) and leaves the preset-5 transfer bases
+(2,404 rows, 11 rounds median) to SuperLU without paying for a peel:
+there the peel and level factor cost 0.5 ms against SuperLU's 0.3 ms,
+and a level solve is no faster than SuperLU's 34 us.
 
 REFACTOR_EVERY = 32 was chosen on preset 5 (seed 42), before the dual phase
 existed. Going from 64 to 32 doubles the refactorizations (transfer 68 ->
 133, allocation 140 -> 227) but cuts the time of the ftran and btran eta
 loops by about 40%, a net gain that was largest on the allocation slot
-programs. SuperLU orders each basis by COLAMD and builds no relaxed
+programs. SuperLU orders each basis it takes by COLAMD and builds no relaxed
 supernodes (relax=1, panel_size=1). On 20 of the preset-5 transfer bases
 that cut the mean factorization from 993 to 660 us and the ftran/btran
 solves from 103/70 to 72/57 us, for 1% more fill; the allocation slot
@@ -125,14 +157,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .program import (
+    CscMatrix,
     LinearProgram,
     LpSolution,
     LpStatus,
     NumericalBreakdownError,
+    runs,
 )
 
 FEAS_TOL = 1e-9      # row/bound tolerance, scaled by 1 + |reference value|
@@ -140,9 +172,12 @@ DUAL_TOL = 1e-7      # reduced-cost tolerance, plus 1e-11 * |c_j| per column
 PIVOT_TOL = 1e-7     # smallest acceptable pivot magnitude
 INTEGRALITY_TOL = 1e-6
 REFACTOR_EVERY = 32  # eta-file length before folding into a fresh LU
+# the largest basis, in rows and in peel rounds, that the level factor
+# takes (see the module docstring)
+TRIANGULAR_ROWS, TRIANGULAR_LEVELS = 1024, 16
 # pivot_row's cost model, in ns: the product A^T rho, and the gather of the
 # rows of A at rho's nonzeros (see the module docstring)
-PRODUCT_NS, PRODUCT_ENTRY_NS = 4500.0, 1.5
+PRODUCT_NS, PRODUCT_ENTRY_NS = 3000.0, 2.7
 GATHER_NS, GATHER_ENTRY_NS = 16000.0, 40.0
 
 
@@ -157,7 +192,7 @@ class StandardForm:
     m: int
     n_struct: int
     n_real: int            # structural + slack columns; the artificials follow
-    A: sparse.csc_array    # m x (n_real + m)
+    A: CscMatrix           # m x (n_real + m)
     slack_sign: np.ndarray  # per row: +1 for <=, -1 for >=, 0 without slack
     slack_col: np.ndarray  # per row: the column of its slack, where it has one
     b: np.ndarray
@@ -166,10 +201,11 @@ class StandardForm:
     upper: np.ndarray
 
     @cached_property
-    def rows(self) -> sparse.csr_array:
-        """A in row-major form, built on first use and shared by every solve
-        over this form (pivot_row gathers its rows from it)."""
-        return self.A.tocsr()
+    def rows(self) -> CscMatrix:
+        """A^T, whose columns are the rows of A, built on first use and
+        shared by every solve over this form: pricing multiplies by it, and
+        pivot_row gathers its columns."""
+        return self.A.transpose()
 
     @cached_property
     def crash_columns(self) -> tuple[np.ndarray, ...]:
@@ -211,9 +247,9 @@ def build_standard_form(lp: LinearProgram) -> StandardForm:
     # a unit column per slack, signed by its row's sense, then +e_k per row
     rows = np.concatenate([slack_rows, np.arange(m)]).astype(A.indices.dtype)
     ends = A.indptr[-1] + np.arange(1, s + m + 1, dtype=A.indptr.dtype)
-    std_A = sparse.csc_array((np.concatenate([A.data, lp.sense[slack_rows], np.ones(m)]),
-                              np.concatenate([A.indices, rows]),
-                              np.concatenate([A.indptr, ends])), shape=(m, n + s + m))
+    std_A = CscMatrix(np.concatenate([A.indptr, ends]), np.concatenate([A.indices, rows]),
+                      np.concatenate([A.data, lp.sense[slack_rows], np.ones(m)]),
+                      (m, n + s + m))
     return StandardForm(m=m, n_struct=n, n_real=n + s, A=std_A,
                         slack_sign=lp.sense.copy(),
                         slack_col=n - 1 + np.cumsum(lp.sense != 0),
@@ -223,14 +259,135 @@ def build_standard_form(lp: LinearProgram) -> StandardForm:
                         upper=np.concatenate([lp.upper, np.full(s, np.inf), np.zeros(m)]))
 
 
-def _runs(indptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the entries of the runs idx (columns of a CSC matrix,
-    rows of a CSR one), run after run, and each run's length."""
-    starts = indptr[idx]
-    lens = indptr[idx + 1] - starts
-    pos = np.repeat(starts - np.cumsum(lens) + lens, lens)
-    pos += np.arange(pos.size)
-    return pos, lens
+def _peel(B: CscMatrix) -> list[np.ndarray] | None:
+    """Peel the square matrix B by row singletons (Suhl & Suhl, ORSA J.
+    Comput. 2, 1990): each round takes every row with one entry left in the
+    columns not yet taken, and takes that entry's column as its pivot.
+    Returns the positions of each round's pivot entries in B's arrays, or
+    None when a round finds no such row (a bump, or a structurally singular
+    B) or B is deeper than TRIANGULAR_LEVELS rounds."""
+    m = B.shape[0]
+    erow, ecol = B.indices, B.entry_columns()
+    epos = np.arange(erow.size)
+    count = np.bincount(erow, minlength=m)
+    levels, peeled = [], 0
+    while peeled < m:
+        if len(levels) == TRIANGULAR_LEVELS:
+            return None
+        single = count[erow] == 1
+        pos = epos[single]
+        if not pos.size:
+            return None
+        taken = np.zeros(m, dtype=bool)
+        taken[ecol[single]] = True
+        drop = taken[ecol]
+        count -= np.bincount(erow[drop], minlength=m)
+        keep = ~drop
+        erow, ecol, epos = erow[keep], ecol[keep], epos[keep]
+        levels.append(pos)
+        peeled += pos.size
+    return levels
+
+
+class _LevelFactor:
+    """A basis that the row-singleton peel made triangular, solved level by
+    level (Anderson & Saad, Int. J. High Speed Comput. 1, 1989).
+
+    Pivot p, in peel order, is the entry of row prow[p] in column pcol[p].
+    In that order B is lower triangular, and the pivots of one peel round
+    depend only on those of earlier rounds: ftran walks the rounds forward,
+    btran walks them back, each round one gather, product and
+    np.add.reduceat over the off-pivot entries that reach it, stored
+    divided by their pivot. ``solve`` has SuperLU's signature.
+    """
+
+    def __init__(self, B: CscMatrix, levels: list[np.ndarray]):
+        m = B.shape[0]
+        ppos = np.concatenate([np.zeros(0, dtype=np.intp)] + levels)
+        cols = B.entry_columns()
+        prow, pcol, piv = B.indices[ppos], cols[ppos], B.data[ppos]
+        # each row's and each column's place in pivot order
+        rank_r = np.empty(m, dtype=np.intp)
+        rank_r[prow] = np.arange(m)
+        rank_c = np.full(m, -1, dtype=np.intp)
+        rank_c[pcol] = np.arange(m)
+        if (rank_c < 0).any() or not piv.all():
+            # two rows peeled on one column, or a zero pivot
+            raise NumericalBreakdownError(
+                "basis factorization failed: the triangular basis is singular")
+        self.rank_r, self.rank_c, self.prow, self.pcol = rank_r, rank_c, prow, pcol
+        self.inv = 1.0 / piv
+        off = np.ones(B.nnz, dtype=bool)
+        off[ppos] = False
+        er, ec, ev = rank_r[B.indices[off]], rank_c[cols[off]], B.data[off]
+        bounds = np.cumsum([0] + [p.size for p in levels]).tolist()
+
+        # forward: each row past the first round has an entry in an earlier
+        # column, so every segment of the reduceat is nonempty
+        order = np.argsort(er, kind="stable")
+        fr, fc = er[order], ec[order]
+        fv = ev[order] * self.inv[fr]
+        at = np.searchsorted(fr, bounds).tolist()
+        second = bounds[min(1, len(levels))]
+        starts = np.searchsorted(fr, np.arange(second, m))
+        self.forward = [(s, e, fc[a:b], fv[a:b], starts[s - second:e - second] - a)
+                        for s, e, a, b in zip(bounds[1:-1], bounds[2:], at[1:-1], at[2:])]
+
+        # backward: the columns of one round that reach later rows
+        order = np.argsort(ec, kind="stable")
+        gc, gr = ec[order], er[order]
+        gv = ev[order] * self.inv[gc]
+        first = np.flatnonzero(np.concatenate(([True], gc[1:] != gc[:-1])))[:gc.size]
+        targets = gc[first]
+        at = np.searchsorted(gc, bounds).tolist()
+        tat = np.searchsorted(targets, bounds).tolist()
+        self.backward = []
+        for k in range(len(levels) - 2, -1, -1):
+            a, b = at[k], at[k + 1]
+            if a == b:
+                continue
+            t = targets[tat[k]:tat[k + 1]]
+            if t.size == bounds[k + 1] - bounds[k]:
+                t = slice(bounds[k], bounds[k + 1])
+            self.backward.append((t, gr[a:b], gv[a:b], first[tat[k]:tat[k + 1]] - a))
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """B^-1 rhs, or B^-T rhs for trans "T"; rhs one column or several
+        side by side."""
+        if rhs.ndim == 2:
+            return np.array([self.solve(col, trans) for col in rhs.T]).T
+        if trans == "N":
+            x = rhs[self.prow] * self.inv
+            for s, e, cols, vals, seg in self.forward:
+                x[s:e] -= np.add.reduceat(vals * x[cols], seg)
+            return x[self.rank_c]
+        y = rhs[self.pcol] * self.inv
+        for t, rows, vals, seg in self.backward:
+            y[t] -= np.add.reduceat(vals * y[rows], seg)
+        return y[self.rank_r]
+
+
+def splu(B: CscMatrix):
+    """Factor the basis matrix B. The returned factor's ``solve(rhs,
+    trans="N")`` gives B^-1 rhs, or B^-T rhs for trans "T".
+
+    A basis of at most TRIANGULAR_ROWS rows that the row-singleton peel
+    makes triangular within TRIANGULAR_LEVELS rounds takes the level
+    factor; any other goes to scipy's SuperLU, imported on the first such
+    call, in COLAMD order without relaxed supernodes (see the module
+    docstring). A singular basis raises NumericalBreakdownError.
+    """
+    if B.shape[0] <= TRIANGULAR_ROWS:
+        levels = _peel(B)
+        if levels is not None:
+            return _LevelFactor(B, levels)
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import splu as superlu
+    try:
+        return superlu(csc_array((B.data, B.indices, B.indptr), shape=B.shape),
+                       permc_spec="COLAMD", relax=1, panel_size=1)
+    except RuntimeError as exc:
+        raise NumericalBreakdownError(f"basis factorization failed: {exc}") from exc
 
 
 class _Solver:
@@ -244,11 +401,11 @@ class _Solver:
         self.m = m
         self.n_real = n_real
         self.N = n_real + m
-        self.A, self.AT = std.A, std.A.T
+        self.A, self.AT = std.A, std.rows
         # pivot_row gathers a row when rho has fewer nonzeros than this,
         # where the cost model of the module docstring puts the gather below
         # the product; on small programs no rho is that sparse
-        nnz = int(std.A.indptr[-1])
+        nnz = std.A.nnz
         product_ns = PRODUCT_NS + PRODUCT_ENTRY_NS * (nnz + self.N)
         self.gather_nz = (product_ns - GATHER_NS) * m / (GATHER_ENTRY_NS * max(nnz, 1))
         self.c = std.cost
@@ -284,31 +441,33 @@ class _Solver:
         return col
 
     def refactor(self) -> None:
-        try:
-            # no relaxed supernodes: see the module docstring
-            self.lu = splu(self.A[:, self.basis], permc_spec="COLAMD",
-                           relax=1, panel_size=1)
-        except RuntimeError as exc:
-            raise NumericalBreakdownError(
-                f"basis factorization failed: {exc}") from exc
+        self.lu = splu(self.A.columns(self.basis))
         self.etas = []
         self.d = None
         self.basic_values()
+
+    def activity(self, x: np.ndarray) -> np.ndarray:
+        """A x, summed over the columns where x is nonzero: most nonbasic
+        columns sit on a zero bound."""
+        nz = np.flatnonzero(x)
+        return self.A.combination(nz, x[nz])
 
     def basic_values(self) -> None:
         """x_B = B^-1 (b - N x_N) on a fresh factorization, which sheds the
         drift of the per-pivot updates."""
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        self.x[self.basis] = self.lu.solve(self.b - self.A @ xn)
+        self.x[self.basis] = self.lu.solve(self.b - self.activity(xn))
 
     def ftran(self, col: np.ndarray) -> np.ndarray:
+        """B^-1 col, for one column or for several side by side."""
         v = self.lu.solve(col)
-        for r, wr, idx, vals in self.etas:
-            t = v[r] / wr
-            if t != 0.0:
-                v[idx] -= vals * t
-            v[r] = t
+        for u in v.T if v.ndim == 2 else (v,):
+            for r, wr, idx, vals in self.etas:
+                t = u[r] / wr
+                if t != 0.0:
+                    u[idx] -= vals * t
+                u[r] = t
         return v
 
     def btran(self, c: np.ndarray) -> np.ndarray:
@@ -350,7 +509,7 @@ class _Solver:
         """
         std = self.std
         self.x[:] = self.lo
-        resid = std.b - std.A @ self.x  # the artificials sit on 0
+        resid = std.b - self.activity(self.x)  # the artificials sit on 0
         sigma = std.slack_sign
         slack = sigma != 0
         basis = np.where(slack, std.slack_col, self.n_real + np.arange(self.m))
@@ -438,7 +597,7 @@ class _Solver:
             if nz.size < self.gather_nz:
                 # every row of A holds its artificial: the gather is never empty
                 R = self.std.rows
-                pos, lens = _runs(R.indptr, nz)
+                pos, lens = runs(R.indptr, nz)
                 cols = R.indices[pos]
                 order = np.argsort(cols, kind="stable")
                 cols = cols[order]
@@ -500,7 +659,12 @@ class _Solver:
             q, flips = self._dual_ratio(d, cols, alpha, s, bland, float(viol[r]))
             if q >= 0:
                 alpha_q = float(alpha[np.searchsorted(cols, q)])
-                w = self.ftran(self.column(q))
+                if flips.size:
+                    # one solve for the entering column and the flips' sum
+                    delta, moved = self.moves(flips)
+                    w, dx = self.ftran(np.column_stack([self.column(q), moved])).T
+                else:
+                    w = self.ftran(self.column(q))
             if q < 0 or not (w[r] * alpha_q > 0 and abs(w[r]) > PIVOT_TOL):
                 # no entering column, or a pivot column that disagrees with
                 # the pivot row: trust neither before a refactorization
@@ -513,7 +677,10 @@ class _Solver:
                     "dual pivot row and column disagree on a fresh factorization")
 
             # each passed breakpoint crosses its whole range
-            dz = float(d[flips] @ self.flip(flips)) if flips.size else 0.0
+            dz = 0.0
+            if flips.size:
+                self.flip(flips, delta, dx)
+                dz = float(d[flips] @ delta)
             sigma = -float(self.dirn[q])
             leave = int(self.basis[r])
             bound = self.lo[leave] if s > 0 else self.up[leave]
@@ -578,19 +745,20 @@ class _Solver:
         tied = rest[ratios[rest] <= t + 1e-9 * (1.0 + t)]
         return int(cols[tied[np.argmax(da[tied])]]), cols[order[:i]]
 
-    def flip(self, cols: np.ndarray) -> np.ndarray:
-        """Move the nonbasic columns cols, each movable and boxed, across
-        their whole range to their other bound. One ftran of the sum of
-        their moved columns, gathered from the CSC arrays, updates the basic
-        values: x_B -= B^-1 sum_j a_j delta_j. Returns the moves delta."""
+    def moves(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The moves delta that take the nonbasic columns cols, each movable
+        and boxed, across their whole range to their other bound, and the
+        sum of their moved columns, sum_j a_j delta_j, gathered from the
+        CSC arrays."""
         delta = -self.dirn[cols] * (self.up[cols] - self.lo[cols])
-        pos, lens = _runs(self.A.indptr, cols)
-        moved = np.bincount(self.A.indices[pos], self.A.data[pos] * np.repeat(delta, lens),
-                            minlength=self.m)
-        self.x[self.basis] -= self.ftran(moved)
+        return delta, self.A.combination(cols, delta)
+
+    def flip(self, cols: np.ndarray, delta: np.ndarray, dx: np.ndarray) -> None:
+        """Move the columns cols by their moves delta (see moves); dx, the
+        ftran of their moved sum, updates the basic values: x_B -= dx."""
+        self.x[self.basis] -= dx
         self.x[cols] = np.where(delta > 0, self.up[cols], self.lo[cols])
         self.dirn[cols] = -self.dirn[cols]
-        return delta
 
     def _apply(self, q: int, sigma: float, w: np.ndarray,
                step: float, r: int, upper: bool) -> None:
@@ -644,7 +812,8 @@ class _Solver:
                 if not self.dual_phase_1(d):
                     return self.ray()
             elif cols.size:
-                self.flip(cols)
+                delta, moved = self.moves(cols)
+                self.flip(cols, delta, self.ftran(moved))
             if not self.run_dual(c):
                 return LpSolution(LpStatus.INFEASIBLE, None, None, self.iterations)
             # the feasible basis is optimal once it prices out on the fresh
@@ -709,7 +878,7 @@ class _Solver:
         """Exact-form residual and bound check on every column, the
         artificials too: one off [0, 0] hides a violated row."""
         lo, up = self.lo, self.up
-        resid = self.A @ self.x - self.std.b
+        resid = self.activity(self.x) - self.std.b
         row_tol = FEAS_TOL * (1.0 + np.abs(self.std.b))
         if not (np.all(np.abs(resid) <= row_tol * 100)
                 and np.all(self.x >= lo - 1e-7 * (1.0 + np.abs(lo)))

@@ -137,7 +137,8 @@ class TestProgramShape:
         for inst in cases + [generate(preset(1), 0)]:
             lp, _ = build_allocation_program(inst)
             ref = row_by_row_program(inst)
-            assert (lp.A != ref.A).nnz == 0
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(lp.A, part), getattr(ref.A, part)), part
             for name in ("sense", "rhs", "objective", "lower", "upper", "integrality"):
                 assert np.array_equal(getattr(lp, name), getattr(ref, name)), name
 

@@ -548,34 +548,46 @@ class TestSubprocessPipeline:
         assert done.returncode == 0, done.stderr
         assert "2/2 match" in done.stdout
 
-    def test_only_solving_commands_load_scipy(self, tmp_path, cli_env):
-        # run the command in a child interpreter, then report whether scipy
-        # was imported along the way
+    def test_commands_on_triangular_bases_load_no_scipy(self, tmp_path, cli_env):
+        # run the command in a child interpreter, then report its exit code
+        # and whether scipy was imported along the way. Every basis of these
+        # solves is triangular, so the engine factors them in numpy
         probe = ("import runpy, sys\n"
+                 "code = 0\n"
                  "if sys.argv[1] == 'import':\n"
                  "    __import__(sys.argv[2])\n"
                  "else:\n"
                  "    try:\n"
                  "        runpy.run_module('ambuplan', run_name='__main__')\n"
                  "    except SystemExit as exc:\n"
-                 "        assert not exc.code, exc.code\n"
-                 "print('scipy loaded:', 'scipy' in sys.modules)\n")
+                 "        code = exc.code or 0\n"
+                 "print('exit', code, 'scipy loaded:', 'scipy' in sys.modules)\n")
 
-        def scipy_loaded(*args):
+        def scipy_loaded(*args, code=0):
             done = subprocess.run([sys.executable, "-c", probe, *args],
                                   capture_output=True, text=True,
                                   cwd=str(tmp_path), env=cli_env)
             assert done.returncode == 0, done.stderr
-            return done.stdout.splitlines()[-1] == "scipy loaded: True"
+            last = done.stdout.splitlines()[-1]
+            assert last.startswith(f"exit {code} "), (args, last)
+            return last.endswith("scipy loaded: True")
 
         assert not scipy_loaded("import", "ambuplan")
         assert not scipy_loaded("import", "ambuplan.cli")
         assert not scipy_loaded("generate", "--tiny", "--seed", "6",
                                 "--out", "inst.json")
-        assert scipy_loaded("solve", "--instance", "inst.json", "--model", "2",
-                            "--out", "plan.json")
+        # model 1 finds tiny seed 6 infeasible (exit 3) after factoring
+        # its first slot's start
+        assert not scipy_loaded("solve", "--instance", "inst.json", "--model", "1",
+                                code=3)
+        assert not scipy_loaded("solve", "--instance", "inst.json", "--model", "2",
+                                "--out", "plan.json")
         assert not scipy_loaded("report", "--instance", "inst.json",
                                 "--plan", "plan.json")
+        assert not scipy_loaded("generate", "--preset", "1", "--seed", "42",
+                                "--out", "day.json")
+        # this day branches: 4 nodes in its slots
+        assert not scipy_loaded("solve", "--instance", "day.json", "--model", "1")
 
     def test_usage_error_exits_2(self, tmp_path, run_cli):
         done = run_cli("solve", "--instance", "inst.json", cwd=str(tmp_path))

@@ -16,9 +16,12 @@ from ambuplan import (
     build_transfer_program,
     generate,
     preset,
+    solve_allocation,
+    solve_transfer,
     tiny_params,
 )
 from ambuplan.engine import (
+    CscMatrix,
     LinearProgram,
     LinearRow,
     LpStatus,
@@ -30,6 +33,12 @@ from ambuplan.engine import (
 )
 
 inf = np.inf
+
+
+def superlu(solver):
+    """scipy's SuperLU factor of the solver's current basis."""
+    B = solver.A.columns(solver.basis)
+    return splu(sparse.csc_array((B.data, B.indices, B.indptr), shape=B.shape))
 
 
 def lp_of(n, cost, lower, upper, rows, integrality=None):
@@ -336,7 +345,7 @@ class TestCrash:
         assert np.array_equal(solver.x[:6], [0, 0, 0, 0, 1, 3])
         # the reduced costs are those of the prices y = B^-T c_B = (-9, 10,
         # 10), built without a factorization
-        y = splu(solver.A[:, solver.basis]).solve(solver.c[solver.basis], trans="T")
+        y = superlu(solver).solve(solver.c[solver.basis], trans="T")
         assert np.allclose(y, [-9.0, 10.0, 10.0], rtol=0, atol=1e-12)
         assert np.array_equal(d, solver.c - solver.AT @ np.array([-9.0, 10.0, 10.0]))
         # x3 has no upper bound, so the start goes through phase 1, where x3
@@ -996,7 +1005,7 @@ class TestKernel:
         pivots = []
 
         def check(solver, q, r, leaving):
-            assert_eta_solves_match(solver, splu(solver.A[:, solver.basis]), q, rng)
+            assert_eta_solves_match(solver, superlu(solver), q, rng)
             pivots.append(len(solver.etas))
 
         # a preset-1 transfer program takes about 100 dual pivots from the
@@ -1007,6 +1016,99 @@ class TestKernel:
             self.solve_watched(lp, monkeypatch, check)
         # the check ran on long eta files, not only after refactorizations
         assert len(pivots) > 200 and max(pivots) == simplex.REFACTOR_EVERY
+
+        # the factor itself: every basis that these solves factor solves
+        # one column and two side by side as scipy's SuperLU does
+        kinds = {}
+        factor = simplex.splu
+
+        def compared(B):
+            lu = factor(B)
+            kinds[type(lu).__name__] = kinds.get(type(lu).__name__, 0) + 1
+            m = B.shape[0]
+            if not m:
+                return lu
+            ref = splu(sparse.csc_array((B.data, B.indices, B.indptr), shape=B.shape))
+            for rhs in (rng.standard_normal(m), rng.standard_normal((m, 2))):
+                for trans in "NT":
+                    want = ref.solve(rhs, trans=trans)
+                    err = np.abs(lu.solve(rhs, trans) - want).max()
+                    assert err <= 1e-12 * max(1.0, np.abs(want).max()), (m, trans)
+            return lu
+
+        monkeypatch.setattr(simplex, "splu", compared)
+        for s in range(200):
+            inst = generate(tiny_params(s), s)
+            solve_allocation(inst)
+            solve_transfer(inst)
+        for p in (1, 2, 3):
+            solve_allocation(generate(preset(p), 0))
+            solve_transfer(generate(preset(p), 0))
+        # every basis of the generator's programs is triangular within the cap
+        assert list(kinds) == ["_LevelFactor"] and kinds["_LevelFactor"] > 800, kinds
+        draws = np.random.default_rng(11)
+        for _ in range(100):
+            solve_lp(random_program(draws)[0])
+        # random rows leave some bumps, which SuperLU takes
+        assert kinds["SuperLU"] > 0, kinds
+
+    @staticmethod
+    def no_peel(monkeypatch):
+        """Make a call of the peel fail the test."""
+        def peel(B):
+            raise AssertionError(f"peeled a basis of {B.shape[0]} rows")
+
+        monkeypatch.setattr(simplex, "_peel", peel)
+
+    def test_bumped_and_large_bases_go_to_superlu(self, monkeypatch):
+        # a 3-cycle: every row has two entries, so the peel finds no
+        # singleton and SuperLU takes the basis
+        cycle = sparse.csc_array(np.array([[2.0, 1, 0], [0, 3, 1], [1, 0, 4]]))
+        lu = simplex.splu(CscMatrix.of(cycle))
+        assert type(lu).__name__ == "SuperLU"
+        b = np.array([1.0, 2.0, 3.0])
+        assert np.allclose(cycle.toarray() @ lu.solve(b), b, rtol=0, atol=1e-12)
+        # the identity one row above the cap never pays for a peel
+        self.no_peel(monkeypatch)
+        rows = simplex.TRIANGULAR_ROWS + 1
+        big = CscMatrix(np.arange(rows + 1), np.arange(rows), np.ones(rows), (rows, rows))
+        assert type(simplex.splu(big)).__name__ == "SuperLU"
+
+    def test_deep_triangular_basis_goes_to_superlu(self):
+        # a bidiagonal basis peels one row per round
+        n = simplex.TRIANGULAR_LEVELS
+        for m, kind in ((n, "_LevelFactor"), (n + 1, "SuperLU")):
+            B = sparse.csc_array(np.eye(m) - np.eye(m, k=-1))
+            lu = simplex.splu(CscMatrix.of(B))
+            assert type(lu).__name__ == kind, m
+            b = np.arange(1.0, m + 1)
+            assert np.allclose(B.toarray() @ lu.solve(b), b, rtol=0, atol=1e-12)
+            assert np.allclose(B.toarray().T @ lu.solve(b, "T"), b, rtol=0, atol=1e-12)
+
+    def test_day24_transfer_bases_never_peel(self, monkeypatch):
+        # 2,404 rows, above the cap: SuperLU factors every basis
+        factors = []
+        factor = simplex.splu
+
+        def counted(B):
+            factors.append(type(lu := factor(B)).__name__)
+            return lu
+
+        self.no_peel(monkeypatch)
+        monkeypatch.setattr(simplex, "splu", counted)
+        outcome = solve_transfer(generate(preset(5), 42))
+        assert outcome.iterations == 1482
+        assert factors == ["SuperLU"] * 48
+
+    @pytest.mark.parametrize("B", [
+        # two rows peel on one column, and the other column is empty
+        CscMatrix(np.array([0, 2, 2]), np.array([0, 1]), np.array([1.0, 1.0]), (2, 2)),
+        # triangular with a stored zero on the diagonal
+        CscMatrix(np.array([0, 2, 3]), np.array([0, 1, 1]), np.array([1.0, 1.0, 0.0]), (2, 2)),
+    ])
+    def test_singular_triangular_basis_raises(self, B):
+        with pytest.raises(NumericalBreakdownError):
+            simplex.splu(B)
 
     def test_maintained_direction_matches_status(self, monkeypatch):
         seen = {"artificial": 0, "dual": 0, "phase 1": 0}
@@ -1083,7 +1185,7 @@ class TestKernel:
             other = np.where(before < 0, solver.up[flips], solver.lo[flips])
             np.testing.assert_array_equal(solver.x[flips], other)
             np.testing.assert_array_equal(solver.dirn[flips], -before)
-            fresh = splu(solver.A[:, solver.basis])
+            fresh = superlu(solver)
             c = in_dual[-1]
             d = c - solver.AT @ fresh.solve(c[solver.basis], trans="T")
             # dual feasibility holds after every pivot, and the reduced costs

@@ -17,6 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csc_array
 
 from ambuplan import (
     Instance,
@@ -151,7 +152,8 @@ def highs(lp):
     hi = np.where(lp.sense >= 0, lp.rhs, np.inf)   # <= and = rows
     return milp(lp.objective, integrality=lp.integrality.astype(int),
                 bounds=Bounds(lp.lower, lp.upper),
-                constraints=[LinearConstraint(lp.A, lo, hi)],
+                constraints=[LinearConstraint(csc_array((lp.A.data, lp.A.indices, lp.A.indptr),
+                                                        shape=lp.A.shape), lo, hi)],
                 options={"mip_rel_gap": 0})
 
 
