@@ -116,6 +116,12 @@ class CscMatrix:
         return CscMatrix(np.concatenate(([0], np.cumsum(lens))), self.indices[pos],
                          self.data[pos], (self.shape[0], len(idx)))
 
+    def to_scipy(self):
+        """This matrix as a scipy.sparse.csc_array over the same arrays;
+        imports scipy."""
+        from scipy.sparse import csc_array
+        return csc_array((self.data, self.indices, self.indptr), shape=self.shape)
+
     def transpose(self) -> CscMatrix:
         """The transpose, by a stable sort of the entries by row: its
         columns are this matrix's rows, each in ascending column order."""

@@ -112,24 +112,36 @@ TRIANGULAR_LEVELS rounds, a numpy level-scheduled factor takes it: ftran
 walks the rounds forward and btran walks them back, a few numpy calls per
 round (Anderson & Saad, Int. J. High Speed Comput. 1, 1989). Any other
 basis, with a bump or above either limit, goes to scipy's SuperLU, and
-scipy is imported on the first such call. Every basis met in solving
-preset 1 (seeds 42-61), presets 2-4 (seed 0), preset 5 (seed 42) and tiny
-seeds 0-199 is triangular: at most 6 rounds deep on the allocation slot
-programs, 12 on preset-1 transfer and 16 on presets 3-5 transfer; random
-programs sometimes keep a bump. So the CLI solves a preset-1 day with
-either model without loading scipy, which takes about 0.15 s. Timed per
-basis on the host above, the peel and the level factor cost about 50 us
-at tiny scale and 60-90 us on the allocation slot bases, where slicing
-the basis for scipy and SuperLU's factorization cost about 80 us and
-90-200 us. A level solve there costs 3-7 us, as SuperLU's does; on the
-preset-1 transfer bases (7 rounds median) it costs 15 us against 6 us,
-about 2 us a round. TRIANGULAR_LEVELS = 16, the deepest basis measured,
-keeps a level solve near 35 us, what SuperLU's costs on the preset-5
-transfer bases. TRIANGULAR_ROWS = 1,024 takes every basis of presets 1-4
-(preset-4 transfer has 952 rows) and leaves the preset-5 transfer bases
-(2,404 rows, 11 rounds median) to SuperLU without paying for a peel:
-there the peel and level factor cost 0.5 ms against SuperLU's 0.3 ms,
-and a level solve is no faster than SuperLU's 34 us.
+scipy is imported on the first such call. The level factor's gain is that
+import, about 0.15 s of a CLI process; on most bases its solves are the
+slower. Every basis met in solving preset 1 (seeds 42-61), presets 2-4
+(seeds 0-1), preset 5 (seed 42) and tiny seeds 0-39 is triangular, and
+each was timed with both factors on the host above. A level solve costs
+about 2.1 us a round, SuperLU's about 3.8 us + 14 ns a row, so the level
+solve is the faster only on bases of at most 2-3 rounds below 300 rows,
+6 rounds at 952 rows and 11 at 2,404. Medians, level against SuperLU on
+the same bases:
+
+- allocation slot programs (52-142 rows, 2 rounds, at most 6): solves
+  3.3-4.8 us against 4.2-5.3 us, factorizations 58-82 us against
+  54-166 us; with about 8 solves a factorization the level factor does
+  less work on every preset.
+- transfer programs, with 40-64 solves a factorization: preset 1 (154
+  rows, 7 rounds, at most 12) 13 us against 6 us; preset 2 (229 rows, 8
+  rounds) 16 against 7; preset 3 (304, 10) 19 against 7.5; preset 4
+  (952, 12) 27 against 16; preset 5 (2,404, 11) 33 against 31, where the
+  peel and the level factor cost 0.40 ms against SuperLU's 0.34 ms.
+
+TRIANGULAR_ROWS = 200 takes every allocation slot program and the
+preset-1 transfer programs, so the CLI solves a preset-1 day with either
+model without loading scipy, in about 0.17 s where it took 0.39 s. In
+process that costs a preset-1 transfer solve about 1.5 ms of 15 ms.
+Presets 2-5 transfer go to SuperLU without a peel: with the cap at 1,024
+rows, in-process preset-3 and preset-4 transfer solves took about 20%
+longer than on SuperLU (5 alternating runs of 15 solves each).
+TRIANGULAR_LEVELS = 12 is the deepest basis met below that cap; a
+12-round solve on the preset-1 transfer program costs 25-38 us against
+SuperLU's 6-7 us.
 
 REFACTOR_EVERY = 32 was chosen on preset 5 (seed 42), before the dual phase
 existed. Going from 64 to 32 doubles the refactorizations (transfer 68 ->
@@ -174,7 +186,7 @@ INTEGRALITY_TOL = 1e-6
 REFACTOR_EVERY = 32  # eta-file length before folding into a fresh LU
 # the largest basis, in rows and in peel rounds, that the level factor
 # takes (see the module docstring)
-TRIANGULAR_ROWS, TRIANGULAR_LEVELS = 1024, 16
+TRIANGULAR_ROWS, TRIANGULAR_LEVELS = 200, 12
 # pivot_row's cost model, in ns: the product A^T rho, and the gather of the
 # rows of A at rho's nonzeros (see the module docstring)
 PRODUCT_NS, PRODUCT_ENTRY_NS = 3000.0, 2.7
@@ -381,11 +393,9 @@ def splu(B: CscMatrix):
         levels = _peel(B)
         if levels is not None:
             return _LevelFactor(B, levels)
-    from scipy.sparse import csc_array
     from scipy.sparse.linalg import splu as superlu
     try:
-        return superlu(csc_array((B.data, B.indices, B.indptr), shape=B.shape),
-                       permc_spec="COLAMD", relax=1, panel_size=1)
+        return superlu(B.to_scipy(), permc_spec="COLAMD", relax=1, panel_size=1)
     except RuntimeError as exc:
         raise NumericalBreakdownError(f"basis factorization failed: {exc}") from exc
 

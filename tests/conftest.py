@@ -104,7 +104,6 @@ def dual_runs(monkeypatch):
     from a basis that prices out on the costs it is given, within each
     column's pricing tolerance, checked against a fresh factorization.
     """
-    from scipy.sparse import csc_array
     from scipy.sparse.linalg import splu
 
     from ambuplan.engine import simplex
@@ -132,8 +131,7 @@ def dual_runs(monkeypatch):
             in_phase_1.discard(solver)
 
     def recorded(solver, c):
-        B = solver.A.columns(solver.basis)
-        y = splu(csc_array((B.data, B.indices, B.indptr), shape=B.shape)).solve(
+        y = splu(solver.A.columns(solver.basis).to_scipy()).solve(
             c[solver.basis], trans="T")
         d = c - solver.AT @ y
         assert np.all(solver.dirn * d <= solver.dtol)

@@ -12,6 +12,7 @@ from scipy.optimize import linprog
 from scipy.sparse.linalg import splu
 
 from ambuplan import (
+    SolveStatus,
     build_allocation_program,
     build_transfer_program,
     generate,
@@ -37,8 +38,7 @@ inf = np.inf
 
 def superlu(solver):
     """scipy's SuperLU factor of the solver's current basis."""
-    B = solver.A.columns(solver.basis)
-    return splu(sparse.csc_array((B.data, B.indices, B.indptr), shape=B.shape))
+    return splu(solver.A.columns(solver.basis).to_scipy())
 
 
 def lp_of(n, cost, lower, upper, rows, integrality=None):
@@ -1028,7 +1028,7 @@ class TestKernel:
             m = B.shape[0]
             if not m:
                 return lu
-            ref = splu(sparse.csc_array((B.data, B.indices, B.indptr), shape=B.shape))
+            ref = splu(B.to_scipy())
             for rhs in (rng.standard_normal(m), rng.standard_normal((m, 2))):
                 for trans in "NT":
                     want = ref.solve(rhs, trans=trans)
@@ -1041,11 +1041,19 @@ class TestKernel:
             inst = generate(tiny_params(s), s)
             solve_allocation(inst)
             solve_transfer(inst)
-        for p in (1, 2, 3):
-            solve_allocation(generate(preset(p), 0))
-            solve_transfer(generate(preset(p), 0))
-        # every basis of the generator's programs is triangular within the cap
+        solve_allocation(generate(preset(1), 0))
+        solve_transfer(generate(preset(1), 0))
+        # every basis of these programs is triangular within the caps
         assert list(kinds) == ["_LevelFactor"] and kinds["_LevelFactor"] > 800, kinds
+        # the transfer bases of presets 2 and 3 (229 and 304 rows, up to 16
+        # rounds) are above the caps; lifted, the level factor takes them
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex, "TRIANGULAR_ROWS", 10**6)
+            patch.setattr(simplex, "TRIANGULAR_LEVELS", 10**6)
+            for p in (2, 3):
+                solve_allocation(generate(preset(p), 0))
+                solve_transfer(generate(preset(p), 0))
+        assert list(kinds) == ["_LevelFactor"], kinds
         draws = np.random.default_rng(11)
         for _ in range(100):
             solve_lp(random_program(draws)[0])
@@ -1085,20 +1093,30 @@ class TestKernel:
             assert np.allclose(B.toarray() @ lu.solve(b), b, rtol=0, atol=1e-12)
             assert np.allclose(B.toarray().T @ lu.solve(b, "T"), b, rtol=0, atol=1e-12)
 
-    def test_day24_transfer_bases_never_peel(self, monkeypatch):
-        # 2,404 rows, above the cap: SuperLU factors every basis
+    @pytest.mark.parametrize("level, seed, iterations, factorizations", [
+        (2, 0, None, None),
+        # day24: the pins of tests/test_transfer.py
+        (5, 42, 1482, 48),
+    ])
+    def test_transfer_bases_above_the_cap_never_peel(self, monkeypatch, level, seed,
+                                                     iterations, factorizations):
+        # 229 and 2,404 rows: SuperLU factors every basis
         factors = []
         factor = simplex.splu
 
         def counted(B):
+            assert B.shape[0] > simplex.TRIANGULAR_ROWS
             factors.append(type(lu := factor(B)).__name__)
             return lu
 
         self.no_peel(monkeypatch)
         monkeypatch.setattr(simplex, "splu", counted)
-        outcome = solve_transfer(generate(preset(5), 42))
-        assert outcome.iterations == 1482
-        assert factors == ["SuperLU"] * 48
+        outcome = solve_transfer(generate(preset(level), seed))
+        assert outcome.status is SolveStatus.OPTIMAL
+        assert factors and set(factors) == {"SuperLU"}
+        if iterations is not None:
+            assert outcome.iterations == iterations
+            assert len(factors) == factorizations
 
     @pytest.mark.parametrize("B", [
         # two rows peel on one column, and the other column is empty

@@ -17,7 +17,6 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csc_array
 
 from ambuplan import (
     Instance,
@@ -152,8 +151,7 @@ def highs(lp):
     hi = np.where(lp.sense >= 0, lp.rhs, np.inf)   # <= and = rows
     return milp(lp.objective, integrality=lp.integrality.astype(int),
                 bounds=Bounds(lp.lower, lp.upper),
-                constraints=[LinearConstraint(csc_array((lp.A.data, lp.A.indices, lp.A.indptr),
-                                                        shape=lp.A.shape), lo, hi)],
+                constraints=[LinearConstraint(lp.A.to_scipy(), lo, hi)],
                 options={"mip_rel_gap": 0})
 
 
