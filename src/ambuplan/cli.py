@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -195,15 +196,9 @@ def plan_to_mapping(model: int, outcome) -> dict:
     _, decided, derived = _PLAN_KEYS[model]
     body = None if plan is None else {k: getattr(plan, k).tolist()
                                       for k in decided + derived}
-    best_bound = outcome.best_bound
-    if best_bound is not None and not isinstance(best_bound, int):
-        bb = float(best_bound)  # an exact int bound is written as it is
-        if not np.isfinite(bb):
-            best_bound = None  # a -inf bound (nothing explored) is not JSON
-        elif bb.is_integer():
-            best_bound = int(bb)
-        else:
-            best_bound = bb
+    # a -inf bound (nothing explored) is not JSON; an exact int is written
+    # as it is
+    best_bound = None if outcome.best_bound == -math.inf else outcome.best_bound
     return {
         "schema_version": SCHEMA_VERSION,
         "model": model,

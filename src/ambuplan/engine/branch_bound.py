@@ -126,7 +126,7 @@ def solve_milp(lp: LinearProgram, node_limit: int | None = None,
                 "child relaxation reported unbounded under tightened bounds")
         if prunable(res.objective):
             continue
-        x = res.x[:lp.num_vars].copy()
+        x = res.x
         xi = x[int_idx]
         frac = xi - np.round(xi)
         if np.all(np.abs(frac) <= INTEGRALITY_TOL):

@@ -1,15 +1,17 @@
 """Bounded-variable dual simplex over a sparse revised formulation.
 
 The program's constraint matrix is converted once into equality standard
-form: a slack column per inequality row, then an artificial unit column per
-row, fixed on [0, 0] at zero cost. Every solve and every branch-and-bound
-node works on that one matrix, held as numpy CSC arrays (CscMatrix). The
-basis inverse is represented by a factorization of the basis (``splu``,
-see "Factors" below) plus a product-form eta file that is folded back into
-a fresh factorization every REFACTOR_EVERY pivots. The crash basis gives
-every inequality row to its slack, whatever value that leaves the slack,
-and each equality row to a structural column singleton that can absorb
-the row's residual within its bounds, else to the row's artificial at the
+form with one logical unit column per row (Maros, "Computational
+Techniques of the Simplex Method", 2003, ch. 1): the slack of an
+inequality row, or the artificial of an equality row, fixed on [0, 0] at
+zero cost. Every solve and every branch-and-bound node works on that one
+matrix, held as numpy CSC arrays (CscMatrix). The basis inverse is
+represented by a factorization of the basis (``splu``, see "Factors"
+below) plus a product-form eta file that is folded back into a fresh
+factorization every REFACTOR_EVERY pivots. The crash basis gives every
+inequality row to its slack, whatever value that leaves the slack, and
+each equality row to a structural column singleton that can absorb the
+row's residual within its bounds, else to the row's artificial at the
 signed residual. An inequality row whose slack sits at
 zero then takes instead a column that prices in, has no other nonzero in an
 inequality row, and stays at its lower bound. On the preset-5 transfer
@@ -26,13 +28,15 @@ slot takes 530.
 
 Every solve then runs the dual simplex from its start. That start must
 price out (dirn * d <= the pricing tolerance 1e-7 + 1e-11 * |c_j| of every
-nonbasic column). The crash basis is triangular, and the crash computes
-its prices y, and from them d, without a factorization; a given start is
-priced once on its first factorization. A column that prices in and has
-a finite upper bound flips to its other bound, where it prices out: at
-the crash it starts on its upper bound and the first factorization
-computes the basic values, and at a given start one ftran of the flipped
-columns updates them, as for the dual's own flips. Both models bound
+nonbasic column). The crash, a given start and phase 1 each put the
+nonbasic columns on their bounds one way (``place``), and the first
+factorization computes the basic values. The crash basis is triangular,
+and the crash computes its prices y, and from them d, without a
+factorization; a given start is priced once on its first factorization.
+A column that prices in and has a finite upper bound flips to its other
+bound, where it prices out: at the crash it is placed on its upper bound,
+and at a given start one ftran of the flipped columns updates the basic
+values, as for the dual's own flips. Both models bound
 every structural column that can price in, so only a slack, or a column
 of a program outside them, can price in without an upper bound. Such a
 column sends the start through dual phase 1: the dual simplex on the
@@ -58,7 +62,7 @@ feasible basis is optimal once it prices out on the fresh factorization
 the dual ends on; where a column prices in there, drift in the updated
 reduced costs hid it, and the start repeats from that basis. The optimum
 must then pass a residual check and a bound check on every column, the
-artificials included, or the solve raises NumericalBreakdownError.
+logicals included, or the solve raises NumericalBreakdownError.
 
 Per-pivot work follows the nonzeros of the pivot column w = B^-1 a_q (a
 median 7% of the rows on the preset-5 transfer program) and of the pivot
@@ -71,8 +75,8 @@ row rather than the row count m or the column count:
   movable at upper, 0 basic or fixed), turns pricing into one product
   dirn * d. Together with the basis it is the only record of a column's
   place: every lower bound is finite, so a nonbasic column sits on lo or up.
-  It is set by the crash, the start or phase 1, and each pivot updates
-  only the entering and leaving entries and those of the columns it flips.
+  It is set by ``place``, and each pivot updates only the entering and
+  leaving entries and those of the columns it flips.
 - The dual computes the reduced costs d = c - A^T B^-T c_B in full only
   after a factorization. A pivot on row r updates them from the pivot row,
   d -= (d_q / alpha_rq) * alpha_r with alpha_r = rho^T A and rho = B^-T e_r
@@ -94,11 +98,11 @@ row rather than the row count m or the column count:
   PRODUCT_ENTRY_NS, GATHER_NS and GATHER_ENTRY_NS. Each solve turns this
   model into the count of rho's nonzeros below which pivot_row gathers; on
   small programs that count is 0 and rho is not even scanned. The two tie
-  near the preset-3 transfer program (nnz(A) + N about 6.5k, about 20 us
-  each), which gathers when rho has at most 8 nonzeros. Tiny programs,
-  the allocation slot programs (at most 2k) and the preset-1 and preset-2
+  near the preset-3 transfer program (nnz(A) + N about 6.3k, about 20 us
+  each), which gathers when rho has at most 7 nonzeros. Tiny programs,
+  the allocation slot programs (at most 1.7k) and the preset-1 and preset-2
   transfer programs take the product, and the preset-4 and preset-5
-  transfer programs (20k and 58k) the gather, 23-31 us against 57-150 us.
+  transfer programs (19k and 54k) the gather, 23-31 us against 53-150 us.
 - A pivot whose ratio test flips columns solves its entering column and
   the flips' moved sum in one two-column call of the factor, so every
   pivot costs one btran and one ftran. On the preset-5 transfer program
@@ -197,16 +201,16 @@ GATHER_NS, GATHER_ENTRY_NS = 16000.0, 40.0
 class StandardForm:
     """Equality form min c x, A x = b, lo <= x <= up shared across solves.
 
-    The columns are the structural ones, then one slack per inequality row,
-    then one artificial +e_k per row k, fixed on [0, 0] at zero cost.
+    The columns are the n_struct structural ones, then one logical column
+    per row k, at n_struct + k, at zero cost: on an inequality row its
+    slack, sense[k] e_k on [0, inf), on an equality row its artificial,
+    +e_k fixed on [0, 0].
     """
 
     m: int
     n_struct: int
-    n_real: int            # structural + slack columns; the artificials follow
-    A: CscMatrix           # m x (n_real + m)
-    slack_sign: np.ndarray  # per row: +1 for <=, -1 for >=, 0 without slack
-    slack_col: np.ndarray  # per row: the column of its slack, where it has one
+    A: CscMatrix           # m x (n_struct + m)
+    sense: np.ndarray      # per row: +1 for <=, -1 for >=, 0 for =
     b: np.ndarray
     cost: np.ndarray
     lower: np.ndarray
@@ -233,7 +237,7 @@ class StandardForm:
         """
         indptr = self.A.indptr[:self.n_struct + 1]
         rows, vals = self.A.indices[:indptr[-1]], self.A.data[:indptr[-1]]
-        sign = self.slack_sign[rows]
+        sign = self.sense[rows]
         counts = indptr[1:] - indptr[:-1]
 
         def per_column(flags: np.ndarray) -> np.ndarray:
@@ -251,24 +255,20 @@ class StandardForm:
 
 
 def build_standard_form(lp: LinearProgram) -> StandardForm:
-    """Append one slack column per inequality row (equalities get none), then
-    one artificial column per row."""
+    """Append one logical column per row: the row's slack, signed by its
+    sense, or the artificial of an equality row."""
     m, n, A = lp.num_rows, lp.num_vars, lp.A
-    slack_rows = np.flatnonzero(lp.sense)
-    s = slack_rows.size
-    # a unit column per slack, signed by its row's sense, then +e_k per row
-    rows = np.concatenate([slack_rows, np.arange(m)]).astype(A.indices.dtype)
-    ends = A.indptr[-1] + np.arange(1, s + m + 1, dtype=A.indptr.dtype)
-    std_A = CscMatrix(np.concatenate([A.indptr, ends]), np.concatenate([A.indices, rows]),
-                      np.concatenate([A.data, lp.sense[slack_rows], np.ones(m)]),
-                      (m, n + s + m))
-    return StandardForm(m=m, n_struct=n, n_real=n + s, A=std_A,
-                        slack_sign=lp.sense.copy(),
-                        slack_col=n - 1 + np.cumsum(lp.sense != 0),
+    slack = lp.sense != 0
+    ends = A.indptr[-1] + np.arange(1, m + 1, dtype=A.indptr.dtype)
+    std_A = CscMatrix(np.concatenate([A.indptr, ends]),
+                      np.concatenate([A.indices, np.arange(m, dtype=A.indices.dtype)]),
+                      np.concatenate([A.data, np.where(slack, lp.sense, 1.0)]),
+                      (m, n + m))
+    return StandardForm(m=m, n_struct=n, A=std_A, sense=lp.sense.copy(),
                         b=lp.rhs.copy(),
-                        cost=np.concatenate([lp.objective, np.zeros(s + m)]),
-                        lower=np.concatenate([lp.lower, np.zeros(s + m)]),
-                        upper=np.concatenate([lp.upper, np.full(s, np.inf), np.zeros(m)]))
+                        cost=np.concatenate([lp.objective, np.zeros(m)]),
+                        lower=np.concatenate([lp.lower, np.zeros(m)]),
+                        upper=np.concatenate([lp.upper, np.where(slack, np.inf, 0.0)]))
 
 
 def _peel(B: CscMatrix) -> list[np.ndarray] | None:
@@ -407,10 +407,8 @@ class _Solver:
                  lo_struct: np.ndarray | None, hi_struct: np.ndarray | None,
                  start: tuple[np.ndarray, np.ndarray] | None = None):
         self.std = std
-        m, n_real = std.m, std.n_real
-        self.m = m
-        self.n_real = n_real
-        self.N = n_real + m
+        m = self.m = std.m
+        self.N = std.n_struct + m
         self.A, self.AT = std.A, std.rows
         # pivot_row gathers a row when rho has fewer nonzeros than this,
         # where the cost model of the module docstring puts the gather below
@@ -430,13 +428,13 @@ class _Solver:
         self.lu = None
         # one (r, w[r], idx, w[idx]) per pivot, idx the other nonzeros of w
         self.etas: list[tuple[int, float, np.ndarray, np.ndarray]] = []
-        self.dirn = None  # from crash_basis or start_basis, then kept by _apply
+        self.dirn = None  # set by place, then kept by _apply
         # reduced costs: computed after a factorization, then updated per
         # pivot; refactor drops them
         self.d = None
         self.iterations = 0
         self.bland_threshold = 5 * (std.n_struct + m)
-        self.max_iterations = 20000 + 50 * (m + n_real)
+        self.max_iterations = 20000 + 50 * (m + self.N)
         # a (basis, dirn) of another solve; one of another shape is ignored
         if start is not None and (start[0].shape != (m,) or start[1].shape != (self.N,)):
             start = None
@@ -491,18 +489,19 @@ class _Solver:
     def crash_basis(self) -> np.ndarray:
         """Crash basis: every inequality row on its slack, or on a column
         that a zero slack makes room for; each equality row on a fitting
-        column singleton, else on its artificial. Returns the reduced costs
-        d = c - A^T y at the basis's prices y (B^T y = c_B), which the crash
-        builds without a factorization.
+        column singleton, else on its artificial. Sets the basis only and
+        returns the reduced costs d = c - A^T y at the basis's prices y
+        (B^T y = c_B), which the crash builds without a factorization.
 
-        A slack takes its row whatever value that leaves it; the dual phase
-        repairs a negative one. An equality row whose residual is nonzero
-        goes to a structural column with its only nonzero in that row,
-        |a| >= PIVOT_TOL, when moving that column to x + resid / a keeps it
-        within this solve's bounds; the lowest such column wins (Bixby, ORSA
-        J. Computing 4(3), 1992). The other equality rows start on their
-        artificials at the signed residual. Every other column starts at its
-        (finite) lower bound. That basis is diagonal, so y = c_B / diag(B).
+        The crash reads every column at its (finite) lower bound, where each
+        basic value is its row's residual over its entry. A slack takes its
+        row whatever value that leaves it; the dual phase repairs a negative
+        one. An equality row whose residual is nonzero goes to a structural
+        column with its only nonzero in that row, |a| >= PIVOT_TOL, when
+        moving that column to lo + resid / a keeps it within this solve's
+        bounds; the lowest such column wins (Bixby, ORSA J. Computing 4(3),
+        1992). The other equality rows start on their artificials at the
+        signed residual. That basis is diagonal, so y = c_B / diag(B).
 
         Then, if some structural column prices in at y, an inequality row
         whose slack sits at exactly zero takes a movable column of
@@ -517,23 +516,21 @@ class _Solver:
         the price becomes y_r = d_q / a_rq. No allocation column prices in
         at the diagonal basis, so a slot program never looks for candidates.
         """
-        std = self.std
-        self.x[:] = self.lo
-        resid = std.b - self.activity(self.x)  # the artificials sit on 0
-        sigma = std.slack_sign
-        slack = sigma != 0
-        basis = np.where(slack, std.slack_col, self.n_real + np.arange(self.m))
-        value = np.where(slack, sigma * resid, resid)
-        diag = np.where(slack, sigma, 1.0)
+        std, n = self.std, self.std.n_struct
+        resid = std.b - self.activity(self.lo)
+        slack = std.sense != 0
+        basis = n + np.arange(self.m)
+        diag = np.where(slack, std.sense, 1.0)  # the logicals' entries, +-1
+        value = diag * resid
 
         # structural column singletons, in column order
         indptr = std.A.indptr
-        cols = np.flatnonzero(np.diff(indptr[:std.n_struct + 1]) == 1)
+        cols = np.flatnonzero(np.diff(indptr[:n + 1]) == 1)
         rows = std.A.indices[indptr[cols]]
         a = std.A.data[indptr[cols]]
         ok = ~slack[rows] & (resid[rows] != 0) & (np.abs(a) >= PIVOT_TOL)
         cols, rows, a = cols[ok], rows[ok], a[ok]
-        x_new = self.x[cols] + resid[rows] / a
+        x_new = self.lo[cols] + resid[rows] / a
         ok = (x_new >= self.lo[cols]) & (x_new <= self.up[cols])
         # the first occurrence of a row is its lowest fitting column
         rows, first = np.unique(rows[ok], return_index=True)
@@ -543,7 +540,6 @@ class _Solver:
         y = self.c[basis] / diag
         d = self.c - self.AT @ y
 
-        n = std.n_struct
         if (d[:n] < -self.dtol[:n]).any():
             cols, row, a, other, starts = std.crash_columns
             k = np.flatnonzero((value[row] == 0) & (self.lo[cols] < self.up[cols])
@@ -555,25 +551,11 @@ class _Solver:
                 rows, first = np.unique(row[k], return_index=True)
                 k = k[first]
                 basis[rows] = cols[k]
-                value[rows] = self.x[cols[k]]
                 y[rows] = d[cols[k]] / a[k]
                 d = self.c - self.AT @ y
 
         self.basis[:] = basis
-        self.x[basis] = value
-        self.dirn = np.where(self.lo < self.up, -1.0, 0.0)
-        self.dirn[basis] = 0.0
         return d
-
-    def start_basis(self) -> None:
-        """Place the start of another solve: its basis, and each nonbasic
-        column on the bound its dirn names. A column at an upper bound that
-        is now infinite goes to its lower bound, and a column with
-        lo == up is fixed, with dirn 0, whatever its dirn was. The basic
-        values follow at the first factorization."""
-        basis, dirn = self.start
-        self.basis[:] = basis
-        self.place((dirn > 0) & np.isfinite(self.up))
 
     def place(self, upper: np.ndarray) -> None:
         """Put each nonbasic column on its upper bound where ``upper``, which
@@ -605,7 +587,7 @@ class _Solver:
         if self.gather_nz > 0:
             nz = np.flatnonzero(rho)
             if nz.size < self.gather_nz:
-                # every row of A holds its artificial: the gather is never empty
+                # every row of A holds its logical: the gather is never empty
                 R = self.std.rows
                 pos, lens = runs(R.indptr, nz)
                 cols = R.indices[pos]
@@ -625,7 +607,7 @@ class _Solver:
         Each pivot takes the basic column with the largest bound violation
         out onto the bound it violates, and brings in the column of its
         pivot row (see pivot_row) that keeps every reduced cost on its
-        side; the artificials sit on [0, 0] and never enter. The reduced
+        side; a fixed column, dirn 0, never enters. The reduced
         costs are updated on the columns of that row only. The columns whose
         breakpoints the ratio test passed first flip to their other bound
         (see _dual_ratio and flip), and the leaving column's step starts
@@ -773,17 +755,16 @@ class _Solver:
     def _apply(self, q: int, sigma: float, w: np.ndarray,
                step: float, r: int, upper: bool) -> None:
         """Move q by step in direction sigma into basis position r, whose
-        column leaves onto its upper bound when ``upper``, else its lower."""
+        column leaves onto its upper bound when ``upper``, else its lower;
+        as in place, a leaving column with lo == up is fixed, with dirn 0."""
         nz = np.flatnonzero(w)
         if step != 0.0:
             self.x[self.basis[nz]] -= step * sigma * w[nz]
         enter_val = self.x[q] + sigma * step
         leave = int(self.basis[r])
-        self.dirn[leave] = 1.0 if upper else -1.0
         self.x[leave] = self.up[leave] if upper else self.lo[leave]
-        if leave >= self.n_real:
-            # an artificial that left the basis never returns
-            self.dirn[leave] = 0.0
+        fixed = self.lo[leave] == self.up[leave]
+        self.dirn[leave] = 0.0 if fixed else 1.0 if upper else -1.0
         self.basis[r] = q
         self.dirn[q] = 0.0
         self.x[q] = enter_val
@@ -800,18 +781,17 @@ class _Solver:
             return LpSolution(LpStatus.INFEASIBLE, None, None)
         c = self.c
         if self.start is None:
+            # the boxed columns that price in at the crash start on their
+            # upper bound, every other column on its lower bound
             d = self.crash_basis()
-            # every nonbasic column sits at its lower bound: the boxed ones
-            # that price in start on their upper bound, and the
-            # factorization computes the basic values
-            flip = np.flatnonzero(self.dirn * d > self.dtol)
-            flip = flip[np.isfinite(self.up[flip])]
-            self.x[flip] = self.up[flip]
-            self.dirn[flip] = 1.0
-            self.refactor()
+            upper = d < -self.dtol
         else:
-            self.start_basis()
-            self.refactor()
+            # each nonbasic column on the bound its dirn names
+            self.basis[:], dirn = self.start
+            upper = dirn > 0
+        self.place(upper & np.isfinite(self.up))
+        self.refactor()
+        if self.start is not None:
             d = self.d = self.reduced_costs(c)
         while True:
             # the start must price out: each boxed column that prices in
@@ -834,9 +814,9 @@ class _Solver:
             if not (self.dirn * d > self.dtol).any():
                 break
         self._verify()
-        x_real = self.x[:self.n_real].copy()
-        obj = float(self.c[:self.n_real] @ x_real)
-        return LpSolution(LpStatus.OPTIMAL, x_real, obj, self.iterations,
+        n = self.std.n_struct
+        x = self.x[:n].copy()
+        return LpSolution(LpStatus.OPTIMAL, x, float(self.c[:n] @ x), self.iterations,
                           (self.basis, self.dirn))
 
     def dual_phase_1(self, d: np.ndarray) -> bool:
@@ -886,7 +866,7 @@ class _Solver:
 
     def _verify(self) -> None:
         """Exact-form residual and bound check on every column, the
-        artificials too: one off [0, 0] hides a violated row."""
+        logicals too: an artificial off [0, 0] hides a violated row."""
         lo, up = self.lo, self.up
         resid = self.activity(self.x) - self.std.b
         row_tol = FEAS_TOL * (1.0 + np.abs(self.std.b))
@@ -903,8 +883,8 @@ def core_solve(std: StandardForm,
                start: tuple[np.ndarray, np.ndarray] | None = None) -> LpSolution:
     """Solve the continuous program over std with optional bound overrides.
 
-    The solution's x spans the structural columns, then the slack columns;
-    the artificials, zero at an optimum, are left out. At OPTIMAL it also
+    The solution's x spans the program's own variables, the structural
+    columns; the logicals are left out. At OPTIMAL it also
     carries the final (basis, dirn), which ``start`` takes back: a solve
     over a standard form of the same shape, whatever its costs, bounds and
     right-hand side, may start from it in place of the crash. A start of
@@ -921,9 +901,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     Statuses: OPTIMAL with a primal-feasible x (rows within FEAS_TOL scaled by
     1 + |rhs|), INFEASIBLE, or UNBOUNDED. Integrality flags are ignored here.
+    The solution is core_solve's over the program's standard form.
     """
-    res = core_solve(build_standard_form(lp))
-    if res.status is not LpStatus.OPTIMAL:
-        return res
-    x = res.x[:lp.num_vars].copy()
-    return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x), res.iterations)
+    return core_solve(build_standard_form(lp))

@@ -98,9 +98,11 @@ def dual_runs(monkeypatch):
     simplex's ``run_dual`` in the test.
 
     A flipped column is nonbasic both where the crash or the given start
-    placed it and at the run's start, on the other bound; in a phase-1 run
-    these are the columns without an upper bound that start on their bound
-    1. A solver may call ``run_dual`` more than once. Each call must start
+    placed it and at the run's start, on the other bound; the crash places
+    every nonbasic column on its lower bound, and a given start where its
+    first ``place`` puts it. In a phase-1 run these are the columns without
+    an upper bound that start on their bound 1. A solver may call
+    ``run_dual`` more than once. Each call must start
     from a basis that prices out on the costs it is given, within each
     column's pricing tolerance, checked against a fresh factorization.
     """
@@ -112,16 +114,18 @@ def dual_runs(monkeypatch):
     placed = {}  # each solver's directions as its crash or start placed them
     in_phase_1 = set()
     run_dual, dual_phase_1 = simplex._Solver.run_dual, simplex._Solver.dual_phase_1
-    crash_basis, start_basis = simplex._Solver.crash_basis, simplex._Solver.start_basis
+    crash_basis, place = simplex._Solver.crash_basis, simplex._Solver.place
 
     def crashed(solver):
         d = crash_basis(solver)
-        placed[solver] = solver.dirn.copy()
+        was = np.where(solver.lo < solver.up, -1.0, 0.0)
+        was[solver.basis] = 0.0
+        placed[solver] = was
         return d
 
-    def started(solver):
-        start_basis(solver)
-        placed[solver] = solver.dirn.copy()
+    def first_placed(solver, upper):
+        place(solver, upper)
+        placed.setdefault(solver, solver.dirn.copy())
 
     def phase_1(solver, d):
         in_phase_1.add(solver)
@@ -142,7 +146,7 @@ def dual_runs(monkeypatch):
         return feasible
 
     monkeypatch.setattr(simplex._Solver, "crash_basis", crashed)
-    monkeypatch.setattr(simplex._Solver, "start_basis", started)
+    monkeypatch.setattr(simplex._Solver, "place", first_placed)
     monkeypatch.setattr(simplex._Solver, "dual_phase_1", phase_1)
     monkeypatch.setattr(simplex._Solver, "run_dual", recorded)
     return runs

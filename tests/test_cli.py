@@ -386,6 +386,20 @@ class TestSolve:
         assert not target.exists()
         capsys.readouterr()
 
+    def test_failed_rename_removes_the_temporary_file(self, tiny1_path, tmp_path,
+                                                      capsys, monkeypatch):
+        # the temporary file is written, and the rename onto the target fails
+        def refused(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("ambuplan.cli.os.replace", refused)
+        target = tmp_path / "plan.json"
+        assert entry(["solve", "--instance", tiny1_path, "--model", "1",
+                      "--out", str(target)]) == 2
+        assert not target.exists()
+        assert not list(tmp_path.glob(".tmp-*.part"))
+        capsys.readouterr()
+
 
 class TestReport:
     def solve_to_file(self, tiny1_path, tmp_path, model):
@@ -525,6 +539,17 @@ class TestCheck:
     def test_negative_cases_rejected(self, capsys):
         assert entry(["check", "--max-cases", "-1"]) == 2
         capsys.readouterr()
+
+    def test_objective_mismatch_exits_5_with_a_report(self, capsys, monkeypatch):
+        def off_by_one(inst, node_limit=None):
+            outcome = solve_allocation(inst, node_limit)
+            return dataclasses.replace(outcome, objective=outcome.objective + 1)
+
+        monkeypatch.setattr("ambuplan.cli.solve_allocation", off_by_one)
+        assert entry(["check", "--model", "1", "--max-cases", "3"]) == 5
+        report = json.loads(capsys.readouterr().out)
+        assert report["seed"] == 0 and report["problem"] == "objective mismatch"
+        assert report["solver"]["objective"] == report["reference"]["objective"] + 1
 
 
 class TestSubprocessPipeline:

@@ -41,6 +41,12 @@ def superlu(solver):
     return splu(solver.A.columns(solver.basis).to_scipy())
 
 
+def artificials(std):
+    """The logical columns of the equality rows of the standard form std,
+    fixed on [0, 0]."""
+    return std.n_struct + np.flatnonzero(std.sense == 0)
+
+
 def lp_of(n, cost, lower, upper, rows, integrality=None):
     if integrality is None:
         integrality = np.zeros(n)
@@ -208,6 +214,33 @@ class TestDirected:
         assert milp.status is MilpStatus.OPTIMAL and milp.objective == 1
 
 
+class TestStandardForm:
+    def test_one_logical_column_per_row(self):
+        # rows <=, = and >=: row k's logical is column n + k, a slack signed
+        # by the row's sense on [0, inf), or the equality row's artificial
+        # fixed on [0, 0]
+        lp = lp_of(2, [1, 2], [0, 0], [3, inf], [
+            LinearRow(((0, 1.0), (1, 1.0)), "<=", 4.0),
+            LinearRow(((0, 2.0),), "=", 2.0),
+            LinearRow(((1, 1.0),), ">=", 1.0),
+        ])
+        std = simplex.build_standard_form(lp)
+        assert (std.m, std.n_struct, std.A.shape) == (3, 2, (3, 5))
+        dense = std.A.to_scipy().toarray()
+        np.testing.assert_array_equal(dense[:, :2], lp.A.to_scipy().toarray())
+        np.testing.assert_array_equal(dense[:, 2:], np.diag([1.0, 1.0, -1.0]))
+        np.testing.assert_array_equal(std.sense, [1, 0, -1])
+        np.testing.assert_array_equal(std.cost, [1, 2, 0, 0, 0])
+        np.testing.assert_array_equal(std.lower, [0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(std.upper, [3, inf, inf, 0, inf])
+        assert artificials(std).tolist() == [3]
+        # both solves return the program's own variables
+        for sol in (simplex.core_solve(std), solve_lp(lp)):
+            assert sol.status is LpStatus.OPTIMAL
+            assert sol.objective == pytest.approx(3.0, abs=1e-9)
+            assert np.allclose(sol.x, [1.0, 1.0], atol=1e-9)
+
+
 class TestCrash:
     """The crash gives an equality row to a column singleton that fits its
     bounds, and an inequality row whose slack sits at zero to a column that
@@ -215,9 +248,15 @@ class TestCrash:
 
     @staticmethod
     def crashed(lp, lo_struct=None, hi_struct=None):
+        """The solver on the crash's basis with every nonbasic column on its
+        lower bound, before any column that prices in flips, and the basic
+        values of a first factorization. Returns (solver, the crash's
+        reduced costs)."""
         solver = simplex._Solver(simplex.build_standard_form(lp), lo_struct, hi_struct)
-        solver.crash_basis()
-        return solver
+        d = solver.crash_basis()
+        solver.place(np.zeros(solver.N, dtype=bool))
+        solver.refactor()
+        return solver, d
 
     @staticmethod
     def phases_run(monkeypatch):
@@ -252,10 +291,10 @@ class TestCrash:
             LinearRow(((0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)), "=", 4.0),
             LinearRow(((1, 1.0), (2, -1.0)), "<=", 1.0),
         ])
-        solver = self.crashed(lp)
+        solver, _ = self.crashed(lp)
         assert solver.basis[0] == 0
         assert solver.x[0] == 4.0
-        assert not solver.x[solver.n_real:].any()
+        assert not solver.x[artificials(solver.std)].any()
         phases = self.phases_run(monkeypatch)
         run_dual, dual_pivots = simplex._Solver.run_dual, []
 
@@ -281,11 +320,11 @@ class TestCrash:
             LinearRow(((0, 1.0), (1, 1.0)), ">=", 3.0),
             LinearRow(((1, 1.0),), "<=", 5.0),
         ])
-        solver = self.crashed(lp)
-        slack = solver.std.slack_col[0]
+        solver, _ = self.crashed(lp)
+        slack = solver.std.n_struct  # the logical of row 0
         assert solver.basis[0] == slack
         assert solver.x[slack] == -3.0
-        assert not solver.x[solver.n_real:].any()
+        assert not solver.x[artificials(solver.std)].any()
         phases = self.phases_run(monkeypatch)
         sol = solve_lp(lp)
         assert phases == ["dual"]
@@ -299,8 +338,8 @@ class TestCrash:
             LinearRow(((0, 1.0), (1, 1.0)), "=", 5.0),
             LinearRow(((1, 1.0),), "<=", 1.0),
         ])
-        solver = self.crashed(lp)
-        assert solver.basis[0] == solver.n_real
+        solver, _ = self.crashed(lp)
+        assert solver.basis[0] == solver.std.n_struct
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
     def test_node_bounds_decide_the_crash(self, monkeypatch):
@@ -309,16 +348,16 @@ class TestCrash:
             LinearRow(((1, 1.0),), "<=", 5.0),
         ])
         std = simplex.build_standard_form(lp)
-        assert self.crashed(lp).basis[0] == 0
+        assert self.crashed(lp)[0].basis[0] == 0
         hi = np.array([1.0, 10.0])
-        assert self.crashed(lp, hi_struct=hi).basis[0] == std.n_real
+        assert self.crashed(lp, hi_struct=hi)[0].basis[0] == std.n_struct
         phases = self.phases_run(monkeypatch)
         res = simplex.core_solve(std, None, hi)
         # nonnegative costs price out at the crash, so phase 1 has no work
         assert phases == ["dual"]
         assert res.status is LpStatus.OPTIMAL
         assert res.objective == pytest.approx(5.0, abs=1e-9)
-        assert np.allclose(res.x[:2], [1.0, 2.0], atol=1e-9)
+        assert np.allclose(res.x, [1.0, 2.0], atol=1e-9)
 
     @staticmethod
     def serve_miniature(x3_upper):
@@ -337,9 +376,8 @@ class TestCrash:
         # x1's other row holds the larger value, so x1 takes the limit row
         # at price -9
         lp = self.serve_miniature(inf)
-        solver = simplex._Solver(simplex.build_standard_form(lp), None, None)
-        d = solver.crash_basis()
-        slack = solver.std.slack_col[0]
+        solver, d = self.crashed(lp)
+        slack = solver.std.n_struct  # the logical of row 0
         assert solver.basis.tolist() == [1, 4, 5]
         assert solver.dirn[slack] == -1.0 and solver.x[slack] == 0.0
         assert np.array_equal(solver.x[:6], [0, 0, 0, 0, 1, 3])
@@ -385,7 +423,7 @@ class TestCrash:
         assert std.crash_columns[0].tolist() == [2, 3]
         solver = simplex._Solver(std, None, None)
         d = solver.crash_basis()
-        assert solver.basis.tolist() == [std.slack_col[0], std.slack_col[1], 4]
+        assert solver.basis.tolist() == [std.n_struct, std.n_struct + 1, 4]
         assert np.array_equal(d, solver.c - solver.AT @ np.array([0.0, 0.0, 10.0]))
 
     def test_allocation_offers_the_crash_no_column(self):
@@ -420,7 +458,7 @@ class TestCrash:
         # dual has no pivot left
         lp, hi = self.negative_cost(inf)
         std = simplex.build_standard_form(lp)
-        assert self.crashed(lp, hi_struct=hi).basis[0] == std.n_real
+        assert self.crashed(lp, hi_struct=hi)[0].basis[0] == std.n_struct
         phases = self.phases_run(monkeypatch)
         res = simplex.core_solve(std, None, hi)
         assert phases == ["phase 1", "dual"]
@@ -428,7 +466,7 @@ class TestCrash:
             == [([1], True), ([], False)]
         assert res.status is LpStatus.OPTIMAL
         assert res.objective == pytest.approx(-6.0, abs=1e-9)
-        assert np.allclose(res.x[:2], [0.0, 3.0], atol=1e-9)
+        assert np.allclose(res.x, [0.0, 3.0], atol=1e-9)
 
     def test_negative_cost_flips_into_the_dual(self, monkeypatch, dual_runs):
         # x1 <= 10 starts on its upper bound, where it prices out, and the
@@ -441,7 +479,7 @@ class TestCrash:
             == [([1], False)]
         assert res.status is LpStatus.OPTIMAL
         assert res.objective == pytest.approx(-6.0, abs=1e-9)
-        assert np.allclose(res.x[:2], [0.0, 3.0], atol=1e-9)
+        assert np.allclose(res.x, [0.0, 3.0], atol=1e-9)
 
     @staticmethod
     def short_of_five(x1_upper):
@@ -506,7 +544,7 @@ class TestCrash:
     def test_transfer_demand_rows_start_on_shortage(self):
         inst = generate(preset(1), 0)
         lp, ix = build_transfer_program(inst)
-        solver = self.crashed(lp)
+        solver, _ = self.crashed(lp)
         zones, slots = inst.demand.shape
         i, t = np.divmod(np.arange(zones * slots), slots)
         demand_rows = lp.num_rows - zones * slots + np.arange(zones * slots)
@@ -514,7 +552,7 @@ class TestCrash:
         assert np.array_equal(solver.basis[demand_rows[calls > 0]], short[calls > 0])
         # a row without calls has nothing to carry and keeps its artificial
         zero = demand_rows[calls == 0]
-        assert zero.size and np.array_equal(solver.basis[zero], solver.n_real + zero)
+        assert zero.size and np.array_equal(solver.basis[zero], solver.std.n_struct + zero)
         assert np.array_equal(solver.x[short], calls)
 
 
@@ -629,7 +667,7 @@ class TestStart:
             ref = simplex.core_solve(std)
             assert res.status is ref.status is LpStatus.OPTIMAL
             assert res.objective == ref.objective == float(np.dot(cost, x))
-            assert np.allclose(res.x[:3], x, atol=1e-9)
+            assert np.allclose(res.x, x, atol=1e-9)
 
     def test_start_of_another_shape_is_ignored(self, monkeypatch):
         std = simplex.build_standard_form(
@@ -689,15 +727,17 @@ class TestProgramValidation:
             lp_of(1, [np.nan], [0], [1], [])
 
     def test_matrix_form_accepted(self):
-        lp = LinearProgram(2, [1, 1], [0, 0], [1, 1], [0, 0],
-                           sparse.csc_array(np.ones((1, 2))), [1], [1.0])
-        assert lp.num_rows == 1
-        assert lp.rows == [LinearRow(((0, 1.0), (1, 1.0)), "<=", 1.0)]
+        # a scipy sparse matrix or a dense 2-d array
+        for A in (sparse.csc_array(np.ones((1, 2))), np.ones((1, 2))):
+            lp = LinearProgram(2, [1, 1], [0, 0], [1, 1], [0, 0], A, [1], [1.0])
+            assert lp.num_rows == 1
+            assert lp.rows == [LinearRow(((0, 1.0), (1, 1.0)), "<=", 1.0)]
 
     @pytest.mark.parametrize("bad", [
         {"A": sparse.csc_array(np.ones((1, 3)))},  # wrong column count
         {"sense": [2]},
         {"rhs": [np.nan]},
+        {"A": np.ones(2)},  # a 1-d array
     ])
     def test_matrix_form_rejected(self, bad):
         parts = dict(A=sparse.csc_array(np.ones((1, 2))), sense=[1], rhs=[1.0])
@@ -1123,6 +1163,8 @@ class TestKernel:
         CscMatrix(np.array([0, 2, 2]), np.array([0, 1]), np.array([1.0, 1.0]), (2, 2)),
         # triangular with a stored zero on the diagonal
         CscMatrix(np.array([0, 2, 3]), np.array([0, 1, 1]), np.array([1.0, 1.0, 0.0]), (2, 2)),
+        # all ones: no row singleton, so SuperLU takes it and fails
+        CscMatrix(np.array([0, 2, 4]), np.array([0, 1, 0, 1]), np.ones(4), (2, 2)),
     ])
     def test_singular_triangular_basis_raises(self, B):
         with pytest.raises(NumericalBreakdownError):
@@ -1134,7 +1176,7 @@ class TestKernel:
 
         def check(solver, q, r, leaving):
             assert_current(solver)
-            seen["artificial"] += leaving >= solver.n_real
+            seen["artificial"] += leaving in artificials(solver.std)
 
         run_dual, dual_phase_1 = simplex._Solver.run_dual, simplex._Solver.dual_phase_1
 
@@ -1220,7 +1262,7 @@ class TestKernel:
             assert err <= 1e-9 * max(1.0, np.abs(want).max()), q
             assert_eta_solves_match(solver, fresh, q, rng)
             seen["pivots"] += 1
-            seen["artificial"] += leaving >= solver.n_real
+            seen["artificial"] += leaving in artificials(solver.std)
             seen["etas"] = max(seen["etas"], len(solver.etas))
             seen["flip pivots"] += flips.size > 0
             seen["flips"] += flips.size
