@@ -15,11 +15,10 @@ coverage is the same in every slot; only demand, costs and capacities
 differ. The plan's ``inventory``, the placed-but-idle vehicles,
 carries no cost and is not a program variable: ``dispatch <= alloc`` keeps
 it nonnegative, and the plan derives it as the running sum of
-``alloc - dispatch``. Every column is bounded: alloc and dispatch by the
-station's capacity, shortage by the slot's calls, bounds that
-``dispatch <= alloc <= capacity`` and the slot's total row imply. So only
-a slack can price in without an upper bound at a slot's start, and only
-then does the start take the engine's dual phase 1.
+``alloc - dispatch``. Every column is boxed, as the engine requires:
+alloc and dispatch by the station's capacity, shortage by the slot's
+calls, bounds that ``dispatch <= alloc <= capacity`` and the slot's total
+row imply. The engine bounds each slack by its row's room over that box.
 ``build_allocation_program`` writes the whole day as one program, for
 inspection and independent checks; ``solve_allocation`` solves one small
 program per slot, each from the previous slot's optimal root basis, and

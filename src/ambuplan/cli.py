@@ -9,8 +9,8 @@ nondeterministic value (wall time) goes to stdout, never into files.
 Exit codes: 0 success, 2 invalid input (bad arguments, malformed or invalid
 files), 3 the instance is infeasible, 4 the node budget ran out before
 optimality was proven, 5 a ``check`` run found a solver/reference mismatch,
-6 the solver failed (numerical breakdown, unbounded relaxation, or a plan
-that did not pass its re-check); no plan file is written then.
+6 the solver failed (numerical breakdown, or a plan that did not pass its
+re-check); no plan file is written then.
 
 Only ``solve`` and ``check`` load the engine: they call the module
 attributes ``solve_allocation`` and ``solve_transfer``, which the package

@@ -15,7 +15,6 @@ from .program import (
     MilpSolution,
     MilpStatus,
     NumericalBreakdownError,
-    UnboundedProgramError,
     matrix_from_blocks,
 )
 from .simplex import FEAS_TOL, INTEGRALITY_TOL, PIVOT_TOL, solve_lp
@@ -33,7 +32,6 @@ __all__ = [
     "MilpSolution",
     "MilpStatus",
     "NumericalBreakdownError",
-    "UnboundedProgramError",
     "matrix_from_blocks",
     "solve_lp",
     "solve_milp",

@@ -34,8 +34,6 @@ from .program import (
     LpStatus,
     MilpSolution,
     MilpStatus,
-    NumericalBreakdownError,
-    UnboundedProgramError,
 )
 from .simplex import INTEGRALITY_TOL, build_standard_form, core_solve
 
@@ -65,9 +63,10 @@ def solve_milp(lp: LinearProgram, node_limit: int | None = None,
     Statuses: OPTIMAL (x integral within 1e-6, objective proved optimal),
     INFEASIBLE, or NODE_LIMIT (budget exhausted; best_bound is still a valid
     lower bound and x/objective carry the incumbent, if any); ``node_limit``
-    caps the number of nodes solved. An unbounded relaxation raises
-    UnboundedProgramError. ``start`` is a ``MilpSolution.basis`` of an
-    earlier solve, which the root relaxation starts from (see core_solve).
+    caps the number of nodes solved. Every upper bound must be finite,
+    else ValueError (see build_standard_form). ``start`` is a
+    ``MilpSolution.basis`` of an earlier solve, which the root relaxation
+    starts from (see core_solve).
     """
     int_idx = np.flatnonzero(lp.integrality)
     std = build_standard_form(lp)
@@ -118,12 +117,6 @@ def solve_milp(lp: LinearProgram, node_limit: int | None = None,
         iterations += res.iterations
         if res.status is LpStatus.INFEASIBLE:
             continue
-        if res.status is LpStatus.UNBOUNDED:
-            if not fixes:
-                raise UnboundedProgramError(
-                    "relaxation is unbounded; no optimal integer point exists")
-            raise NumericalBreakdownError(
-                "child relaxation reported unbounded under tightened bounds")
         if prunable(res.objective):
             continue
         x = res.x

@@ -33,10 +33,6 @@ class NumericalBreakdownError(EngineError):
     """
 
 
-class UnboundedProgramError(EngineError):
-    """Raised when an integer solve meets an unbounded relaxation."""
-
-
 class CscMatrix:
     """A sparse matrix in compressed sparse column form: column j holds the
     values ``data[indptr[j]:indptr[j + 1]]`` in the rows ``indices`` at the
@@ -162,7 +158,6 @@ class LinearRow:
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 class MilpStatus(Enum):
@@ -178,8 +173,9 @@ class LinearProgram:
     ``A`` is a CscMatrix, num_rows x num_vars (any sparse or dense matrix
     given is read into one, see CscMatrix.of). Row k reads ``<=`` when
     ``sense[k]`` is +1, ``>=`` when it is -1 and ``=`` when it is 0. Lower
-    bounds are finite, upper bounds finite or +inf. ``integrality[k]`` marks
-    x_k as integer for ``solve_milp``.
+    bounds are finite, upper bounds finite or +inf, but the engine solves
+    boxed programs only: ``solve_lp`` and ``solve_milp`` require finite
+    upper bounds. ``integrality[k]`` marks x_k as integer for ``solve_milp``.
     """
 
     num_vars: int

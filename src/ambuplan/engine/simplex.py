@@ -19,50 +19,46 @@ program (seed 42) those are the serve columns, one per station and slot.
 
 A solve may instead start from the final (basis, dirn) of another solve
 over a standard form of the same shape, which ``core_solve`` returns and
-takes back. Each nonbasic column then sits on the bound its dirn names; it
-goes to its lower bound where that upper bound is now infinite, and a
-column with lo == up is fixed. Model 1's slot programs share one matrix,
-and on the preset-5 day (seed 42) each slot's optimal basis is optimal for
-the next slot at most slots: 22 pivots in all where the crash in every
-slot takes 530.
+takes back. Each nonbasic column then sits on the bound its dirn names,
+and a column with lo == up is fixed. Model 1's slot programs share one
+matrix, and on the preset-5 day (seed 42) each slot's optimal basis is
+optimal for the next slot at most slots: 22 pivots in all where the crash
+in every slot takes 530.
 
-Every solve then runs the dual simplex from its start. That start must
-price out (dirn * d <= the pricing tolerance 1e-7 + 1e-11 * |c_j| of every
-nonbasic column). The crash, a given start and phase 1 each put the
-nonbasic columns on their bounds one way (``place``), and the first
-factorization computes the basic values. The crash basis is triangular,
+The engine solves boxed programs only: every column has finite bounds.
+A program's own upper bounds must be finite (``build_standard_form``
+raises ValueError otherwise), and each slack takes the bound that the
+row's activity over the structural box implies (Andersen & Andersen,
+Math. Prog. 71, 1995). So no program is unbounded, and every start
+prices out after bound flips, without a phase 1 (Koberstein, PhD thesis,
+Paderborn 2005, ch. 4).
+
+Every solve runs the dual simplex from its start. That start must price
+out (dirn * d <= the pricing tolerance 1e-7 + 1e-11 * |c_j| of every
+nonbasic column). The crash and a given start each put the nonbasic
+columns on their bounds one way (``place``), and the first factorization
+computes the basic values. The crash basis is triangular,
 and the crash computes its prices y, and from them d, without a
 factorization; a given start is priced once on its first factorization.
-A column that prices in and has a finite upper bound flips to its other
-bound, where it prices out: at the crash it is placed on its upper bound,
-and at a given start one ftran of the flipped columns updates the basic
-values, as for the dual's own flips. Both models bound
-every structural column that can price in, so only a slack, or a column
-of a program outside them, can price in without an upper bound. Such a
-column sends the start through dual phase 1: the dual simplex on the
-auxiliary problem min c x, A x = 0, with each column without an upper
-bound on [0, 1] and every other column fixed at 0 (Fourer, "Notes on the
-dual simplex method", 1994; Koberstein, PhD thesis, Paderborn 2005,
-ch. 4). Every movable column of it is boxed, so its start prices out
-after flips. At its optimum either no column without an upper bound
-prices in, and each column goes back to the program's bound it prices
-out on, or one still does, and x is a ray of the program. The dual
-simplex on zero costs, where every basis prices out, then decides between
-UNBOUNDED and INFEASIBLE. On the generator corpus phase 1 runs only at
-allocation slot starts, where a slack prices in.
+A column that prices in flips to its other bound, where it prices out: at
+the crash it is placed on its upper bound, and at a given start one ftran
+of the flipped columns updates the basic values, as for the dual's own
+flips.
 
 The dual is feasible when no basic column violates its bounds by more
 than FEAS_TOL scaled by 1 + its value; a feasible start costs no pivot.
 Otherwise the dual pivots out the basic column with the largest bound
 violation. Its ratio test takes the long step: the columns whose
 breakpoints it passes flip to their other bound instead of each costing
-a pivot. A dual ray proves the program infeasible whatever the costs. On
-the preset-5 transfer program (seed 42) the dual takes 1,482 pivots. The
-feasible basis is optimal once it prices out on the fresh factorization
-the dual ends on; where a column prices in there, drift in the updated
-reduced costs hid it, and the start repeats from that basis. The optimum
-must then pass a residual check and a bound check on every column, the
-logicals included, or the solve raises NumericalBreakdownError.
+a pivot. A dual ray proves the program infeasible whatever the costs,
+and it is the only way a solve answers INFEASIBLE, apart from node bounds
+that cross. On the preset-5 transfer program (seed 42) the dual takes
+1,498 pivots. The feasible basis is optimal once it prices out on the
+fresh factorization the dual ends on; where a column prices in there,
+drift in the updated reduced costs hid it, and the start repeats from
+that basis. The optimum must then pass a residual check and a bound check
+on every column, the logicals included, or the solve raises
+NumericalBreakdownError.
 
 Per-pivot work follows the nonzeros of the pivot column w = B^-1 a_q (a
 median 7% of the rows on the preset-5 transfer program) and of the pivot
@@ -106,7 +102,8 @@ row rather than the row count m or the column count:
 - A pivot whose ratio test flips columns solves its entering column and
   the flips' moved sum in one two-column call of the factor, so every
   pivot costs one btran and one ftran. On the preset-5 transfer program
-  (seed 42) that is 3,060 SuperLU solves for 1,482 pivots, where a
+  (seed 42) that is 3,092 SuperLU solves for 1,498 pivots. Measured
+  when that solve took 1,482 pivots, one call made 3,060 solves where a
   separate ftran for the flips took 3,956.
 
 Factors. ``splu`` factors each basis in one of two ways. A basis of at
@@ -203,8 +200,8 @@ class StandardForm:
 
     The columns are the n_struct structural ones, then one logical column
     per row k, at n_struct + k, at zero cost: on an inequality row its
-    slack, sense[k] e_k on [0, inf), on an equality row its artificial,
-    +e_k fixed on [0, 0].
+    slack, sense[k] e_k on [0, the row's room over the structural box], on
+    an equality row its artificial, +e_k fixed on [0, 0].
     """
 
     m: int
@@ -256,9 +253,27 @@ class StandardForm:
 
 def build_standard_form(lp: LinearProgram) -> StandardForm:
     """Append one logical column per row: the row's slack, signed by its
-    sense, or the artificial of an equality row."""
+    sense, or the artificial of an equality row.
+
+    Every upper bound of lp must be finite, else ValueError. Slack k takes
+    the upper bound max(0, sense[k] * (rhs[k] - act[k])), with act[k] the
+    row's activity over the box at the end that leaves the slack the most
+    room: each entry a at its column's lower bound where a * sense[k] > 0,
+    else at its upper (Andersen & Andersen, Math. Prog. 71, 1995). A row
+    with no room over the box gets a slack on [0, 0] rather than an early
+    answer, so the dual's ray stays the one proof of infeasibility. A
+    node's tighter bounds leave these bounds valid.
+    """
     m, n, A = lp.num_rows, lp.num_vars, lp.A
+    if not np.isfinite(lp.upper).all():
+        bad = int(np.argmin(np.isfinite(lp.upper)))
+        raise ValueError(f"variable {bad}: upper bound {lp.upper[bad]} is not finite;"
+                         " the engine solves boxed programs only")
     slack = lp.sense != 0
+    cols = A.entry_columns()
+    low = A.data * lp.sense[A.indices] > 0
+    act = np.bincount(A.indices, A.data * np.where(low, lp.lower[cols], lp.upper[cols]),
+                      minlength=m)
     ends = A.indptr[-1] + np.arange(1, m + 1, dtype=A.indptr.dtype)
     std_A = CscMatrix(np.concatenate([A.indptr, ends]),
                       np.concatenate([A.indices, np.arange(m, dtype=A.indices.dtype)]),
@@ -268,7 +283,8 @@ def build_standard_form(lp: LinearProgram) -> StandardForm:
                         b=lp.rhs.copy(),
                         cost=np.concatenate([lp.objective, np.zeros(m)]),
                         lower=np.concatenate([lp.lower, np.zeros(m)]),
-                        upper=np.concatenate([lp.upper, np.where(slack, np.inf, 0.0)]))
+                        upper=np.concatenate([lp.upper,
+                                              np.maximum(0.0, lp.sense * (lp.rhs - act))]))
 
 
 def _peel(B: CscMatrix) -> list[np.ndarray] | None:
@@ -422,7 +438,6 @@ class _Solver:
         rest = slice(std.n_struct, None)
         self.lo = std.lower if lo_struct is None else np.concatenate([lo_struct, std.lower[rest]])
         self.up = std.upper if hi_struct is None else np.concatenate([hi_struct, std.upper[rest]])
-        self.b = std.b  # dual_phase_1 solves on b = 0
         self.x = np.zeros(self.N)
         self.basis = np.zeros(m, dtype=np.int64)
         self.lu = None
@@ -465,7 +480,7 @@ class _Solver:
         drift of the per-pivot updates."""
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        self.x[self.basis] = self.lu.solve(self.b - self.activity(xn))
+        self.x[self.basis] = self.lu.solve(self.std.b - self.activity(xn))
 
     def ftran(self, col: np.ndarray) -> np.ndarray:
         """B^-1 col, for one column or for several side by side."""
@@ -495,9 +510,9 @@ class _Solver:
 
         The crash reads every column at its (finite) lower bound, where each
         basic value is its row's residual over its entry. A slack takes its
-        row whatever value that leaves it; the dual phase repairs a negative
-        one. An equality row whose residual is nonzero goes to a structural
-        column with its only nonzero in that row, |a| >= PIVOT_TOL, when
+        row whatever value that leaves it; the dual repairs one off its
+        bounds. An equality row whose residual is nonzero goes to a
+        structural column with its only nonzero in that row, |a| >= PIVOT_TOL, when
         moving that column to lo + resid / a keeps it within this solve's
         bounds; the lowest such column wins (Bixby, ORSA J. Computing 4(3),
         1992). The other equality rows start on their artificials at the
@@ -558,10 +573,10 @@ class _Solver:
         return d
 
     def place(self, upper: np.ndarray) -> None:
-        """Put each nonbasic column on its upper bound where ``upper``, which
-        must be finite there, else on its lower bound; a column with
-        lo == up is fixed, with dirn 0. The basic values are left to the
-        next factorization or basic_values."""
+        """Put each nonbasic column on its upper bound where ``upper``, else
+        on its lower bound; a column with lo == up is fixed, with dirn 0.
+        The basic values are left to the next factorization or
+        basic_values."""
         self.dirn = np.where(self.lo == self.up, 0.0, np.where(upper, 1.0, -1.0))
         self.dirn[self.basis] = 0.0
         self.x[:] = np.where(upper, self.up, self.lo)
@@ -708,9 +723,9 @@ class _Solver:
         PhD thesis, Paderborn 2005, section 3.3): passing breakpoint j flips
         column j to its other bound, which lowers the slope by
         |alpha_j| * (up_j - lo_j). The first column whose range would turn
-        the slope non-positive, or that has no upper bound, enters (the last
-        one when none does), and every column passed before it flips. Among
-        near-tied ratios at the entering one the largest |alpha_j| enters.
+        the slope non-positive enters (the last one when none does), and
+        every column passed before it flips. Among near-tied ratios at the
+        entering one the largest |alpha_j| enters.
         The columns are sorted only when the smallest ratio's column leaves
         the slope positive, so a pivot without flips pays for no sort.
         """
@@ -726,7 +741,7 @@ class _Solver:
             return int(cols[tied[0]]), cols[:0]
         k = int(tied[np.argmax(da[tied])])
         q = int(cols[k])
-        if not da[k] * (self.up[q] - self.lo[q]) < slope:
+        if da[k] * (self.up[q] - self.lo[q]) >= slope:
             return q, cols[:0]
         drop = da * (self.up[cols] - self.lo[cols])
         # breakpoints by ratio, the larger |alpha| first among equal ones
@@ -738,10 +753,9 @@ class _Solver:
         return int(cols[tied[np.argmax(da[tied])]]), cols[order[:i]]
 
     def moves(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The moves delta that take the nonbasic columns cols, each movable
-        and boxed, across their whole range to their other bound, and the
-        sum of their moved columns, sum_j a_j delta_j, gathered from the
-        CSC arrays."""
+        """The moves delta that take the nonbasic columns cols, each movable,
+        across their whole range to their other bound, and the sum of their
+        moved columns, sum_j a_j delta_j, gathered from the CSC arrays."""
         delta = -self.dirn[cols] * (self.up[cols] - self.lo[cols])
         return delta, self.A.combination(cols, delta)
 
@@ -781,27 +795,23 @@ class _Solver:
             return LpSolution(LpStatus.INFEASIBLE, None, None)
         c = self.c
         if self.start is None:
-            # the boxed columns that price in at the crash start on their
-            # upper bound, every other column on its lower bound
+            # the columns that price in at the crash start on their upper
+            # bound, every other column on its lower bound
             d = self.crash_basis()
             upper = d < -self.dtol
         else:
             # each nonbasic column on the bound its dirn names
             self.basis[:], dirn = self.start
             upper = dirn > 0
-        self.place(upper & np.isfinite(self.up))
+        self.place(upper)
         self.refactor()
         if self.start is not None:
             d = self.d = self.reduced_costs(c)
         while True:
-            # the start must price out: each boxed column that prices in
-            # flips to its other bound, and one without an upper bound
-            # sends the start through dual phase 1
+            # the start must price out: each column that prices in flips to
+            # its other bound
             cols = np.flatnonzero(self.dirn * d > self.dtol)
-            if not np.isfinite(self.up[cols]).all():
-                if not self.dual_phase_1(d):
-                    return self.ray()
-            elif cols.size:
+            if cols.size:
                 delta, moved = self.moves(cols)
                 self.flip(cols, delta, self.ftran(moved))
             if not self.run_dual(c):
@@ -818,51 +828,6 @@ class _Solver:
         x = self.x[:n].copy()
         return LpSolution(LpStatus.OPTIMAL, x, float(self.c[:n] @ x), self.iterations,
                           (self.basis, self.dirn))
-
-    def dual_phase_1(self, d: np.ndarray) -> bool:
-        """Move the basis, whose reduced costs are d, to one at which no
-        column without an upper bound prices in, by the dual simplex on
-        the auxiliary problem min c x, A x = 0, each column without an
-        upper bound on [0, 1] and every other column fixed at 0 (Fourer,
-        "Notes on the dual simplex method", 1994; Koberstein, PhD thesis,
-        Paderborn 2005, ch. 4).
-
-        The auxiliary problem has the program's costs and basis, so the
-        same reduced costs, and it boxes every movable column: its start
-        prices out with the columns that price in on their upper bound 1,
-        and x = 0 is feasible, so the dual reaches its optimum. There
-        c x = sum of d_j over the columns at 1. A column without an upper
-        bound that still prices in makes that sum negative, and then x is a
-        ray, a direction that keeps every bound and row of the program and
-        lowers its objective. Each nonbasic column then returns to the
-        program's bound it prices out on, a column without an upper bound
-        to its lower bound, and the basic values follow on the fresh
-        factorization that the dual ends on. Returns False on a ray, with
-        the basis placed all the same.
-        """
-        bounds = self.lo, self.up, self.b
-        free = np.isinf(self.up)
-        self.lo, self.up, self.b = np.zeros(self.N), free.astype(float), np.zeros(self.m)
-        self.place(free & (d < -self.dtol))
-        self.basic_values()
-        self.d = d
-        if not self.run_dual(self.c):
-            raise NumericalBreakdownError("dual phase 1 found x = 0 infeasible")
-        d = self.d if self.d is not None else self.reduced_costs(self.c)
-        self.lo, self.up, self.b = bounds
-        self.place(np.isfinite(self.up) & (d < -self.dtol))
-        self.basic_values()
-        self.d = d
-        return not (self.dirn * d > self.dtol).any()
-
-    def ray(self) -> LpSolution:
-        """UNBOUNDED or INFEASIBLE after dual phase 1 found a ray: the dual
-        simplex on zero costs, at which every basis prices out, decides
-        whether the program has a feasible point for the ray to start from."""
-        zero = np.zeros(self.N)
-        self.d = zero.copy()
-        status = LpStatus.UNBOUNDED if self.run_dual(zero) else LpStatus.INFEASIBLE
-        return LpSolution(status, None, None, self.iterations)
 
     def _verify(self) -> None:
         """Exact-form residual and bound check on every column, the
@@ -881,7 +846,9 @@ def core_solve(std: StandardForm,
                lo_struct: np.ndarray | None = None,
                hi_struct: np.ndarray | None = None,
                start: tuple[np.ndarray, np.ndarray] | None = None) -> LpSolution:
-    """Solve the continuous program over std with optional bound overrides.
+    """Solve the continuous program over std with optional bound overrides,
+    which must lie within the program's bounds (the slacks' bounds are
+    implied by those).
 
     The solution's x spans the program's own variables, the structural
     columns; the logicals are left out. At OPTIMAL it also
@@ -896,11 +863,11 @@ def core_solve(std: StandardForm,
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Bounded-variable dual simplex on the continuous relaxation, from the
-    crash basis with the boxed columns that price in flipped, through dual
-    phase 1 where a column without an upper bound prices in.
+    crash basis with the columns that price in flipped.
 
     Statuses: OPTIMAL with a primal-feasible x (rows within FEAS_TOL scaled by
-    1 + |rhs|), INFEASIBLE, or UNBOUNDED. Integrality flags are ignored here.
-    The solution is core_solve's over the program's standard form.
+    1 + |rhs|) or INFEASIBLE. Integrality flags are ignored here. The
+    solution is core_solve's over the program's standard form; an infinite
+    upper bound raises ValueError (see build_standard_form).
     """
     return core_solve(build_standard_form(lp))

@@ -15,12 +15,13 @@ stock as ``transfer_in = max(0, Δstock)`` and ``transfer_out = max(0,
 on top of the holding and service costs. Serving is limited by on-site
 stock; unmet demand is priced per zone at the ``big_m`` weight.
 
-Every column but ``tin`` has an upper bound: stock its station's capacity,
-the fleet ``fleet_size``, and each serve and shortage column its zone's
-demand in that slot, which the demand rows imply. ``tin`` costs at least 0
-in rows that start on their slacks, so it never prices in at the crash.
-The engine's dual start flips each column that does price in to its upper
-bound, and no start needs the engine's dual phase 1.
+Every column has an upper bound, as the engine requires: stock its
+station's capacity, the fleet ``fleet_size``, each serve and shortage
+column its zone's demand in that slot, which the demand rows imply, and
+``tin`` its station's capacity in that slot. That last bound cuts off no
+optimum: the rise ``stock[j][t] - stock[j][t-1]`` that ``tin`` pays for is
+at most ``capacity[j][t]``, and the plan reads no ``tin``. The engine's
+dual start flips each column that prices in to its upper bound.
 """
 
 from __future__ import annotations
@@ -118,9 +119,9 @@ def build_transfer_program(inst: Instance) -> tuple[LinearProgram, TransferIndex
                           np.full(jm.size, float(inst.transfer_cost)),
                           np.full(zn * tn, float(inst.big_m)), [0.0]])
     # a zone's demand bounds its serve and shortage columns, as its demand
-    # row implies
+    # row implies, and a station's capacity its arrivals
     upper = np.concatenate([inst.capacity.ravel(), inst.demand[pi].ravel(),
-                            np.full(mj.size, np.inf), inst.demand.ravel(),
+                            inst.capacity[mj, mt], inst.demand.ravel(),
                             [float(inst.fleet_size)]])
     lp = LinearProgram(n, obj, np.zeros(n), upper, np.ones(n, dtype=bool),
                        matrix_from_blocks(blocks, (sense.size, n)), sense, rhs)

@@ -93,16 +93,14 @@ def unmet_rows():
 
 @pytest.fixture
 def dual_runs(monkeypatch):
-    """One (columns the start flipped to their other bound, whether the run
-    is dual phase 1's, whether it reached a feasible basis) per call of the
-    simplex's ``run_dual`` in the test.
+    """One (columns the start flipped to their other bound, whether it
+    reached a feasible basis) per call of the simplex's ``run_dual`` in the
+    test.
 
     A flipped column is nonbasic both where the crash or the given start
     placed it and at the run's start, on the other bound; the crash places
     every nonbasic column on its lower bound, and a given start where its
-    first ``place`` puts it. In a phase-1 run these are the columns without
-    an upper bound that start on their bound 1. A solver may call
-    ``run_dual`` more than once. Each call must start
+    first ``place`` puts it. A solver may call ``run_dual`` more than once. Each call must start
     from a basis that prices out on the costs it is given, within each
     column's pricing tolerance, checked against a fresh factorization.
     """
@@ -112,8 +110,7 @@ def dual_runs(monkeypatch):
 
     runs = []
     placed = {}  # each solver's directions as its crash or start placed them
-    in_phase_1 = set()
-    run_dual, dual_phase_1 = simplex._Solver.run_dual, simplex._Solver.dual_phase_1
+    run_dual = simplex._Solver.run_dual
     crash_basis, place = simplex._Solver.crash_basis, simplex._Solver.place
 
     def crashed(solver):
@@ -127,13 +124,6 @@ def dual_runs(monkeypatch):
         place(solver, upper)
         placed.setdefault(solver, solver.dirn.copy())
 
-    def phase_1(solver, d):
-        in_phase_1.add(solver)
-        try:
-            return dual_phase_1(solver, d)
-        finally:
-            in_phase_1.discard(solver)
-
     def recorded(solver, c):
         y = splu(solver.A.columns(solver.basis).to_scipy()).solve(
             c[solver.basis], trans="T")
@@ -142,11 +132,10 @@ def dual_runs(monkeypatch):
         was = placed[solver]
         flipped = np.flatnonzero((solver.dirn != was) & (solver.dirn != 0) & (was != 0))
         feasible = run_dual(solver, c)
-        runs.append((flipped, solver in in_phase_1, feasible))
+        runs.append((flipped, feasible))
         return feasible
 
     monkeypatch.setattr(simplex._Solver, "crash_basis", crashed)
     monkeypatch.setattr(simplex._Solver, "place", first_placed)
-    monkeypatch.setattr(simplex._Solver, "dual_phase_1", phase_1)
     monkeypatch.setattr(simplex._Solver, "run_dual", recorded)
     return runs

@@ -44,7 +44,10 @@ def explicit_transfer_program(inst: Instance) -> LinearProgram:
     stock: stock evolves only through moves, a station sends no more than it
     held, and every arrival left somewhere. Columns: the stock, serve,
     transfer-in and shortage blocks of ``TransferIndex``, then the
-    transfer-out block where the fleet column would be.
+    transfer-out block where the fleet column would be. The transfer
+    columns have no upper bound, so HiGHS's answers also check that
+    ``build_transfer_program``'s bound of capacity on each arrival cuts off
+    no optimum.
     """
     jn, zn, tn = inst.num_stations, inst.num_zones, inst.num_slots
     ix = TransferIndex.for_instance(inst)
@@ -286,12 +289,13 @@ def test_half_integral_transfer_vertex_agrees_with_highs():
     assert outcome.objective == round(ref.fun) == 11_375_952
 
 
-@pytest.mark.parametrize("first", range(0, 200, 50))
-def test_random_instances_match_highs(first):
-    # valid instances beyond the generator, capacities of 0 in some slots
-    # among them: each model's status and optimum against HiGHS on its
-    # whole-day program, and each plan against the exact evaluator
-    for seed in range(first, first + 50):
+def check_random_instances(seeds):
+    """Each model's status and optimum against HiGHS on its whole-day
+    program, and each plan against the exact evaluator, on
+    ``random_instance(seed)`` for each seed. CI runs it on seeds 200-1999:
+    ``PYTHONPATH=src:tests python -c "import test_highs;
+    test_highs.check_random_instances(range(200, 2000))"``."""
+    for seed in seeds:
         inst = random_instance(seed)
         assert not validate_instance(inst), seed
         for model in sorted(MODELS):
@@ -306,3 +310,10 @@ def test_random_instances_match_highs(first):
             assert outcome.status is SolveStatus.OPTIMAL, label
             assert outcome.objective == round(ref.fun), label
             assert EVALUATORS[model](inst, outcome.plan) == (outcome.objective, []), label
+
+
+@pytest.mark.parametrize("first", range(0, 200, 50))
+def test_random_instances_match_highs(first):
+    # valid instances beyond the generator, capacities of 0 in some slots
+    # among them
+    check_random_instances(range(first, first + 50))

@@ -39,12 +39,14 @@ def row_by_row_program(inst: Instance) -> LinearProgram:
     ix = TransferIndex.for_instance(inst)
     obj, upper = np.zeros(ix.num_vars), np.full(ix.num_vars, np.inf)
     upper[ix.fleet] = inst.fleet_size
+    # a station's capacity bounds its stock and its arrivals
     for j in range(jn):
         for t in range(tn):
             obj[ix.stock(j, t)] = inst.hold_cost[j, t]
             upper[ix.stock(j, t)] = inst.capacity[j, t]
             if t > 0:
                 obj[ix.transfer_in(j, t)] = inst.transfer_cost
+                upper[ix.transfer_in(j, t)] = inst.capacity[j, t]
     # a zone's demand bounds the calls any one station answers there, and
     # the zone's shortage
     for (j, i) in ix.pairs:
@@ -318,12 +320,11 @@ class TestSolve:
     def test_headline_instance_pins_the_dual_simplex(self):
         # the 24-slot, 20-station, 60-zone day of the paper's benchmark. The
         # crash puts a serve column in each limit row, and every column that
-        # prices in there is boxed and starts on its upper bound, so the
-        # start needs no phase 1 and the dual does every pivot, from the
-        # hyper-sparse pivot row. A change that moves the start or the
-        # entering choices fails here
+        # prices in there starts on its upper bound, so the dual does every
+        # pivot, from the hyper-sparse pivot row. A change that moves the
+        # start or the entering choices fails here
         outcome = solve_transfer(generate(preset(5), 42))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == 170_053_492
         assert outcome.nodes == 1
-        assert outcome.iterations == 1_482
+        assert outcome.iterations == 1_498
