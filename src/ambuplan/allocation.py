@@ -9,26 +9,27 @@ Decision variables, all integer, for stations j and slots t:
 Placement must cover every zone's demand outright (a zone whose demand cannot
 be covered makes the instance infeasible), while dispatch shortfalls are
 merely priced at the ``big_m`` weight. No balance equation ties one slot to
-another, so the program separates exactly by slot, and its columns come in
-one block per slot. Every slot program has the same constraint matrix, since
-coverage is the same in every slot; only demand, costs and capacities
-differ. The plan's ``inventory``, the placed-but-idle vehicles,
+another, so the program separates exactly by slot, and its rows and
+columns come in one block per slot. Every slot program has the same
+constraint matrix, since coverage is the same in every slot; only demand,
+costs and capacities differ. The plan's ``inventory``, the placed-but-idle vehicles,
 carries no cost and is not a program variable: ``dispatch <= alloc`` keeps
 it nonnegative, and the plan derives it as the running sum of
 ``alloc - dispatch``. Every column is boxed, as the engine requires:
 alloc and dispatch by the station's capacity, shortage by the slot's
 calls, bounds that ``dispatch <= alloc <= capacity`` and the slot's total
 row imply. The engine bounds each slack by its row's room over that box.
-``build_allocation_program`` writes the whole day as one program, for
-inspection and independent checks; ``solve_allocation`` solves one small
-program per slot, each from the previous slot's optimal root basis, and
-joins their blocks.
+``build_allocation_program`` writes the whole day as one program, whose
+diagonal blocks are the slot programs. ``solve_allocation`` builds it once
+and solves one small program per slot over the first block's matrix, with
+the slot's own costs, bounds and right-hand side, each from the previous
+slot's optimal root basis and its factor, and joins their blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .core import (
     validate_instance,
 )
 from .engine import (
+    CscMatrix,
     LinearProgram,
     MilpSolution,
     MilpStatus,
@@ -74,36 +76,43 @@ class AllocationIndex:
 
 
 def build_allocation_program(inst: Instance) -> tuple[LinearProgram, AllocationIndex]:
-    """Assemble the integer program; returns it with its column layout."""
+    """Assemble the integer program; returns it with its column layout.
+
+    Rows come in one block per slot, as columns do: the fleet row, the
+    placed row of each zone, the dispatched row of each zone, the total row
+    and the limit row of each station. So slot t's program is the diagonal
+    block t, and every block holds the same matrix.
+    """
     jn, zn, tn = inst.num_stations, inst.num_zones, inst.num_slots
     ix = AllocationIndex(jn, tn)
     n = ix.num_vars
-    jt = np.arange(jn * tn)             # station-major (j, t)
-    j, t = np.divmod(jt, tn)
-    it = np.arange(zn * tn)             # zone-major (i, t)
+    sizes = [1, zn, zn, 1, jn]
+    # each slot's first fleet, placed, dispatched, total and limit row
+    fleet, placed, dispatched, total, limit = (
+        np.arange(tn)[:, None] * sum(sizes) + np.cumsum([0] + sizes[:-1])).T
+    t, j = np.divmod(np.arange(tn * jn), jn)  # slot-major (t, j)
+    t_i, i = np.divmod(np.arange(tn * zn), zn)  # slot-major (t, i)
     slot = np.arange(tn)
     cj, ci = np.nonzero(inst.coverage)  # covering (j, i) pairs, once per slot
-    cj, ct = np.repeat(cj, tn), np.tile(slot, ci.size)
-    cover = np.repeat(ci, tn) * tn + ct  # the (i, t) row each pair-slot covers
-    sizes = [tn, it.size, it.size, tn, jt.size]
-    placed, dispatched, total, limit = np.cumsum(sizes[:-1]).tolist()
+    ct = np.repeat(slot, cj.size)
+    cj, ci = np.tile(cj, tn), np.tile(ci, tn)
     blocks = [
         # fleet cap per slot
-        (t, ix.alloc(j, t), 1.0),
+        (fleet[t], ix.alloc(j, t), 1.0),
         # placed coverage must meet each zone's demand
-        (placed + cover, ix.alloc(cj, ct), 1.0),
+        (placed[ct] + ci, ix.alloc(cj, ct), 1.0),
         # dispatched coverage may fall short by the slot's shortage
-        (dispatched + cover, ix.dispatch(cj, ct), 1.0),
-        (dispatched + it, ix.shortage(it % tn), 1.0),
+        (dispatched[ct] + ci, ix.dispatch(cj, ct), 1.0),
+        (dispatched[t_i] + i, ix.shortage(t_i), 1.0),
         # every call is either answered or counted short
-        (total + t, ix.dispatch(j, t), 1.0), (total + slot, ix.shortage(slot), 1.0),
+        (total[t], ix.dispatch(j, t), 1.0), (total, ix.shortage(slot), 1.0),
         # cannot dispatch more than was placed
-        (limit + jt, ix.dispatch(j, t), 1.0), (limit + jt, ix.alloc(j, t), -1.0),
+        (limit[t] + j, ix.dispatch(j, t), 1.0), (limit[t] + j, ix.alloc(j, t), -1.0),
     ]
-    sense = np.repeat([1.0, -1.0, -1.0, 0.0, 1.0], sizes)
-    demand = inst.demand.ravel()
-    rhs = np.concatenate([np.full(tn, float(inst.fleet_size)), demand, demand,
-                          inst.demand.sum(axis=0, dtype=float), np.zeros(jt.size)])
+    sense = np.tile(np.repeat([1.0, -1.0, -1.0, 0.0, 1.0], sizes), tn)
+    demand = inst.demand.T
+    rhs = np.column_stack([np.full(tn, float(inst.fleet_size)), demand, demand,
+                           inst.demand.sum(axis=0, dtype=float), np.zeros((tn, jn))]).ravel()
     # each slot's block: alloc, dispatch, shortage
     obj = np.column_stack([inst.hold_cost.T, inst.dispatch_cost.T,
                            np.full(tn, float(inst.big_m))]).ravel()
@@ -129,8 +138,12 @@ def solve_allocation(inst: Instance, node_limit: int | None = None) -> SolveOutc
     ``solving_form(inst)``: the fleet the stations can hold and the smallest
     ``big_m`` valid for it. On OPTIMAL the returned objective is the
     exact integer cost of the plan at ``inst.big_m``, and the plan has been
-    re-checked against every model rule. Each slot's root relaxation starts
-    from the final basis of the previous slot's root, which is often
+    re-checked against every model rule. The day's program is built once,
+    and slot t's program is its diagonal block t: every slot shares block
+    0's matrix, and takes its own slices of the costs, bounds and
+    right-hand side. So every slot after the first shares the first slot's
+    standard form but for those, and its root relaxation starts from the
+    previous slot's final root basis and the factor of it, which is often
     optimal for it already; the first slot starts from the crash. Nodes and
     iterations are summed over the slots, and ``node_limit`` is one budget
     that each slot draws what is left of. The first infeasible slot makes the instance
@@ -138,6 +151,11 @@ def solve_allocation(inst: Instance, node_limit: int | None = None) -> SolveOutc
     with a plan only when every slot found one.
     """
     priced = solving_form(inst, validate_instance(inst))
+    day, ix = build_allocation_program(priced)
+    cols, rows = day.num_vars // ix.num_slots, day.num_rows // ix.num_slots
+    end = day.A.indptr[cols]
+    block = CscMatrix(day.A.indptr[:cols + 1], day.A.indices[:end], day.A.data[:end],
+                      (rows, cols))
     blocks = []                         # each solved slot's columns
     status, found = MilpStatus.OPTIMAL, True
     objective = nodes = iterations = bound = 0
@@ -147,12 +165,9 @@ def solve_allocation(inst: Instance, node_limit: int | None = None) -> SolveOutc
             # the shared budget is spent: this slot and the rest go unexplored
             status, found, bound = MilpStatus.NODE_LIMIT, False, -math.inf
             break
-        one = slice(t, t + 1)
-        slot = replace(priced, num_slots=1, capacity=priced.capacity[:, one],
-                       hold_cost=priced.hold_cost[:, one],
-                       dispatch_cost=priced.dispatch_cost[:, one],
-                       demand=priced.demand[:, one])
-        lp, _ = build_allocation_program(slot)
+        c, r = slice(t * cols, (t + 1) * cols), slice(t * rows, (t + 1) * rows)
+        lp = LinearProgram(cols, day.objective[c], day.lower[c], day.upper[c],
+                           day.integrality[c], block, day.sense[r], day.rhs[r])
         res = solve_milp(lp, None if node_limit is None else node_limit - nodes, start)
         start = res.basis
         nodes += res.nodes
@@ -170,6 +185,5 @@ def solve_allocation(inst: Instance, node_limit: int | None = None) -> SolveOutc
     res = MilpSolution(status, np.concatenate(blocks) if found else None,
                        objective if found else None, nodes=nodes,
                        best_bound=bound, iterations=iterations)
-    return outcome_from_milp(res, inst, priced.big_m,
-                             AllocationIndex(inst.num_stations, inst.num_slots),
-                             _extract_plan, evaluate_allocation, "allocation")
+    return outcome_from_milp(res, inst, priced.big_m, ix, _extract_plan,
+                             evaluate_allocation, "allocation")

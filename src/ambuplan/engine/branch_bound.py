@@ -14,7 +14,9 @@ optimality proofs do not depend on floating-point dots.
 
 The root relaxation may start from a given basis, the final basis of an
 earlier solve over a program of the same shape, and the solution returns the
-root's own final basis; the children start from the crash.
+root's own final basis; the children start from the crash. A start from a
+program over the same matrix object and senses also lends its standard form,
+whose matrix and caches the new form shares, and its factor.
 
 The search is serial, so repeated solves are bit-identical. A program without
 integer columns closes at the root, whose relaxation is trivially integral.
@@ -34,6 +36,7 @@ from .program import (
     LpStatus,
     MilpSolution,
     MilpStatus,
+    Start,
 )
 from .simplex import INTEGRALITY_TOL, build_standard_form, core_solve
 
@@ -57,7 +60,7 @@ def _exact_objective(lp: LinearProgram, x: np.ndarray) -> int:
 
 
 def solve_milp(lp: LinearProgram, node_limit: int | None = None,
-               start: tuple[np.ndarray, np.ndarray] | None = None) -> MilpSolution:
+               start: Start | None = None) -> MilpSolution:
     """Minimize lp subject to its integrality flags.
 
     Statuses: OPTIMAL (x integral within 1e-6, objective proved optimal),
@@ -66,10 +69,11 @@ def solve_milp(lp: LinearProgram, node_limit: int | None = None,
     caps the number of nodes solved. Every upper bound must be finite,
     else ValueError (see build_standard_form). ``start`` is a
     ``MilpSolution.basis`` of an earlier solve, which the root relaxation
-    starts from (see core_solve).
+    starts from (see core_solve); its form is the ``like`` of the
+    standard form (see build_standard_form).
     """
     int_idx = np.flatnonzero(lp.integrality)
-    std = build_standard_form(lp)
+    std = build_standard_form(lp, None if start is None else Start(*start).form)
     int_obj = _integral_objective(lp)
     best_obj: float | int | None = None
     best_x: np.ndarray | None = None

@@ -13,8 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .simplex import StandardForm
 
 # row sense per relation, the sign a row's slack column carries
 SENSES = {"<=": 1.0, ">=": -1.0, "=": 0.0}
@@ -250,21 +254,36 @@ def matrix_from_blocks(blocks, shape: tuple[int, int]) -> CscMatrix:
     return CscMatrix(indptr, rows[order], vals[order], shape)
 
 
+class Start(NamedTuple):
+    """The final basis of a solve, which a later solve may start from.
+
+    ``basis`` is the column in each basis position and ``dirn`` each
+    column's direction (-1 at its lower bound, +1 at its upper, 0 basic or
+    fixed). ``form`` is the standard form that was solved, and ``factor``
+    the fresh factorization of the basis over ``form.A`` that the solve
+    ended on. A later solve over a form of the same shape may start from
+    (basis, dirn); one over the same matrix object also skips factoring the
+    basis again. A plain ``(basis, dirn)`` pair is a start without a factor.
+    """
+
+    basis: np.ndarray
+    dirn: np.ndarray
+    form: StandardForm | None = None
+    factor: Any = None
+
+
 @dataclass(frozen=True)
 class LpSolution:
     """Continuous solve result. x and objective are None unless OPTIMAL.
 
-    At OPTIMAL, ``basis`` is the final ``(basis, dirn)`` of the standard
-    form: the column in each basis position, and each column's direction
-    (-1 at its lower bound, +1 at its upper, 0 basic or fixed). A later solve
-    over a standard form of the same shape may start from it.
+    At OPTIMAL, ``basis`` is the final basis and its factor, a Start.
     """
 
     status: LpStatus
     x: np.ndarray | None
     objective: float | None
     iterations: int = 0
-    basis: tuple[np.ndarray, np.ndarray] | None = None
+    basis: Start | None = None
 
 
 @dataclass(frozen=True)
@@ -275,8 +294,8 @@ class MilpSolution:
     ``x`` is exactly integral (rounded after passing the integrality
     tolerance). At NODE_LIMIT, ``objective``/``x`` describe the incumbent
     (None when none was found) and ``best_bound`` is a valid lower bound on
-    the true optimum. ``basis`` is the root relaxation's final basis (see
-    LpSolution), None when the root was not solved to optimality.
+    the true optimum. ``basis`` is the root relaxation's final basis and
+    its factor (a Start), None when the root was not solved to optimality.
     """
 
     status: MilpStatus
@@ -285,4 +304,4 @@ class MilpSolution:
     nodes: int = 0
     best_bound: float | None = None
     iterations: int = 0
-    basis: tuple[np.ndarray, np.ndarray] | None = None
+    basis: Start | None = None

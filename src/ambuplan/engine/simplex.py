@@ -17,13 +17,18 @@ zero then takes instead a column that prices in, has no other nonzero in an
 inequality row, and stays at its lower bound. On the preset-5 transfer
 program (seed 42) those are the serve columns, one per station and slot.
 
-A solve may instead start from the final (basis, dirn) of another solve
-over a standard form of the same shape, which ``core_solve`` returns and
+A solve may instead start from the final basis of another solve over a
+standard form of the same shape, a Start that ``core_solve`` returns and
 takes back. Each nonbasic column then sits on the bound its dirn names,
-and a column with lo == up is fixed. Model 1's slot programs share one
-matrix, and on the preset-5 day (seed 42) each slot's optimal basis is
-optimal for the next slot at most slots: 22 pivots in all where the crash
-in every slot takes 530.
+and a column with lo == up is fixed. The factor travels with the start:
+a solve ends on a fresh factorization of its final basis, and a solve
+over the same matrix object starts on that factor, where any other matrix,
+even one of the same shape, factors the basis again. Model 1's slot
+programs share one matrix, and ``build_standard_form`` lets each slot's
+form share the previous one's A and caches. On the preset-5 day (seed 42)
+each slot's optimal basis is optimal for the next slot at most slots: 22
+pivots in all where the crash in every slot takes 530, and 2
+factorizations where a start without its factor took 25.
 
 The engine solves boxed programs only: every column has finite bounds.
 A program's own upper bounds must be finite (``build_standard_form``
@@ -145,10 +150,12 @@ TRIANGULAR_LEVELS = 12 is the deepest basis met below that cap; a
 SuperLU's 6-7 us.
 
 REFACTOR_EVERY = 32 was chosen on preset 5 (seed 42), before the dual phase
-existed. Going from 64 to 32 doubles the refactorizations (transfer 68 ->
-133, allocation 140 -> 227) but cuts the time of the ftran and btran eta
-loops by about 40%, a net gain that was largest on the allocation slot
-programs. SuperLU orders each basis it takes by COLAMD and builds no relaxed
+and warm slot starts existed, when the allocation day took thousands of
+primal pivots. Going from 64 to 32 then doubled the refactorizations
+(transfer 68 -> 133, allocation 140 -> 227) but cut the time of the ftran
+and btran eta loops by about 40%. The allocation day now takes 22 pivots
+and factors twice; the transfer day factors 48 times over 1,498 pivots.
+SuperLU orders each basis it takes by COLAMD and builds no relaxed
 supernodes (relax=1, panel_size=1). On 20 of the preset-5 transfer bases
 that cut the mean factorization from 993 to 660 us and the ftran/btran
 solves from 103/70 to 72/57 us, for 1% more fill; the allocation slot
@@ -166,7 +173,7 @@ breakdown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -177,6 +184,7 @@ from .program import (
     LpSolution,
     LpStatus,
     NumericalBreakdownError,
+    Start,
     runs,
 )
 
@@ -201,7 +209,10 @@ class StandardForm:
     The columns are the n_struct structural ones, then one logical column
     per row k, at n_struct + k, at zero cost: on an inequality row its
     slack, sense[k] e_k on [0, the row's room over the structural box], on
-    an equality row its artificial, +e_k fixed on [0, 0].
+    an equality row its artificial, +e_k fixed on [0, 0]. ``source`` is the
+    program's own matrix, the first n_struct columns of A; a form built
+    later for a program over that same matrix object shares A, sense and
+    the caches below (see build_standard_form).
     """
 
     m: int
@@ -212,6 +223,7 @@ class StandardForm:
     cost: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    source: CscMatrix
 
     @cached_property
     def rows(self) -> CscMatrix:
@@ -251,40 +263,58 @@ class StandardForm:
                 np.cumsum(other) - other)
 
 
-def build_standard_form(lp: LinearProgram) -> StandardForm:
+def _slack_bounds(lp: LinearProgram) -> np.ndarray:
+    """The upper bound of each row's slack, max(0, sense[k] * (rhs[k] -
+    act[k])), with act[k] the row's activity over the box at the end that
+    leaves the slack the most room: each entry a at its column's lower
+    bound where a * sense[k] > 0, else at its upper (Andersen & Andersen,
+    Math. Prog. 71, 1995). One np.bincount over A's entries."""
+    A = lp.A
+    cols = A.entry_columns()
+    low = A.data * lp.sense[A.indices] > 0
+    act = np.bincount(A.indices, A.data * np.where(low, lp.lower[cols], lp.upper[cols]),
+                      minlength=lp.num_rows)
+    return np.maximum(0.0, lp.sense * (lp.rhs - act))
+
+
+# the caches of a StandardForm that depend on its A and sense only
+_SHARED = ("rows", "crash_columns")
+
+
+def build_standard_form(lp: LinearProgram, like: StandardForm | None = None) -> StandardForm:
     """Append one logical column per row: the row's slack, signed by its
     sense, or the artificial of an equality row.
 
-    Every upper bound of lp must be finite, else ValueError. Slack k takes
-    the upper bound max(0, sense[k] * (rhs[k] - act[k])), with act[k] the
-    row's activity over the box at the end that leaves the slack the most
-    room: each entry a at its column's lower bound where a * sense[k] > 0,
-    else at its upper (Andersen & Andersen, Math. Prog. 71, 1995). A row
-    with no room over the box gets a slack on [0, 0] rather than an early
-    answer, so the dual's ray stays the one proof of infeasibility. A
-    node's tighter bounds leave these bounds valid.
+    Every upper bound of lp must be finite, else ValueError. Each slack
+    takes the bound of _slack_bounds. A row with no room over the box gets a
+    slack on [0, 0] rather than an early answer, so the dual's ray stays
+    the one proof of infeasibility. A node's tighter bounds leave these
+    bounds valid.
+
+    ``like`` is a form built earlier. When lp's matrix is like's source,
+    the same object, and the senses are equal, the new form shares like's
+    A and sense and the caches like has built, and only its costs, bounds
+    and right-hand side are new. Otherwise the form is built from scratch.
     """
     m, n, A = lp.num_rows, lp.num_vars, lp.A
     if not np.isfinite(lp.upper).all():
         bad = int(np.argmin(np.isfinite(lp.upper)))
         raise ValueError(f"variable {bad}: upper bound {lp.upper[bad]} is not finite;"
                          " the engine solves boxed programs only")
-    slack = lp.sense != 0
-    cols = A.entry_columns()
-    low = A.data * lp.sense[A.indices] > 0
-    act = np.bincount(A.indices, A.data * np.where(low, lp.lower[cols], lp.upper[cols]),
-                      minlength=m)
+    data = {"b": lp.rhs.copy(),
+            "cost": np.concatenate([lp.objective, np.zeros(m)]),
+            "lower": np.concatenate([lp.lower, np.zeros(m)]),
+            "upper": np.concatenate([lp.upper, _slack_bounds(lp)])}
+    if like is not None and like.source is A and np.array_equal(like.sense, lp.sense):
+        std = replace(like, **data)
+        std.__dict__.update((k, v) for k, v in like.__dict__.items() if k in _SHARED)
+        return std
     ends = A.indptr[-1] + np.arange(1, m + 1, dtype=A.indptr.dtype)
     std_A = CscMatrix(np.concatenate([A.indptr, ends]),
                       np.concatenate([A.indices, np.arange(m, dtype=A.indices.dtype)]),
-                      np.concatenate([A.data, np.where(slack, lp.sense, 1.0)]),
+                      np.concatenate([A.data, np.where(lp.sense != 0, lp.sense, 1.0)]),
                       (m, n + m))
-    return StandardForm(m=m, n_struct=n, A=std_A, sense=lp.sense.copy(),
-                        b=lp.rhs.copy(),
-                        cost=np.concatenate([lp.objective, np.zeros(m)]),
-                        lower=np.concatenate([lp.lower, np.zeros(m)]),
-                        upper=np.concatenate([lp.upper,
-                                              np.maximum(0.0, lp.sense * (lp.rhs - act))]))
+    return StandardForm(m=m, n_struct=n, A=std_A, sense=lp.sense.copy(), source=A, **data)
 
 
 def _peel(B: CscMatrix) -> list[np.ndarray] | None:
@@ -421,7 +451,7 @@ class _Solver:
 
     def __init__(self, std: StandardForm,
                  lo_struct: np.ndarray | None, hi_struct: np.ndarray | None,
-                 start: tuple[np.ndarray, np.ndarray] | None = None):
+                 start: Start | tuple[np.ndarray, np.ndarray] | None = None):
         self.std = std
         m = self.m = std.m
         self.N = std.n_struct + m
@@ -453,7 +483,7 @@ class _Solver:
         # a (basis, dirn) of another solve; one of another shape is ignored
         if start is not None and (start[0].shape != (m,) or start[1].shape != (self.N,)):
             start = None
-        self.start = start
+        self.start = None if start is None else Start(*start)
 
     # ----- basis linear algebra -------------------------------------------
 
@@ -463,8 +493,10 @@ class _Solver:
         col[self.A.indices[s:e]] = self.A.data[s:e]
         return col
 
-    def refactor(self) -> None:
-        self.lu = splu(self.A.columns(self.basis))
+    def refactor(self, lu=None) -> None:
+        """Factor the basis afresh, or take lu, a factor of this basis over
+        this A, and recompute the basic values."""
+        self.lu = splu(self.A.columns(self.basis)) if lu is None else lu
         self.etas = []
         self.d = None
         self.basic_values()
@@ -790,22 +822,25 @@ class _Solver:
     def solve(self) -> LpSolution:
         """Crash, or place the given start, then the dual simplex, repeated
         from its feasible basis until that prices out on a fresh
-        factorization, and the final check."""
+        factorization, and the final check. A start from a solve over this
+        same A brings the factor of its basis, which is used as it is."""
         if np.any(self.lo > self.up):
             return LpSolution(LpStatus.INFEASIBLE, None, None)
-        c = self.c
-        if self.start is None:
+        c, start, lu = self.c, self.start, None
+        if start is None:
             # the columns that price in at the crash start on their upper
             # bound, every other column on its lower bound
             d = self.crash_basis()
             upper = d < -self.dtol
         else:
             # each nonbasic column on the bound its dirn names
-            self.basis[:], dirn = self.start
-            upper = dirn > 0
+            self.basis[:] = start.basis
+            upper = start.dirn > 0
+            if start.form is not None and start.form.A is self.A:
+                lu = start.factor
         self.place(upper)
-        self.refactor()
-        if self.start is not None:
+        self.refactor(lu)
+        if start is not None:
             d = self.d = self.reduced_costs(c)
         while True:
             # the start must price out: each column that prices in flips to
@@ -826,8 +861,9 @@ class _Solver:
         self._verify()
         n = self.std.n_struct
         x = self.x[:n].copy()
+        # run_dual returned on a fresh factorization of the final basis
         return LpSolution(LpStatus.OPTIMAL, x, float(self.c[:n] @ x), self.iterations,
-                          (self.basis, self.dirn))
+                          Start(self.basis, self.dirn, self.std, self.lu))
 
     def _verify(self) -> None:
         """Exact-form residual and bound check on every column, the
@@ -845,18 +881,19 @@ class _Solver:
 def core_solve(std: StandardForm,
                lo_struct: np.ndarray | None = None,
                hi_struct: np.ndarray | None = None,
-               start: tuple[np.ndarray, np.ndarray] | None = None) -> LpSolution:
+               start: Start | tuple[np.ndarray, np.ndarray] | None = None) -> LpSolution:
     """Solve the continuous program over std with optional bound overrides,
     which must lie within the program's bounds (the slacks' bounds are
     implied by those).
 
     The solution's x spans the program's own variables, the structural
-    columns; the logicals are left out. At OPTIMAL it also
-    carries the final (basis, dirn), which ``start`` takes back: a solve
-    over a standard form of the same shape, whatever its costs, bounds and
-    right-hand side, may start from it in place of the crash. A start of
-    another shape is ignored. A numerical failure raises
-    NumericalBreakdownError.
+    columns; the logicals are left out. At OPTIMAL it also carries the
+    final basis as a Start, which ``start`` takes back: a solve over a
+    standard form of the same shape, whatever its costs, bounds and
+    right-hand side, may start from it in place of the crash. Over the same
+    A object it also starts on the start's factor; over any other matrix
+    the basis is factored again. A start of another shape is ignored. A
+    numerical failure raises NumericalBreakdownError.
     """
     return _Solver(std, lo_struct, hi_struct, start=start).solve()
 

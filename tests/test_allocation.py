@@ -18,8 +18,17 @@ from ambuplan import (
     solve_allocation,
     tiny_params,
 )
+from ambuplan import allocation
 from ambuplan.allocation import AllocationIndex, _extract_plan
-from ambuplan.engine import LinearProgram, LinearRow, LpStatus, solve_lp
+from ambuplan.core import solving_form, validate_instance
+from ambuplan.engine import (
+    LinearProgram,
+    LinearRow,
+    LpStatus,
+    branch_bound,
+    simplex,
+    solve_lp,
+)
 
 
 def one_dispatch_short(plan: AllocationPlan) -> AllocationPlan | None:
@@ -46,27 +55,24 @@ def row_by_row_program(inst: Instance) -> LinearProgram:
             obj[ix.dispatch(j, t)] = inst.dispatch_cost[j, t]
             upper[ix.alloc(j, t)] = inst.capacity[j, t]
             upper[ix.dispatch(j, t)] = inst.capacity[j, t]
+    covering = [[j for j in range(jn) if inst.coverage[j, i]] for i in range(zn)]
+    # one block of rows per slot: fleet, placed, dispatched, total, limit
     for t in range(tn):
         obj[ix.shortage(t)] = inst.big_m
         upper[ix.shortage(t)] = inst.demand[:, t].sum()
         rows.append(LinearRow(tuple((ix.alloc(j, t), 1.0) for j in range(jn)),
                               "<=", inst.fleet_size))
-    covering = [[j for j in range(jn) if inst.coverage[j, i]] for i in range(zn)]
-    for i in range(zn):
-        for t in range(tn):
+        for i in range(zn):
             rows.append(LinearRow(tuple((ix.alloc(j, t), 1.0) for j in covering[i]),
                                   ">=", inst.demand[i, t]))
-    for i in range(zn):
-        for t in range(tn):
+        for i in range(zn):
             coeffs = [(ix.dispatch(j, t), 1.0) for j in covering[i]]
             rows.append(LinearRow((*coeffs, (ix.shortage(t), 1.0)), ">=",
                                   inst.demand[i, t]))
-    for t in range(tn):
         coeffs = [(ix.dispatch(j, t), 1.0) for j in range(jn)]
         rows.append(LinearRow((*coeffs, (ix.shortage(t), 1.0)), "=",
                               inst.demand[:, t].sum()))
-    for j in range(jn):
-        for t in range(tn):
+        for j in range(jn):
             rows.append(LinearRow(((ix.dispatch(j, t), 1.0), (ix.alloc(j, t), -1.0)),
                                   "<=", 0.0))
     return LinearProgram.from_rows(ix.num_vars, obj, np.zeros(ix.num_vars), upper,
@@ -304,7 +310,7 @@ class TestSolve:
             assert (a.objective, a.nodes, a.iterations) == \
                 (b.objective, b.nodes, b.iterations)
 
-    def test_headline_instance_pins_the_dual_simplex(self):
+    def test_headline_instance_pins_the_dual_simplex(self, monkeypatch):
         # the 24-slot, 20-station, 60-zone day of the paper's benchmark; every
         # slot starts on the dual simplex, so a solve that reaches a
         # feasible basis with the primal simplex (5,880 pivots) fails here,
@@ -314,10 +320,92 @@ class TestSolve:
         # slot from the crash takes 530. With dispatch and shortage bounded
         # by capacity and the slot's demand, the first slot's first long
         # step passes 20 dispatch breakpoints and takes the shortage column,
-        # and its path is one pivot longer than the 21 without those bounds
+        # and its path is one pivot longer than the 21 without those bounds.
+        # Each slot's start brings the factor of its basis, so the day
+        # factors twice: the first slot's crash and its one refactorization
+        # (25 times when every slot factored its start)
+        factored, lu = [], simplex.splu
+
+        def counted(B):
+            factored.append(B.shape[0])
+            return lu(B)
+
+        monkeypatch.setattr(simplex, "splu", counted)
         outcome = solve_allocation(generate(preset(5), 42))
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.objective == 150_626_543
         assert outcome.nodes == 24
         assert outcome.iterations == 22
-        assert outcome.iterations < 1_500
+        assert len(factored) == 2
+
+
+class TestSharedForm:
+    """solve_allocation builds the day's program once and solves each slot
+    over one standard form with that slot's costs, bounds and right-hand
+    side."""
+
+    @staticmethod
+    def slot_program(inst: Instance, t: int) -> LinearProgram:
+        """Slot t's program built alone, from the instance cut to that slot."""
+        one = slice(t, t + 1)
+        return build_allocation_program(dataclasses.replace(
+            inst, num_slots=1, capacity=inst.capacity[:, one],
+            hold_cost=inst.hold_cost[:, one], dispatch_cost=inst.dispatch_cost[:, one],
+            demand=inst.demand[:, one]))[0]
+
+    def test_the_shared_form_drops_nothing(self, monkeypatch):
+        # every slot's form equals, array for array, the standard form of the
+        # slot's own program, slack bounds included
+        forms, build = [], branch_bound.build_standard_form
+
+        def recorded(lp, like=None):
+            forms.append(build(lp, like))
+            return forms[-1]
+
+        monkeypatch.setattr(branch_bound, "build_standard_form", recorded)
+        cases = [generate(tiny_params(s), s) for s in range(200)]
+        compared = 0
+        for inst in cases + [generate(preset(p), 0) for p in (1, 2, 3)]:
+            forms.clear()
+            solve_allocation(inst)
+            priced = solving_form(inst, validate_instance(inst))
+            assert 1 <= len(forms) <= inst.num_slots
+            for t, std in enumerate(forms):
+                ref = simplex.build_standard_form(self.slot_program(priced, t))
+                for part in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(std.A, part), getattr(ref.A, part))
+                for name in ("sense", "b", "cost", "lower", "upper"):
+                    assert np.array_equal(getattr(std, name), getattr(ref, name)), name
+                # after the first slot, the form shares the first's matrix
+                assert std.A is forms[0].A
+                compared += 1
+        assert compared > 300
+
+    def test_a_one_slot_day_does_the_work_of_its_program(self, monkeypatch):
+        # one build, one standard form, and the factorizations of a solve of
+        # the program itself
+        calls = []
+        for module, name in ((allocation, "build_allocation_program"),
+                             (branch_bound, "build_standard_form"), (simplex, "splu")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        days = 0
+        for seed in range(80):
+            inst = generate(tiny_params(seed), seed)
+            if inst.num_slots != 1:
+                continue
+            lp, _ = build_allocation_program(solving_form(inst, validate_instance(inst)))
+            calls.clear()
+            alone = allocation.solve_milp(lp)
+            factored = calls.count("splu")
+            calls.clear()
+            outcome = solve_allocation(inst)
+            assert outcome.iterations == alone.iterations
+            assert calls.count("build_allocation_program") == 1
+            assert calls.count("build_standard_form") == 1
+            assert calls.count("splu") == factored >= 1
+            days += 1
+        assert days >= 10

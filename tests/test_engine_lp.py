@@ -5,6 +5,9 @@ shares no code with this engine, so agreement over hundreds of seeded
 programs is strong evidence for both statuses and objectives.
 """
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -28,6 +31,7 @@ from ambuplan.engine import (
     LpStatus,
     MilpStatus,
     NumericalBreakdownError,
+    branch_bound,
     simplex,
     solve_lp,
     solve_milp,
@@ -601,27 +605,112 @@ class TestStart:
         monkeypatch.setattr(simplex._Solver, name, counting)
         return calls
 
+    @staticmethod
+    def counted_lu(monkeypatch):
+        """Count the calls of simplex.splu from now on."""
+        factored, lu = [], simplex.splu
+
+        def counting(*args, **kwargs):
+            factored.append(True)
+            return lu(*args, **kwargs)
+
+        monkeypatch.setattr(simplex, "splu", counting)
+        return factored
+
     def test_started_solve_factors_once(self, monkeypatch):
-        # an optimal start: one factorization, priced once, and no pivot
+        # an optimal start given as (basis, dirn) alone: one factorization,
+        # priced once, and no pivot
         std = simplex.build_standard_form(
             build_transfer_program(generate(preset(1), 0))[0])
         first = simplex.core_solve(std)
         assert first.status is LpStatus.OPTIMAL and first.iterations > 100
-        factored, lu = [], simplex.splu
-
-        def counted_lu(*args, **kwargs):
-            factored.append(True)
-            return lu(*args, **kwargs)
-
-        monkeypatch.setattr(simplex, "splu", counted_lu)
+        factored = self.counted_lu(monkeypatch)
         priced = self.counted(monkeypatch, "reduced_costs")
         crashed = self.counted(monkeypatch, "crash_basis")
-        again = simplex.core_solve(std, start=first.basis)
+        again = simplex.core_solve(std, start=first.basis[:2])
         assert (len(factored), len(priced), crashed) == (1, 1, [])
         assert again.status is LpStatus.OPTIMAL and again.iterations == 0
         assert again.objective == pytest.approx(first.objective, rel=1e-12)
         assert np.allclose(again.x, first.x, rtol=1e-12, atol=1e-9)
         assert np.array_equal(again.basis[0], first.basis[0])
+        # the whole start brings its factor, and the same answer bit for bit
+        carried = simplex.core_solve(std, start=first.basis)
+        assert (len(factored), len(priced), crashed) == (1, 2, [])
+        assert carried.x.tobytes() == again.x.tobytes()
+        assert carried.basis.factor is first.basis.factor
+
+    def test_carried_factor_solves_as_a_fresh_one(self):
+        # each slot after the first starts on the factor the previous slot
+        # ended on; it solves as a fresh SuperLU factor of the same basis
+        from scipy.sparse.linalg import splu
+
+        rng = np.random.default_rng(7)
+        starts = []
+        solve = branch_bound.core_solve
+
+        def recorded(std, lo=None, hi=None, start=None):
+            if start is not None:
+                starts.append((std, start))
+            return solve(std, lo, hi, start)
+
+        days = [generate(preset(1), 0), generate(preset(3), 0)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(branch_bound, "core_solve", recorded)
+            for inst in days:
+                assert solve_allocation(inst).status is SolveStatus.OPTIMAL
+        assert len(starts) == sum(inst.num_slots - 1 for inst in days)
+        for std, start in starts:
+            assert start.form.A is std.A and start.factor is not None
+            ref = splu(std.A.columns(start.basis).to_scipy())
+            for rhs in (rng.standard_normal(std.m), rng.standard_normal((std.m, 2))):
+                for trans in "NT":
+                    want = ref.solve(rhs, trans=trans)
+                    err = np.abs(start.factor.solve(rhs, trans) - want).max()
+                    assert err <= 1e-12 * max(1.0, np.abs(want).max()), trans
+
+    def test_start_over_another_matrix_is_factored_again(self, monkeypatch):
+        # slot 0 of two tiny instances with one shape and other coverage: a
+        # start from one is factored again over the other, exactly as a
+        # start without its factor is, and reaches the crash's answer
+        def slot_program(seed):
+            inst = generate(tiny_params(seed), seed)
+            one = slice(0, 1)
+            return build_allocation_program(dataclasses.replace(
+                inst, num_slots=1, capacity=inst.capacity[:, one],
+                hold_cost=inst.hold_cost[:, one],
+                dispatch_cost=inst.dispatch_cost[:, one],
+                demand=inst.demand[:, one]))[0]
+
+        checked = 0
+        for a, b in itertools.combinations(range(40), 2):
+            lp_a, lp_b = slot_program(a), slot_program(b)
+            if lp_a.A.shape != lp_b.A.shape or (
+                    np.array_equal(lp_a.A.indptr, lp_b.A.indptr)
+                    and np.array_equal(lp_a.A.indices, lp_b.A.indices)):
+                continue
+            first = simplex.core_solve(simplex.build_standard_form(lp_a))
+            if first.status is not LpStatus.OPTIMAL:
+                continue
+            std = simplex.build_standard_form(lp_b, like=first.basis.form)
+            assert std.A is not first.basis.form.A
+            B = std.A.columns(first.basis.basis).to_scipy().toarray()
+            if np.linalg.matrix_rank(B) < std.m:
+                continue  # a basis of the one matrix may be singular in the other
+            cold = simplex.core_solve(std)
+            runs = []
+            for start in (first.basis, first.basis[:2]):
+                factored = self.counted_lu(monkeypatch)
+                runs.append((simplex.core_solve(std, start=start), len(factored)))
+                monkeypatch.undo()
+            (res, n_res), (alone, n_alone) = runs
+            assert n_res == n_alone >= 1
+            assert res.status is alone.status is cold.status
+            assert res.iterations == alone.iterations
+            if cold.status is LpStatus.OPTIMAL:
+                assert res.objective == pytest.approx(cold.objective, abs=1e-9)
+                assert res.x.tobytes() == alone.x.tobytes()
+            checked += 1
+        assert checked >= 5
 
     def test_started_solve_flips_the_boxed_columns_that_price_in(self, dual_runs):
         # the slack basis is optimal at costs (1, 1, 1). At costs (-1, 1, 0)
@@ -651,7 +740,7 @@ class TestStart:
             build_transfer_program(generate(preset(1), 0))[0])
         small = simplex.build_standard_form(
             build_allocation_program(generate(tiny_params(3), 3))[0])
-        basis, dirn = simplex.core_solve(small).basis
+        basis, dirn = simplex.core_solve(small).basis[:2]
         plain = simplex.core_solve(std)
         crashed = self.counted(monkeypatch, "crash_basis")
         # a basis or a dirn of the wrong length, each with the other fitting
@@ -1051,7 +1140,7 @@ class TestKernel:
             return lu
 
         monkeypatch.setattr(simplex, "splu", compared)
-        for s in range(200):
+        for s in range(240):
             inst = generate(tiny_params(s), s)
             solve_allocation(inst)
             solve_transfer(inst)
