@@ -5,7 +5,6 @@ shares no code with this engine, so agreement over hundreds of seeded
 programs is strong evidence for both statuses and objectives.
 """
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -669,21 +668,15 @@ class TestStart:
                     assert err <= 1e-12 * max(1.0, np.abs(want).max()), trans
 
     def test_start_over_another_matrix_is_factored_again(self, monkeypatch):
-        # slot 0 of two tiny instances with one shape and other coverage: a
-        # start from one is factored again over the other, exactly as a
-        # start without its factor is, and reaches the crash's answer
-        def slot_program(seed):
-            inst = generate(tiny_params(seed), seed)
-            one = slice(0, 1)
-            return build_allocation_program(dataclasses.replace(
-                inst, num_slots=1, capacity=inst.capacity[:, one],
-                hold_cost=inst.hold_cost[:, one],
-                dispatch_cost=inst.dispatch_cost[:, one],
-                demand=inst.demand[:, one]))[0]
-
+        # the programs of two one-slot tiny days with one shape and other
+        # coverage: a start from one is factored again over the other,
+        # exactly as a start without its factor is, and reaches the crash's
+        # answer
+        days = [generate(tiny_params(s), s) for s in range(80)]
+        programs = [build_allocation_program(inst)[0] for inst in days
+                    if inst.num_slots == 1]
         checked = 0
-        for a, b in itertools.combinations(range(40), 2):
-            lp_a, lp_b = slot_program(a), slot_program(b)
+        for lp_a, lp_b in itertools.combinations(programs, 2):
             if lp_a.A.shape != lp_b.A.shape or (
                     np.array_equal(lp_a.A.indptr, lp_b.A.indptr)
                     and np.array_equal(lp_a.A.indices, lp_b.A.indices)):
