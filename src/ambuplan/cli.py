@@ -89,6 +89,12 @@ def _expect_int(value, name: str) -> int:
     return value
 
 
+def _is_int(value, *allowed: int) -> bool:
+    """True when value is one of allowed and a JSON integer: true and 1.0
+    equal 1 in Python, yet are not."""
+    return type(value) is int and value in allowed
+
+
 # ---------------------------------------------------------------------------
 # instance and plan files
 # ---------------------------------------------------------------------------
@@ -120,7 +126,7 @@ def instance_from_mapping(data) -> Instance:
     missing = _REQUIRED_KEYS - keys
     if missing:
         raise InputError(f"missing instance keys: {sorted(missing)}")
-    if data["schema_version"] != SCHEMA_VERSION:
+    if not _is_int(data["schema_version"], SCHEMA_VERSION):
         raise InputError(
             f"unsupported schema_version {data['schema_version']!r};"
             f" this build reads version {SCHEMA_VERSION}")
@@ -218,10 +224,10 @@ def plan_from_mapping(data) -> tuple[int, str, AllocationPlan | TransferPlan | N
                            "best_bound", "nodes", "iterations", "plan"}
     if unknown:
         raise InputError(f"unknown plan file keys: {sorted(unknown)}")
-    if data.get("schema_version") != SCHEMA_VERSION:
+    if not _is_int(data.get("schema_version"), SCHEMA_VERSION):
         raise InputError("plan file has a missing or unsupported schema_version")
     model = data.get("model")
-    if model not in (1, 2):
+    if not _is_int(model, 1, 2):
         raise InputError(f"plan file has unsupported model {model!r}")
     body = data.get("plan")
     if body is None:

@@ -12,11 +12,12 @@ integer-constrained, node bounds are rounded up to the next integer before
 pruning and incumbent objectives are computed in exact integer arithmetic, so
 optimality proofs do not depend on floating-point dots.
 
-The root relaxation may start from a given basis, the final basis of an
-earlier solve over a program of the same shape, and the solution returns the
-root's own final basis; the children start from the crash. A start from a
-program over the same matrix object and senses also lends its standard form,
-whose matrix and caches the new form shares, and its factor.
+The root relaxation may start from the final basis of an earlier solve, and
+the solution returns the root's own final basis; the children start from the
+crash. The start's standard form is the ``like`` of the new form, so a
+program over the same matrix object and senses shares its matrix and caches,
+and the root starts on the start's factor. Over any other matrix the start
+is ignored (see core_solve).
 
 The search is serial, so repeated solves are bit-identical. A program without
 integer columns closes at the root, whose relaxation is trivially integral.
@@ -68,12 +69,12 @@ def solve_milp(lp: LinearProgram, node_limit: int | None = None,
     lower bound and x/objective carry the incumbent, if any); ``node_limit``
     caps the number of nodes solved. Every upper bound must be finite,
     else ValueError (see build_standard_form). ``start`` is a
-    ``MilpSolution.basis`` of an earlier solve, which the root relaxation
-    starts from (see core_solve); its form is the ``like`` of the
-    standard form (see build_standard_form).
+    ``MilpSolution.basis`` of an earlier solve. Its form is the ``like`` of
+    the standard form (see build_standard_form), and the root relaxation
+    starts from it when the two forms share A (see core_solve).
     """
     int_idx = np.flatnonzero(lp.integrality)
-    std = build_standard_form(lp, None if start is None else Start(*start).form)
+    std = build_standard_form(lp, None if start is None else start.form)
     int_obj = _integral_objective(lp)
     best_obj: float | int | None = None
     best_x: np.ndarray | None = None

@@ -261,15 +261,15 @@ class Start(NamedTuple):
     column's direction (-1 at its lower bound, +1 at its upper, 0 basic or
     fixed). ``form`` is the standard form that was solved, and ``factor``
     the fresh factorization of the basis over ``form.A`` that the solve
-    ended on. A later solve over a form of the same shape may start from
-    (basis, dirn); one over the same matrix object also skips factoring the
-    basis again. A plain ``(basis, dirn)`` pair is a start without a factor.
+    ended on. A later solve over a form with the same A object, whatever
+    its costs, bounds and right-hand side, starts from the basis on that
+    factor; any other solve ignores the start.
     """
 
     basis: np.ndarray
     dirn: np.ndarray
-    form: StandardForm | None = None
-    factor: Any = None
+    form: StandardForm
+    factor: Any
 
 
 @dataclass(frozen=True)

@@ -17,18 +17,20 @@ zero then takes instead a column that prices in, has no other nonzero in an
 inequality row, and stays at its lower bound. On the preset-5 transfer
 program (seed 42) those are the serve columns, one per station and slot.
 
-A solve may instead start from the final basis of another solve over a
-standard form of the same shape, a Start that ``core_solve`` returns and
-takes back. Each nonbasic column then sits on the bound its dirn names,
-and a column with lo == up is fixed. The factor travels with the start:
-a solve ends on a fresh factorization of its final basis, and a solve
-over the same matrix object starts on that factor, where any other matrix,
-even one of the same shape, factors the basis again. Model 1's slot
+A solve may instead start from the final basis of another solve, a Start
+that ``core_solve`` returns and takes back. A solve ends on a fresh
+factorization of its final basis, and the Start carries it with the form
+it was made over. One rule decides: a start is used only when its form's
+A is the solving form's A, the same object, and the solve then starts on
+the start's factor without factoring the basis again. Any other start is
+ignored and the solve runs from the crash, so a basis never meets a
+matrix it was not factored on. Each nonbasic column then sits on the
+bound its dirn names, and a column with lo == up is fixed. Model 1's slot
 programs share one matrix, and ``build_standard_form`` lets each slot's
 form share the previous one's A and caches. On the preset-5 day (seed 42)
 each slot's optimal basis is optimal for the next slot at most slots: 22
 pivots in all where the crash in every slot takes 530, and 2
-factorizations where a start without its factor took 25.
+factorizations where factoring each slot's start took 25.
 
 The engine solves boxed programs only: every column has finite bounds.
 A program's own upper bounds must be finite (``build_standard_form``
@@ -451,7 +453,7 @@ class _Solver:
 
     def __init__(self, std: StandardForm,
                  lo_struct: np.ndarray | None, hi_struct: np.ndarray | None,
-                 start: Start | tuple[np.ndarray, np.ndarray] | None = None):
+                 start: Start | None = None):
         self.std = std
         m = self.m = std.m
         self.N = std.n_struct + m
@@ -480,10 +482,8 @@ class _Solver:
         self.iterations = 0
         self.bland_threshold = 5 * (std.n_struct + m)
         self.max_iterations = 20000 + 50 * (m + self.N)
-        # a (basis, dirn) of another solve; one of another shape is ignored
-        if start is not None and (start[0].shape != (m,) or start[1].shape != (self.N,)):
-            start = None
-        self.start = None if start is None else Start(*start)
+        # a start counts only over the matrix its factor was made on
+        self.start = start if start is not None and start.form.A is std.A else None
 
     # ----- basis linear algebra -------------------------------------------
 
@@ -820,13 +820,12 @@ class _Solver:
     # ----- driver -----------------------------------------------------------
 
     def solve(self) -> LpSolution:
-        """Crash, or place the given start, then the dual simplex, repeated
-        from its feasible basis until that prices out on a fresh
-        factorization, and the final check. A start from a solve over this
-        same A brings the factor of its basis, which is used as it is."""
+        """Crash, or place the given start on its factor, then the dual
+        simplex, repeated from its feasible basis until that prices out on
+        a fresh factorization, and the final check."""
         if np.any(self.lo > self.up):
             return LpSolution(LpStatus.INFEASIBLE, None, None)
-        c, start, lu = self.c, self.start, None
+        c, start = self.c, self.start
         if start is None:
             # the columns that price in at the crash start on their upper
             # bound, every other column on its lower bound
@@ -836,10 +835,8 @@ class _Solver:
             # each nonbasic column on the bound its dirn names
             self.basis[:] = start.basis
             upper = start.dirn > 0
-            if start.form is not None and start.form.A is self.A:
-                lu = start.factor
         self.place(upper)
-        self.refactor(lu)
+        self.refactor(None if start is None else start.factor)
         if start is not None:
             d = self.d = self.reduced_costs(c)
         while True:
@@ -881,7 +878,7 @@ class _Solver:
 def core_solve(std: StandardForm,
                lo_struct: np.ndarray | None = None,
                hi_struct: np.ndarray | None = None,
-               start: Start | tuple[np.ndarray, np.ndarray] | None = None) -> LpSolution:
+               start: Start | None = None) -> LpSolution:
     """Solve the continuous program over std with optional bound overrides,
     which must lie within the program's bounds (the slacks' bounds are
     implied by those).
@@ -889,11 +886,10 @@ def core_solve(std: StandardForm,
     The solution's x spans the program's own variables, the structural
     columns; the logicals are left out. At OPTIMAL it also carries the
     final basis as a Start, which ``start`` takes back: a solve over a
-    standard form of the same shape, whatever its costs, bounds and
-    right-hand side, may start from it in place of the crash. Over the same
-    A object it also starts on the start's factor; over any other matrix
-    the basis is factored again. A start of another shape is ignored. A
-    numerical failure raises NumericalBreakdownError.
+    standard form with the same A object, whatever its costs, bounds and
+    right-hand side, starts from that basis on its factor in place of the
+    crash. A start over any other matrix is ignored. A numerical failure
+    raises NumericalBreakdownError.
     """
     return _Solver(std, lo_struct, hi_struct, start=start).solve()
 

@@ -1,13 +1,19 @@
 """Command-line front end: files, exit codes, reports, and round-trips."""
 
+import contextlib
 import dataclasses
+import io
+import itertools
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambuplan import (
     AllocationPlan,
@@ -83,9 +89,11 @@ class TestInstanceFiles:
             instance_from_mapping(data)
 
     def test_future_schema_rejected(self):
-        data = dict(TINY1_FILE, schema_version=2)
-        with pytest.raises(Exception, match="schema_version"):
-            instance_from_mapping(data)
+        # JSON's true and 1.0 equal 1 in Python, but neither is version 1
+        for version in (2, True, 1.0):
+            data = dict(TINY1_FILE, schema_version=version)
+            with pytest.raises(Exception, match="schema_version"):
+                instance_from_mapping(data)
 
     def test_serialized_bytes_are_canonical(self, tiny1):
         text = dump_json(instance_to_mapping(tiny1))
@@ -401,6 +409,43 @@ class TestSolve:
         capsys.readouterr()
 
 
+# the values one mutation writes: out of range, past int64 or float64's
+# integers, and of every other JSON type
+MUTANTS = [-1, 0, 2**53 + 1, 2**63 - 1, 2**63, 1.5, True, None, "7", []]
+
+
+@st.composite
+def mutated_files(draw):
+    """A tiny instance file with one value replaced by one of MUTANTS: a
+    top-level value, or any entry or row of an array."""
+    seed = draw(st.integers(0, 9))
+    data = instance_to_mapping(generate(tiny_params(seed), seed))
+    key = draw(st.sampled_from(sorted(data)))
+    holder, at = data, key
+    while isinstance(holder[at], list) and holder[at] and draw(st.booleans()):
+        holder, at = holder[at], draw(st.integers(0, len(holder[at]) - 1))
+    holder[at] = draw(st.sampled_from(MUTANTS))
+    return data
+
+
+class TestSolveExitContract:
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None)
+    @given(mutated_files())
+    def test_one_mutated_value_exits_with_a_documented_code(self, data):
+        # whatever the one value, both models answer with a documented
+        # exit code, and no exception escapes entry
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "inst.json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(data, f)
+            for model in ("1", "2"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = entry(["solve", "--instance", path, "--model", model])
+                assert code in (0, 2, 3, 4, 6), (model, code, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+
+
 class TestReport:
     def solve_to_file(self, tiny1_path, tmp_path, model):
         plan_path = str(tmp_path / f"plan{model}.json")
@@ -509,6 +554,18 @@ class TestReport:
             data = json.loads(open(plan_path).read())
             (data if where is None else data[where])[key] = [1]
             bad = write_json(tmp_path, f"unknown_{key}.json", data)
+            capsys.readouterr()
+            assert entry(["report", "--instance", tiny1_path,
+                          "--plan", bad]) == 2
+            assert key in capsys.readouterr().err
+
+    def test_plan_header_of_another_type_exits_2(self, tiny1_path, tmp_path, capsys):
+        # a model-1 plan whose header holds true or 1.0 for 1 is not read
+        plan_path = self.solve_to_file(tiny1_path, tmp_path, 1)
+        for key, value in itertools.product(("model", "schema_version"), (True, 1.0)):
+            data = json.loads(open(plan_path).read())
+            data[key] = value
+            bad = write_json(tmp_path, f"bad_{key}.json", data)
             capsys.readouterr()
             assert entry(["report", "--instance", tiny1_path,
                           "--plan", bad]) == 2

@@ -5,7 +5,10 @@ shares no code with this engine, so agreement over hundreds of seeded
 programs is strong evidence for both statuses and objectives.
 """
 
+import dataclasses
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -617,8 +620,9 @@ class TestStart:
         return factored
 
     def test_started_solve_factors_once(self, monkeypatch):
-        # an optimal start given as (basis, dirn) alone: one factorization,
-        # priced once, and no pivot
+        # the basis is factored once, at the end of the first solve: an
+        # optimal start over the same form brings that factor, is priced
+        # once, and takes no factorization and no pivot
         std = simplex.build_standard_form(
             build_transfer_program(generate(preset(1), 0))[0])
         first = simplex.core_solve(std)
@@ -626,16 +630,12 @@ class TestStart:
         factored = self.counted_lu(monkeypatch)
         priced = self.counted(monkeypatch, "reduced_costs")
         crashed = self.counted(monkeypatch, "crash_basis")
-        again = simplex.core_solve(std, start=first.basis[:2])
-        assert (len(factored), len(priced), crashed) == (1, 1, [])
-        assert again.status is LpStatus.OPTIMAL and again.iterations == 0
-        assert again.objective == pytest.approx(first.objective, rel=1e-12)
-        assert np.allclose(again.x, first.x, rtol=1e-12, atol=1e-9)
-        assert np.array_equal(again.basis[0], first.basis[0])
-        # the whole start brings its factor, and the same answer bit for bit
         carried = simplex.core_solve(std, start=first.basis)
-        assert (len(factored), len(priced), crashed) == (1, 2, [])
-        assert carried.x.tobytes() == again.x.tobytes()
+        assert (len(factored), len(priced), crashed) == (0, 1, [])
+        assert carried.status is LpStatus.OPTIMAL and carried.iterations == 0
+        assert carried.objective == pytest.approx(first.objective, rel=1e-12)
+        assert np.allclose(carried.x, first.x, rtol=1e-12, atol=1e-9)
+        assert np.array_equal(carried.basis.basis, first.basis.basis)
         assert carried.basis.factor is first.basis.factor
 
     def test_carried_factor_solves_as_a_fresh_one(self):
@@ -667,60 +667,108 @@ class TestStart:
                     err = np.abs(start.factor.solve(rhs, trans) - want).max()
                     assert err <= 1e-12 * max(1.0, np.abs(want).max()), trans
 
-    def test_start_over_another_matrix_is_factored_again(self, monkeypatch):
-        # the programs of two one-slot tiny days with one shape and other
-        # coverage: a start from one is factored again over the other,
-        # exactly as a start without its factor is, and reaches the crash's
-        # answer
+    def test_start_over_another_matrix_is_ignored(self, monkeypatch):
+        # a start counts only over the A object its factor was made on. Over
+        # any other matrix the solve runs from the crash, factors exactly as
+        # often as the cold solve, and gives its x bit for bit. Tried with
+        # the programs of one-slot tiny days of one shape and other
+        # coverage (a basis of one may be singular in the other), a program
+        # of another shape, and the same matrix object under another sense
+        def optimal_start(lp):
+            res = simplex.core_solve(simplex.build_standard_form(lp))
+            return res.basis if res.status is LpStatus.OPTIMAL else None
+
         days = [generate(tiny_params(s), s) for s in range(80)]
         programs = [build_allocation_program(inst)[0] for inst in days
                     if inst.num_slots == 1]
-        checked = 0
-        for lp_a, lp_b in itertools.combinations(programs, 2):
-            if lp_a.A.shape != lp_b.A.shape or (
+        starts = [optimal_start(lp) for lp in programs]
+        cases = []
+        for (lp_a, start), lp_b in itertools.product(zip(programs, starts), programs):
+            if start is not None and lp_a.A.shape == lp_b.A.shape and not (
                     np.array_equal(lp_a.A.indptr, lp_b.A.indptr)
                     and np.array_equal(lp_a.A.indices, lp_b.A.indices)):
-                continue
-            first = simplex.core_solve(simplex.build_standard_form(lp_a))
-            if first.status is not LpStatus.OPTIMAL:
-                continue
-            std = simplex.build_standard_form(lp_b, like=first.basis.form)
-            assert std.A is not first.basis.form.A
-            B = std.A.columns(first.basis.basis).to_scipy().toarray()
-            if np.linalg.matrix_rank(B) < std.m:
-                continue  # a basis of the one matrix may be singular in the other
+                cases.append((start, lp_b))
+        assert len(cases) >= 5
+        lp, start = next((lp, s) for lp, s in zip(programs, starts) if s is not None)
+        cases.append((start, build_transfer_program(generate(preset(1), 0))[0]))
+        assert cases[-1][1].A.shape != lp.A.shape
+        sense = np.where(lp.sense < 0, 0.0, lp.sense)
+        assert not np.array_equal(sense, lp.sense)
+        cases.append((start, LinearProgram(
+            lp.num_vars, lp.objective, lp.lower, lp.upper, lp.integrality,
+            lp.A, sense, lp.rhs)))
+        assert cases[-1][1].A is lp.A
+        crashed = self.counted(monkeypatch, "crash_basis")
+        factored = self.counted_lu(monkeypatch)
+        statuses = set()
+        for start, lp_b in cases:
+            std = simplex.build_standard_form(lp_b, like=start.form)
+            assert std.A is not start.form.A
+            before = len(factored)
             cold = simplex.core_solve(std)
-            runs = []
-            for start in (first.basis, first.basis[:2]):
-                factored = self.counted_lu(monkeypatch)
-                runs.append((simplex.core_solve(std, start=start), len(factored)))
-                monkeypatch.undo()
-            (res, n_res), (alone, n_alone) = runs
-            assert n_res == n_alone >= 1
-            assert res.status is alone.status is cold.status
-            assert res.iterations == alone.iterations
+            n_cold = len(factored) - before
+            crashed.clear()
+            res = simplex.core_solve(std, start=start)
+            assert len(crashed) == 1
+            assert len(factored) - before == 2 * n_cold
+            assert res.status is cold.status
+            assert res.iterations == cold.iterations
             if cold.status is LpStatus.OPTIMAL:
-                assert res.objective == pytest.approx(cold.objective, abs=1e-9)
-                assert res.x.tobytes() == alone.x.tobytes()
-            checked += 1
-        assert checked >= 5
+                assert res.x.tobytes() == cold.x.tobytes()
+            statuses.add(cold.status)
+        assert LpStatus.OPTIMAL in statuses
 
-    def test_started_solve_flips_the_boxed_columns_that_price_in(self, dual_runs):
+    def test_a_start_singular_over_another_matrix_does_not_crash(self, cli_env):
+        # slot 0's optimal basis of tiny seed 9 is singular over slot 0 of
+        # tiny seed 16, a matrix of the same shape, and SuperLU
+        # (relax=1) crashed the interpreter on it when such a start was
+        # factored again. Run in a child interpreter, so that a crash
+        # fails this test alone
+        probe = (
+            "import numpy as np\n"
+            "from ambuplan import allocation, generate, solve_allocation, tiny_params\n"
+            "from ambuplan.engine import simplex\n"
+            "slot0, solve = {}, allocation.solve_milp\n"
+            "def recorded(lp, node_limit=None, start=None):\n"
+            "    res = solve(lp, node_limit, start)\n"
+            "    slot0.setdefault(seed, (lp, res.basis))\n"
+            "    return res\n"
+            "allocation.solve_milp = recorded\n"
+            "for seed in (9, 16):\n"
+            "    solve_allocation(generate(tiny_params(seed), seed))\n"
+            "std = simplex.build_standard_form(slot0[16][0], like=slot0[9][1].form)\n"
+            "B = std.A.columns(slot0[9][1].basis).to_scipy().toarray()\n"
+            "assert np.linalg.matrix_rank(B) < std.m\n"
+            "cold = simplex.core_solve(std)\n"
+            "res = simplex.core_solve(std, start=slot0[9][1])\n"
+            "print(res.status.value, res.objective, cold.status.value, cold.objective)\n")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=cli_env, timeout=120)
+        assert done.returncode == 0, (done.returncode, done.stderr)
+        status, objective, cold_status, cold_objective = done.stdout.split()
+        assert (status, objective) == (cold_status, cold_objective)
+
+    def test_started_solve_flips_the_boxed_columns_that_price_in(self, dual_runs,
+                                                                 monkeypatch):
         # the slack basis is optimal at costs (1, 1, 1). At costs (-1, 1, 0)
         # only x0 <= 4 prices in there, and it flips to 4, which the row
         # allows; at costs (-1, -2, 0) x1 <= 20 prices in too, and both
         # flips overrun the row. Both reach the crash's optimum
-        def program(cost):
-            return simplex.build_standard_form(lp_of(3, cost, [0] * 3, [4, 20, 20], [
-                LinearRow(((0, 1.0), (1, 1.0), (2, 1.0)), "<=", 10.0)]))
-
-        first = simplex.core_solve(program([1, 1, 1]))
-        assert first.status is LpStatus.OPTIMAL and first.basis[0].tolist() == [3]
+        lp = lp_of(3, [1, 1, 1], [0] * 3, [4, 20, 20], [
+            LinearRow(((0, 1.0), (1, 1.0), (2, 1.0)), "<=", 10.0)])
+        first = simplex.core_solve(simplex.build_standard_form(lp))
+        assert first.status is LpStatus.OPTIMAL and first.basis.basis.tolist() == [3]
+        crashed = self.counted(monkeypatch, "crash_basis")
         for cost, runs, x in (([-1, 1, 0], [([0], True)], [4.0, 0.0, 0.0]),
                               ([-1, -2, 0], [([0, 1], True)], [0.0, 10.0, 0.0])):
-            std = program(cost)
+            # the same A object, so the start is taken
+            std = simplex.build_standard_form(
+                dataclasses.replace(lp, objective=np.array(cost, dtype=float)),
+                like=first.basis.form)
             dual_runs.clear()
+            crashed.clear()
             res = simplex.core_solve(std, start=first.basis)
+            assert crashed == [], cost
             assert [(flipped.tolist(), feasible)
                     for flipped, feasible in dual_runs] == runs, cost
             ref = simplex.core_solve(std)
@@ -728,38 +776,24 @@ class TestStart:
             assert res.objective == ref.objective == float(np.dot(cost, x))
             assert np.allclose(res.x, x, atol=1e-9)
 
-    def test_start_of_another_shape_is_ignored(self, monkeypatch):
-        std = simplex.build_standard_form(
-            build_transfer_program(generate(preset(1), 0))[0])
-        small = simplex.build_standard_form(
-            build_allocation_program(generate(tiny_params(3), 3))[0])
-        basis, dirn = simplex.core_solve(small).basis[:2]
-        plain = simplex.core_solve(std)
-        crashed = self.counted(monkeypatch, "crash_basis")
-        # a basis or a dirn of the wrong length, each with the other fitting
-        for start in ((basis, plain.basis[1]), (plain.basis[0], dirn)):
-            res = simplex.core_solve(std, start=start)
-            assert res.iterations == plain.iterations
-            assert res.x.tobytes() == plain.x.tobytes()
-        assert len(crashed) == 2
-
     def test_start_from_other_data_reoptimizes_to_the_crash_optimum(self, monkeypatch):
         # the start is the optimal basis of the same matrix under other costs,
         # bounds and right-hand sides; from it the solve reaches the status
         # and optimum that the crash path reaches
         rng = np.random.default_rng(2024)
         crashed = self.counted(monkeypatch, "crash_basis")
-        started = compared = 0
+        compared = 0
         statuses = set()
         for trial in range(600):
             lp, _ = random_program(rng)
             first = simplex.core_solve(simplex.build_standard_form(lp))
             if first.status is not LpStatus.OPTIMAL:
                 continue
-            std = simplex.build_standard_form(with_data(lp, rng))
-            before = len(crashed)
+            # the same A object, so the start is taken
+            std = simplex.build_standard_form(with_data(lp, rng), like=first.basis.form)
+            crashed.clear()
             res = simplex.core_solve(std, start=first.basis)
-            started += len(crashed) == before
+            assert crashed == [], trial
             ref = simplex.core_solve(std)
             label = f"trial {trial}"
             assert res.status is ref.status, label
@@ -768,7 +802,7 @@ class TestStart:
             if ref.status is LpStatus.OPTIMAL:
                 assert res.objective == pytest.approx(
                     ref.objective, abs=1e-6 * (1 + abs(ref.objective))), label
-        assert started == compared >= 150, (started, compared)
+        assert compared >= 150, compared
         assert statuses == set(LpStatus)
 
 
