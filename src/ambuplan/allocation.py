@@ -47,7 +47,6 @@ from .engine import (
     LinearProgram,
     MilpSolution,
     MilpStatus,
-    matrix_from_blocks,
     solve_milp,
 )
 
@@ -96,7 +95,7 @@ def build_allocation_program(inst: Instance) -> tuple[LinearProgram, AllocationI
     cj, ci = np.nonzero(inst.coverage)  # covering (j, i) pairs, once per slot
     ct = np.repeat(slot, cj.size)
     cj, ci = np.tile(cj, tn), np.tile(ci, tn)
-    blocks = [
+    blocks = [  # (rows, cols, the coefficient of their entries)
         # fleet cap per slot
         (fleet[t], ix.alloc(j, t), 1.0),
         # placed coverage must meet each zone's demand
@@ -120,8 +119,10 @@ def build_allocation_program(inst: Instance) -> tuple[LinearProgram, AllocationI
     # dispatch and shortage bounds
     upper = np.column_stack([inst.capacity.T, inst.capacity.T,
                              inst.demand.sum(axis=0, dtype=float)]).ravel()
-    lp = LinearProgram(n, obj, np.zeros(n), upper, np.ones(n, dtype=bool),
-                       matrix_from_blocks(blocks, (sense.size, n)), sense, rhs)
+    rows, cols, coeffs = zip(*blocks)
+    A = CscMatrix.from_triplets(np.concatenate(rows), np.concatenate(cols),
+                                np.repeat(coeffs, [len(r) for r in rows]), (sense.size, n))
+    lp = LinearProgram(n, obj, np.zeros(n), upper, np.ones(n, dtype=bool), A, sense, rhs)
     return lp, ix
 
 

@@ -1,7 +1,9 @@
 """Exact LP and MILP solving used by the planning models.
 
-The public surface is small: build a LinearProgram, then call solve_lp for
-the continuous relaxation or solve_milp to enforce integrality flags.
+The public surface is small: build a LinearProgram, its matrix a CscMatrix
+from CscMatrix.from_triplets (or any sparse or dense matrix, which the
+program reads through it), then call solve_lp for the continuous relaxation
+or solve_milp to enforce integrality flags.
 """
 
 from .branch_bound import solve_milp
@@ -15,7 +17,6 @@ from .program import (
     MilpSolution,
     MilpStatus,
     NumericalBreakdownError,
-    matrix_from_blocks,
 )
 from .simplex import FEAS_TOL, INTEGRALITY_TOL, PIVOT_TOL, solve_lp
 
@@ -32,7 +33,6 @@ __all__ = [
     "MilpSolution",
     "MilpStatus",
     "NumericalBreakdownError",
-    "matrix_from_blocks",
     "solve_lp",
     "solve_milp",
 ]

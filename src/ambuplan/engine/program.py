@@ -4,9 +4,11 @@ A :class:`LinearProgram` is a minimization over bounded variables subject to
 the rows of one sparse constraint matrix. Integrality is a per-variable flag
 interpreted by ``solve_milp``; ``solve_lp`` always solves the continuous
 relaxation of whatever it is given. The matrix is a :class:`CscMatrix`,
-three numpy arrays in compressed sparse column form; a program also takes a
-scipy sparse matrix or a dense array and reads it through its attributes,
-so this module loads numpy only.
+three numpy arrays in compressed sparse column form. Every matrix built
+from entries goes through ``CscMatrix.from_triplets``: both models' block
+triplets, a scipy sparse matrix or dense array given to a program (read
+through its attributes, so this module loads numpy only) and every
+transpose.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ class CscMatrix:
     @classmethod
     def from_triplets(cls, rows, cols, vals, shape: tuple[int, int]) -> CscMatrix:
         """The matrix with value vals[k] at (rows[k], cols[k]); repeated
-        positions are summed, and entries that are zero are dropped."""
+        positions are summed in the order given, and entries that are zero
+        are dropped. This is the one conversion of entries to CSC arrays:
+        one stable sort on the column-major key ``col * m + row``."""
         m, n = shape
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
@@ -63,16 +67,17 @@ class CscMatrix:
         if rows.size and (rows.min() < 0 or rows.max() >= m
                           or cols.min() < 0 or cols.max() >= n):
             raise ValueError(f"matrix entry index out of range for shape {shape}")
-        order = np.lexsort((rows, cols))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size:
-            first = np.flatnonzero(np.concatenate(
-                ([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))))
-            rows, cols, vals = rows[first], cols[first], np.add.reduceat(vals, first)
+        key = cols * m + rows
+        order = np.argsort(key, kind="stable")
+        key, rows, vals = key[order], rows[order], vals[order]
+        repeat = key[1:] == key[:-1]
+        if repeat.any():
+            first = np.flatnonzero(np.concatenate(([True], ~repeat)))
+            key, rows, vals = key[first], rows[first], np.add.reduceat(vals, first)
         keep = vals != 0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
-        return cls(indptr, rows, vals, shape)
+        if not keep.all():
+            key, rows, vals = key[keep], rows[keep], vals[keep]
+        return cls(np.searchsorted(key, np.arange(n + 1) * m), rows, vals, shape)
 
     @classmethod
     def of(cls, A) -> CscMatrix:
@@ -123,13 +128,10 @@ class CscMatrix:
         return csc_array((self.data, self.indices, self.indptr), shape=self.shape)
 
     def transpose(self) -> CscMatrix:
-        """The transpose, by a stable sort of the entries by row: its
-        columns are this matrix's rows, each in ascending column order."""
-        order = np.argsort(self.indices, kind="stable")
-        counts = np.bincount(self.indices, minlength=self.shape[0])
-        return CscMatrix(np.concatenate(([0], np.cumsum(counts))),
-                         self.entry_columns()[order], self.data[order],
-                         (self.shape[1], self.shape[0]))
+        """The transpose: its columns are this matrix's rows, each in
+        ascending column order."""
+        return CscMatrix.from_triplets(self.entry_columns(), self.indices, self.data,
+                                       (self.shape[1], self.shape[0]))
 
 
 def runs(indptr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,17 +243,6 @@ class LinearProgram:
         return [LinearRow(tuple(zip(A.indices[s:e].tolist(), A.data[s:e].tolist())),
                           _RELATIONS[sense], rhs)
                 for (s, e), sense, rhs in zip(ends, self.sense.tolist(), self.rhs.tolist())]
-
-
-def matrix_from_blocks(blocks, shape: tuple[int, int]) -> CscMatrix:
-    """The CSC matrix of COO blocks ``(rows, cols, coeff)``: equal-length index
-    arrays and the one coefficient their entries share. No entry may repeat."""
-    rows, cols, coeffs = zip(*blocks)
-    vals = np.repeat(np.array(coeffs, dtype=np.float64), [len(r) for r in rows])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    order = np.argsort(cols * shape[0] + rows)  # column-major; keys are unique
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=shape[1]))])
-    return CscMatrix(indptr, rows[order], vals[order], shape)
 
 
 class Start(NamedTuple):

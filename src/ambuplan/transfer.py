@@ -39,7 +39,7 @@ from .core import (
     solving_form,
     validate_instance,
 )
-from .engine import LinearProgram, matrix_from_blocks, solve_milp
+from .engine import CscMatrix, LinearProgram, solve_milp
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def build_transfer_program(inst: Instance) -> tuple[LinearProgram, TransferIndex
     sizes = [tn, mj.size, jt.size, zn * tn]
     move, limit, demand = np.cumsum(sizes[:-1]).tolist()
     jm = np.arange(mj.size)
-    blocks = [
+    blocks = [  # (rows, cols, the coefficient of their entries)
         # every slot stations the whole fleet in service
         (t, ix.stock(j, t), 1.0), (np.arange(tn), np.full(tn, ix.fleet), -1.0),
         # each arrival is paid: tin covers the stock's rise
@@ -123,8 +123,10 @@ def build_transfer_program(inst: Instance) -> tuple[LinearProgram, TransferIndex
     upper = np.concatenate([inst.capacity.ravel(), inst.demand[pi].ravel(),
                             inst.capacity[mj, mt], inst.demand.ravel(),
                             [float(inst.fleet_size)]])
-    lp = LinearProgram(n, obj, np.zeros(n), upper, np.ones(n, dtype=bool),
-                       matrix_from_blocks(blocks, (sense.size, n)), sense, rhs)
+    rows, cols, coeffs = zip(*blocks)
+    A = CscMatrix.from_triplets(np.concatenate(rows), np.concatenate(cols),
+                                np.repeat(coeffs, [len(r) for r in rows]), (sense.size, n))
+    lp = LinearProgram(n, obj, np.zeros(n), upper, np.ones(n, dtype=bool), A, sense, rhs)
     return lp, ix
 
 

@@ -632,8 +632,9 @@ class TestSubprocessPipeline:
 
     def test_commands_on_triangular_bases_load_no_scipy(self, tmp_path, cli_env):
         # run the command in a child interpreter, then report its exit code
-        # and whether scipy was imported along the way. Every basis of these
-        # solves is triangular, so the engine factors them in numpy
+        # and whether scipy and the engine were imported along the way.
+        # Every basis of these solves is triangular, so the engine factors
+        # them in numpy; only a solve loads the engine at all
         probe = ("import runpy, sys\n"
                  "code = 0\n"
                  "if sys.argv[1] == 'import':\n"
@@ -643,33 +644,34 @@ class TestSubprocessPipeline:
                  "        runpy.run_module('ambuplan', run_name='__main__')\n"
                  "    except SystemExit as exc:\n"
                  "        code = exc.code or 0\n"
-                 "print('exit', code, 'scipy loaded:', 'scipy' in sys.modules)\n")
+                 "print('exit', code, 'scipy loaded:', 'scipy' in sys.modules,\n"
+                 "      'engine loaded:', 'ambuplan.engine' in sys.modules)\n")
 
-        def scipy_loaded(*args, code=0):
+        def loaded(*args, code=0):
+            """(scipy loaded, engine loaded) in the child."""
             done = subprocess.run([sys.executable, "-c", probe, *args],
                                   capture_output=True, text=True,
                                   cwd=str(tmp_path), env=cli_env)
             assert done.returncode == 0, done.stderr
-            last = done.stdout.splitlines()[-1]
-            assert last.startswith(f"exit {code} "), (args, last)
-            return last.endswith("scipy loaded: True")
+            last = done.stdout.splitlines()[-1].split()
+            assert last[:2] == ["exit", str(code)], (args, last)
+            return last[4] == "True", last[7] == "True"
 
-        assert not scipy_loaded("import", "ambuplan")
-        assert not scipy_loaded("import", "ambuplan.cli")
-        assert not scipy_loaded("generate", "--tiny", "--seed", "6",
-                                "--out", "inst.json")
+        neither, engine_only = (False, False), (False, True)
+        assert loaded("import", "ambuplan") == neither
+        assert loaded("import", "ambuplan.cli") == neither
+        assert loaded("generate", "--tiny", "--seed", "6", "--out", "inst.json") == neither
         # model 1 finds tiny seed 6 infeasible (exit 3) after factoring
         # its first slot's start
-        assert not scipy_loaded("solve", "--instance", "inst.json", "--model", "1",
-                                code=3)
-        assert not scipy_loaded("solve", "--instance", "inst.json", "--model", "2",
-                                "--out", "plan.json")
-        assert not scipy_loaded("report", "--instance", "inst.json",
-                                "--plan", "plan.json")
-        assert not scipy_loaded("generate", "--preset", "1", "--seed", "42",
-                                "--out", "day.json")
-        # this day branches: 4 nodes in its slots
-        assert not scipy_loaded("solve", "--instance", "day.json", "--model", "1")
+        assert loaded("solve", "--instance", "inst.json", "--model", "1",
+                      code=3) == engine_only
+        assert loaded("solve", "--instance", "inst.json", "--model", "2",
+                      "--out", "plan.json") == engine_only
+        assert loaded("report", "--instance", "inst.json", "--plan", "plan.json") == neither
+        assert loaded("generate", "--preset", "1", "--seed", "42",
+                      "--out", "day.json") == neither
+        # 4 core solves over the day's 4 slots, one node each: no slot branches
+        assert loaded("solve", "--instance", "day.json", "--model", "1") == engine_only
 
     def test_usage_error_exits_2(self, tmp_path, run_cli):
         done = run_cli("solve", "--instance", "inst.json", cwd=str(tmp_path))

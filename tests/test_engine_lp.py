@@ -806,6 +806,63 @@ class TestStart:
         assert statuses == set(LpStatus)
 
 
+def dense_of(A: CscMatrix) -> np.ndarray:
+    """A as a dense array, after checking that it is canonical: in each
+    column the rows strictly ascend, and no stored entry is zero."""
+    assert A.indptr[0] == 0 and np.all(np.diff(A.indptr) >= 0)
+    for j in range(A.shape[1]):
+        assert np.all(np.diff(A.indices[A.indptr[j]:A.indptr[j + 1]]) > 0), j
+    assert np.all(A.data != 0)
+    dense = np.zeros(A.shape)
+    dense[A.indices, A.entry_columns()] = A.data
+    return dense
+
+
+class TestCscMatrix:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_from_triplets_sums_repeats_and_drops_zeros(self, seed):
+        # random entries, about one in seven an explicit zero, then more
+        # entries at positions already taken, then two entries at each of a
+        # few taken positions that cancel its sum, all in shuffled order;
+        # integer values keep every sum exact
+        rng = np.random.default_rng(seed)
+        m, n = (int(v) for v in rng.integers(1, 9, size=2))
+        k = int(rng.integers(1, 30))
+        rows, cols = rng.integers(0, m, size=k), rng.integers(0, n, size=k)
+        vals = rng.integers(-3, 4, size=k).astype(float)
+        again = rng.integers(0, k, size=int(rng.integers(1, 10)))
+        rows, cols = np.concatenate([rows, rows[again]]), np.concatenate([cols, cols[again]])
+        vals = np.concatenate([vals, rng.integers(-3, 4, size=again.size)])
+        want = np.zeros((m, n))
+        np.add.at(want, (rows, cols), vals)
+        taken = np.unique(rows * n + cols)
+        pr, pc = np.divmod(rng.choice(taken, size=min(3, taken.size), replace=False), n)
+        split = rng.integers(-3, 4, size=pr.size).astype(float)
+        rows, cols = np.concatenate([rows, pr, pr]), np.concatenate([cols, pc, pc])
+        vals = np.concatenate([vals, split, -want[pr, pc] - split])
+        want[pr, pc] = 0.0
+        order = rng.permutation(rows.size)
+        rows, cols, vals = rows[order], cols[order], vals[order]
+
+        A = CscMatrix.from_triplets(rows, cols, vals, (m, n))
+        assert A.shape == (m, n)
+        np.testing.assert_array_equal(dense_of(A), want)
+        assert A.nnz == np.count_nonzero(want)
+        T = A.transpose()
+        assert T.shape == (n, m)
+        np.testing.assert_array_equal(dense_of(T), want.T)
+
+    def test_no_triplets_give_an_empty_matrix(self):
+        A = CscMatrix.from_triplets([], [], [], (2, 3))
+        np.testing.assert_array_equal(A.indptr, np.zeros(4))
+        assert A.nnz == 0 and A.transpose().shape == (3, 2)
+
+    @pytest.mark.parametrize("row, col", [(-1, 0), (2, 0), (0, -1), (0, 3)])
+    def test_from_triplets_rejects_out_of_range_index(self, row, col):
+        with pytest.raises(ValueError, match="out of range"):
+            CscMatrix.from_triplets([0, row], [1, col], [1.0, 1.0], (2, 3))
+
+
 class TestProgramValidation:
     def test_bad_relation_rejected(self):
         with pytest.raises(ValueError):

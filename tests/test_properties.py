@@ -3,10 +3,15 @@
 hypothesis draws valid instances from the corners that seeded corpora rarely
 reach: zero capacity, an empty fleet, zones covered by a single station or
 around an odd cycle, zero demand, and transfers far dearer than holding.
-The draws are derandomized, so every run checks the same instances.
+The draws are derandomized, so every run checks the same instances. A
+seeded family sets one demand past 2**53, where float64 stops holding
+every integer.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ambuplan import (
@@ -16,10 +21,14 @@ from ambuplan import (
     brute_force_transfer,
     evaluate_allocation,
     evaluate_transfer,
+    generate,
     solve_allocation,
     solve_transfer,
+    tiny_params,
+    validate_instance,
 )
 from ambuplan.core import big_m_bound
+from ambuplan.engine import EngineError
 
 MODELS = [(solve_allocation, brute_force_allocation, evaluate_allocation),
           (solve_transfer, brute_force_transfer, evaluate_transfer)]
@@ -75,3 +84,33 @@ def test_solvers_match_brute_force(inst):
         assert mine.objective == ref.objective, solve.__name__
         if mine.status is SolveStatus.OPTIMAL:
             assert evaluate(inst, mine.plan) == (mine.objective, []), solve.__name__
+
+
+def huge_demand(seed: int, demand: int) -> Instance:
+    """Tiny seed's instance with the demand of zone 0 in slot 0 set to
+    demand; it stays valid."""
+    inst = generate(tiny_params(seed), seed)
+    grown = inst.demand.copy()
+    grown[0, 0] = demand
+    inst = dataclasses.replace(inst, demand=grown)
+    assert validate_instance(inst) == [], seed
+    return inst
+
+
+@pytest.mark.parametrize("demand", [2**53 + 1, 2**60 + 1, 2**62 + 3, 2**63 - 1])
+def test_allocation_finds_huge_demand_infeasible(demand):
+    # no station holds that many vehicles, so no slot can place them
+    for seed in range(40):
+        assert solve_allocation(huge_demand(seed, demand)).status \
+            is SolveStatus.INFEASIBLE, seed
+
+
+@pytest.mark.xfail(strict=True, raises=EngineError,
+                   reason="ROADMAP item 23: the plan reads shortage from the float"
+                          " solution, which loses the low bit of a demand past 2**53")
+def test_transfer_matches_brute_force_past_2_53():
+    for seed in range(40):
+        inst = huge_demand(seed, 2**53 + 1)
+        mine, ref = solve_transfer(inst), brute_force_transfer(inst)
+        assert mine.status is ref.status, seed
+        assert mine.objective == ref.objective, seed
